@@ -22,8 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import Automaton, Protocol
-from .errors import ConfigError
-from .messages import Message
+from .errors import ConfigError, InvariantViolation
 
 
 class AverageAutomaton(Automaton):
@@ -40,8 +39,9 @@ class AverageAutomaton(Automaton):
 
     def apply_update(self):
         """Average of own estimate and every neighbor's, round to nearest."""
-        assert len(self.inbox) == len(self.ctx.neighbors), \
-            "lockstep round delivered an incomplete neighborhood"
+        if len(self.inbox) != len(self.ctx.neighbors):
+            raise InvariantViolation(
+                "lockstep round delivered an incomplete neighborhood")
         total = self.estimate + sum(self.inbox)
         self.estimate = round(Fraction(total, len(self.inbox) + 1))
         self.inbox = []
@@ -51,9 +51,8 @@ class AverageAutomaton(Automaton):
         return self.estimate / (1 << self.frac)
 
     def broadcast(self):
-        size = self.ctx.size_model.size(n_uids=1, n_values=1)
-        return Message(mtype="avg.estimate", src=self.ctx.uid, size_bits=size,
-                       payload=self.estimate)
+        return self.ctx.message("avg.estimate", payload=self.estimate,
+                                uids=1, values=1)
 
 
 class AverageProtocol(Protocol):

@@ -138,22 +138,3 @@ def curve_csv(rows) -> str:
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
-
-BOUNDS_CSV_COLUMNS = (
-    "mode", "n", "b", "d", "m",
-    "flooding_bandwidth_bps", "average_bandwidth_bps",
-    "ghs_token_bandwidth_bps", "ghs_token_bytes_bits",
-    "token_messages", "token_time_s",
-    "hybrid_p1_bandwidth_bps", "hybrid_p2_bandwidth_bps",
-    "hybrid_p3_bandwidth_bps", "hybrid_p4_bandwidth_bps",
-    "hybrid_bandwidth_bps",
-)
-
-
-def bounds_csv(rows) -> str:
-    lines = [",".join(BOUNDS_CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(
-            "" if row.get(c) is None else repr(row[c]) if isinstance(row[c], float)
-            else str(row[c]) for c in BOUNDS_CSV_COLUMNS))
-    return "\n".join(lines) + "\n"

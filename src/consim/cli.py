@@ -19,10 +19,11 @@ import argparse
 import os
 import random
 import sys
+from typing import Callable, NamedTuple
 
 from . import bounds as bnd
 from .averaging import AverageProtocol
-from .engine import Simulation, TimingParams
+from .engine import SCHEDULERS, Simulation, TimingParams
 from .errors import (ConfigError, ConsimError, InvalidParams, NotHierarchical,
                      WouldDisconnect)
 from .flooding import FloodingProtocol
@@ -32,26 +33,39 @@ from .hybrid import FailureExperiment, HybridProtocol
 from .messages import SizeModel
 from .metrics import (CSV_HEADER, ComplexityReport, byte_complexity,
                       message_complexity, peak_bandwidth, report_from_trace)
-from .topology import make_topology
+from .topology import TOPOLOGY_KINDS, make_topology
 from .validation import SUITES, run_suites
 
-ALGORITHMS = ("flooding", "average", "ghs-parallel", "ghs-token", "hybrid")
-TOPOLOGIES = ("path", "cycle", "star", "complete", "random_connected",
-              "balanced_tree", "depth_one_tree", "random_tree")
+
+class Algorithm(NamedTuple):
+    protocol: Callable  # parsed flags -> Protocol
+    bound: Callable  # (parsed flags, log mode) -> bandwidth ceiling, bits/s
 
 
-def _protocol(args):
-    if args.algo == "flooding":
-        return FloodingProtocol()
-    if args.algo == "average":
-        return AverageProtocol(eps=args.eps)
-    if args.algo == "ghs-parallel":
-        return GhsParallelProtocol()
-    if args.algo == "ghs-token":
-        return GhsTokenProtocol()
-    if args.algo == "hybrid":
-        return HybridProtocol(args.m)
-    raise ConfigError(f"unknown algorithm {args.algo!r}")
+def _token_bound(a, mode):
+    return bnd.ghs_token_bandwidth(a.n, a.bits, a.d, mode)
+
+
+ALGORITHMS = {
+    "flooding": Algorithm(
+        lambda a: FloodingProtocol(),
+        lambda a, mode: bnd.flooding_bandwidth(a.n, a.bits, a.d, mode)),
+    "average": Algorithm(
+        lambda a: AverageProtocol(eps=a.eps),
+        lambda a, mode: bnd.average_bandwidth(a.n, a.bits, a.d, mode)),
+    "ghs-parallel": Algorithm(lambda a: GhsParallelProtocol(), _token_bound),
+    "ghs-token": Algorithm(lambda a: GhsTokenProtocol(), _token_bound),
+    "hybrid": Algorithm(
+        lambda a: HybridProtocol(a.m),
+        lambda a, mode: bnd.hybrid_bandwidth(a.n, a.bits, a.d, a.m, mode)),
+}
+
+
+def _algorithm(args):
+    try:
+        return ALGORITHMS[args.algo]
+    except KeyError:
+        raise ConfigError(f"unknown algorithm {args.algo!r}") from None
 
 
 def _values(args, graph, fn):
@@ -82,7 +96,7 @@ def _build(args):
 def _single_report(args) -> tuple[list[ComplexityReport], object]:
     graph, fn, timing, sm = _build(args)
     values = _values(args, graph, fn)
-    protocol = _protocol(args)
+    protocol = _algorithm(args).protocol(args)
     m = args.m if args.algo == "hybrid" else None
     if args.fail:
         if args.algo != "hybrid":
@@ -146,20 +160,9 @@ def _sweep_one(payload):
     args = argparse.Namespace(**args_dict)
     setattr(args, axis, value)
     rows, _trace = _single_report(args)
-    row = rows[0]
-    mode_vals = {}
-    for mode in bnd.MODES:
-        key = "ceil" if mode == "ceil_log2" else "exact"
-        if args.algo == "flooding":
-            mode_vals[key] = bnd.flooding_bandwidth(args.n, args.bits, args.d, mode)
-        elif args.algo == "average":
-            mode_vals[key] = bnd.average_bandwidth(args.n, args.bits, args.d, mode)
-        elif args.algo in ("ghs-token", "ghs-parallel"):
-            mode_vals[key] = bnd.ghs_token_bandwidth(args.n, args.bits, args.d, mode)
-        else:
-            mode_vals[key] = bnd.hybrid_bandwidth(args.n, args.bits, args.d,
-                                                  args.m, mode)
-    return row.csv_row() + f",{mode_vals['ceil']!r},{mode_vals['exact']!r}"
+    bound = _algorithm(args).bound
+    ceil, exact = (bound(args, mode) for mode in bnd.MODES)
+    return rows[0].csv_row() + f",{ceil!r},{exact!r}"
 
 
 def cmd_sweep(args) -> int:
@@ -224,7 +227,7 @@ def _load_config_defaults(argv):
 
 def _add_experiment_flags(sub, default_seed):
     sub.add_argument("--algo", choices=ALGORITHMS, default="flooding")
-    sub.add_argument("--topo", choices=TOPOLOGIES, default="random_connected")
+    sub.add_argument("--topo", choices=TOPOLOGY_KINDS, default="random_connected")
     sub.add_argument("--n", type=int, default=16)
     sub.add_argument("--p", type=float, default=0.3,
                      help="edge probability for random_connected")
@@ -238,8 +241,7 @@ def _add_experiment_flags(sub, default_seed):
                      help="maximum transition latency (default d/10)")
     sub.add_argument("--fn", default="max",
                      help="consensus function: max, min, mean, vote:k, median")
-    sub.add_argument("--sched", choices=("lockstep", "random", "adversarial"),
-                     default="lockstep")
+    sub.add_argument("--sched", choices=SCHEDULERS, default="lockstep")
     sub.add_argument("--seed", type=int, default=default_seed)
     sub.add_argument("--m", type=int, default=1,
                      help="cluster parameter of the hybrid algorithm")

@@ -55,10 +55,6 @@ class TimingParams:
         if self.d <= 0 or self.l <= 0:
             raise ConfigError("timing parameters must be positive")
 
-    @classmethod
-    def with_default_latency(cls, d: float) -> "TimingParams":
-        return cls(d=d, l=d / 10.0)
-
 
 class SynchronousLockstep:
     name = "lockstep"
@@ -181,6 +177,14 @@ class NodeContext:
 
     def live_neighbors(self) -> tuple:
         return tuple(sorted(self._sim.adj[self.uid]))
+
+    def message(self, mtype, dst=None, payload=None, uids=0, values=0,
+                extra=0) -> Message:
+        """A message from this node, sized by the execution's size model
+        from its counts of UID-sized fields, values and extra bits."""
+        size = self.size_model.size(n_uids=uids, n_values=values,
+                                    extra_bits=extra)
+        return Message(mtype, self.uid, size, dst=dst, payload=payload)
 
     def request_flush(self):
         """Ask the engine for a deferred self-transition after the pending
@@ -482,11 +486,13 @@ def run(protocol, graph, values, **kwargs) -> ExecutionTrace:
 
 
 def validate_trace(trace: ExecutionTrace, _tol=1e-9):
-    """Assert the structural invariants every fair execution must satisfy:
-    chronological order, complete per-neighbor fan-out within (0, d],
-    transition latency within l, disjoint per-node transmission windows and
-    at most one output per node.  Raises NonTermination-style AssertionError
-    text on the first violation."""
+    """Check the structural invariants every fair execution must satisfy:
+    chronological order, complete per-neighbor fan-out with every delivery
+    delay in (0, d], transition latency within l, disjoint per-node
+    transmission windows and at most one output per node.  `_tol` absorbs
+    float rounding at the upper ends and in the ordering checks; any
+    positive delay is a valid draw.  Raises AssertionError on the first
+    violation, explicitly, so the checks also run under `python -O`."""
     d, l = trace.timing.d, trace.timing.l
     last_t = float("-inf")
     sends: dict[int, Event] = {}
@@ -495,27 +501,34 @@ def validate_trace(trace: ExecutionTrace, _tol=1e-9):
     node_deliver_t: dict[tuple, float] = {}
     outputs_seen = set()
     for e in trace.events:
-        assert e.t >= last_t - _tol, "events out of chronological order"
+        if e.t < last_t - _tol:
+            raise AssertionError("events out of chronological order")
         last_t = max(last_t, e.t)
         if e.kind == "send":
             sends[e.ref] = e
             deliver_counts[e.ref] = 0
             prev_end = node_send_end.get(e.node, float("-inf"))
-            assert e.t >= prev_end - _tol, \
-                f"node {e.node} started a send inside an earlier window"
+            if e.t < prev_end - _tol:
+                raise AssertionError(
+                    f"node {e.node} started a send inside an earlier window")
             node_send_end[e.node] = e.t + d
         elif e.kind == "deliver":
-            assert e.ref in sends, "deliver references an unknown send"
+            if e.ref not in sends:
+                raise AssertionError("deliver references an unknown send")
             delay = e.t - sends[e.ref].t
-            assert _tol < delay <= d + _tol, f"delivery delay {delay} outside (0, d]"
+            if not 0 < delay <= d + _tol:
+                raise AssertionError(f"delivery delay {delay} outside (0, d]")
             deliver_counts[e.ref] += 1
             node_deliver_t[(e.node, e.ref)] = e.t
         elif e.kind == "transition" and e.ref is not None:
             dt = e.t - node_deliver_t[(e.node, e.ref)]
-            assert -_tol <= dt <= l + _tol, f"transition latency {dt} exceeds l"
+            if not -_tol <= dt <= l + _tol:
+                raise AssertionError(f"transition latency {dt} exceeds l")
         elif e.kind == "output":
-            assert e.node not in outputs_seen, f"node {e.node} output twice"
+            if e.node in outputs_seen:
+                raise AssertionError(f"node {e.node} output twice")
             outputs_seen.add(e.node)
     for ref, expected in trace.send_fanout.items():
-        assert deliver_counts.get(ref, 0) == expected, \
-            f"send {ref} delivered {deliver_counts.get(ref, 0)}/{expected} times"
+        if deliver_counts.get(ref, 0) != expected:
+            raise AssertionError(f"send {ref} delivered "
+                                 f"{deliver_counts.get(ref, 0)}/{expected} times")

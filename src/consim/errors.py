@@ -41,6 +41,11 @@ class DuplicateUidConflict(ConsimError):
     is corrupt."""
 
 
+class InvariantViolation(ConsimError):
+    """Protocol state broke an invariant its algorithm relies on, e.g. after
+    a link failure the protocol does not support at that point."""
+
+
 class StaleRoutingEntry(ConsimError):
     """A routed message references a next hop that is no longer a neighbor."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .engine import Automaton, Protocol
 from .errors import DuplicateUidConflict
-from .messages import Message
 
 
 class FloodingAutomaton(Automaton):
@@ -52,9 +51,8 @@ class FloodingAutomaton(Automaton):
         return [self._pair_msg("flood.relay", pairs)]
 
     def _pair_msg(self, mtype, pairs):
-        size = self.ctx.size_model.size(n_uids=len(pairs), n_values=len(pairs))
-        return Message(mtype=mtype, src=self.ctx.uid, size_bits=size,
-                       payload=tuple(pairs))
+        return self.ctx.message(mtype, payload=tuple(pairs), uids=len(pairs),
+                                values=len(pairs))
 
     def _emit_output(self):
         fn = self.ctx.fn

@@ -18,7 +18,15 @@ When the last merge completes, both endpoints of the final core edge detect
 it; the higher-UID endpoint becomes the root.  Every node's `in_branch`
 pointer already points toward the core, so the tree is rooted for free.
 
-Aggregation schemes over the rooted tree:
+The pipelines hand the finished tree to one of the aggregation automata
+below: once a node knows its tree position (parent, children) it builds
+the aggregation's automaton, returns its start messages, forwards every
+later aggregation message to it and copies its output.  A parallel node
+learns its position from the root's `ghs.rooted` flood; the token root
+starts when it halts, and a token non-root starts at its first
+`token.compute`, which is also how it learns that the MST is final.
+
+Aggregation schemes over a rooted tree:
 
   parallel convergecast  leaves send first; every node folds its children's
                          values with its own and forwards the result to its
@@ -39,9 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Automaton, Protocol
-from .errors import NotHierarchical
-from .messages import Message
+from .engine import Automaton, Protocol, Simulation
+from .errors import InvariantViolation, NotHierarchical
 from .topology import edge_weight
 
 BASIC, BRANCH, REJECTED = "basic", "branch", "rejected"
@@ -103,8 +110,7 @@ class TokenPass:
         self.final = None
 
     def _msg(self, mtype, dst, value=None):
-        size = self.ctx.size_model.size(n_uids=2, n_values=1)
-        return Message(mtype, self.ctx.uid, size, dst=dst, payload=value)
+        return self.ctx.message(mtype, dst=dst, payload=value, uids=2, values=1)
 
     def start_compute(self, own_value):
         self.acc = own_value
@@ -180,26 +186,15 @@ class GhsAutomaton(Automaton):
         self.halted = False
         self.is_root = False
         self.root_uid: int | None = None
-        # aggregation state
-        self.token: TokenPass | None = None
-        self.agg_pending: set | None = None
-        self.agg_acc = None
-        self.agg_started = False
+        self.agg: Automaton | None = None  # aggregation over the final tree
 
     # -- small helpers ---------------------------------------------------
 
     def _w(self, peer):
         return edge_weight(self.ctx.uid, peer)
 
-    def _m(self, tag, dst=None, payload=None, uids=0, values=0, extra=0):
-        size = self.ctx.size_model.size(n_uids=uids, n_values=values,
-                                        extra_bits=extra)
-        return Message(f"{self.MSG_PREFIX}.{tag}", self.ctx.uid, size,
-                       dst=dst, payload=payload)
-
-    def _agg_msg(self, tag, payload, dst=None):
-        size = self.ctx.size_model.size(n_uids=1, n_values=1)
-        return Message(tag, self.ctx.uid, size, dst=dst, payload=payload)
+    def _m(self, tag, **fields):
+        return self.ctx.message(f"{self.MSG_PREFIX}.{tag}", **fields)
 
     def _branch_peers(self):
         return [p for p, s in self.edge_state.items() if s == BRANCH]
@@ -412,29 +407,13 @@ class GhsAutomaton(Automaton):
 
     def _after_halt(self, out):
         """Runs at the root once the MST is final."""
-        if self.mode == "token":
-            self.token = TokenPass(self.ctx, None, self.children(),
-                                   self._token_types())
-            msgs, event = self.token.start_compute(
-                self.ctx.fn.initial(self.ctx.value))
-            out.extend(msgs)
-            self._token_event(event, out)
-            return
         if self.mode is None:
             self.output = self.root_uid
-        kids = self.children()
-        if self.mode == "parallel":
-            self.agg_pending = set(kids)
-            self.agg_acc = self.ctx.fn.initial(self.ctx.value)
-            self.agg_started = True
-        if kids:
-            # announce the root; doubles as the aggregation kickoff
+        if self.mode != "token" and self.children():
+            # announce the root; doubles as the parallel aggregation kickoff
             out.append(self._m("rooted", payload=(self.root_uid,), uids=1))
-        elif self.mode == "parallel":
-            self._finish_parallel_root(out)
-
-    def _token_types(self):
-        return ("token.compute", "token.reply", "token.relay", "token.ack")
+        if self.mode is not None:
+            self._start_aggregation(out)
 
     def _on_rooted(self, msg, src, out):
         if src != self.in_branch or self.root_uid is not None:
@@ -443,73 +422,29 @@ class GhsAutomaton(Automaton):
         self.root_uid = msg.payload[0]
         if self.mode is None:
             self.output = self.root_uid
-        kids = self.children()
-        if kids:
+        if self.children():
             out.append(self._m("rooted", payload=(self.root_uid,), uids=1))
-            if self.mode == "parallel":
-                self.agg_pending = set(kids)
-                self.agg_acc = self.ctx.fn.initial(self.ctx.value)
-                self.agg_started = True
-        elif self.mode == "parallel":
-            # leaves relay their values first
-            out.append(self._agg_msg("agg.report",
-                                     self.ctx.fn.initial(self.ctx.value),
-                                     dst=self.in_branch))
+        if self.mode == "parallel":
+            self._start_aggregation(out)
+
+    def _start_aggregation(self, out):
+        aggregation = {"parallel": ParallelConvergecastAutomaton,
+                       "token": TokenConvergecastAutomaton}[self.mode]
+        self.agg = aggregation(self.ctx, TreeInfo(self.ctx.uid, self.in_branch,
+                                                  self.children()))
+        self._forward(self.agg.on_start(), out)
 
     def _on_aggregation(self, msg, src, out):
-        tag = msg.mtype.split(".", 1)[1]
-        if self.mode == "parallel":
-            self._on_parallel(tag, msg, src, out)
-        elif self.mode == "token":
-            if self.token is None:
-                # first compute arrival tells a node the MST is final
-                self.halted = True
-                self.token = TokenPass(self.ctx, self.in_branch,
-                                       self.children(), self._token_types())
-            msgs, event = self.token.handle(msg, src)
-            out.extend(msgs)
-            self._token_event(event, out)
-        else:
-            raise AssertionError(f"unexpected message {msg.mtype}")
+        if self.agg is None:
+            # a token non-root: the first compute arrival tells it the MST
+            # is final
+            self.halted = True
+            self._start_aggregation(out)
+        self._forward(self.agg.on_message(msg, src), out)
 
-    def _token_event(self, event, out):
-        if event is None:
-            return
-        kind = event[0]
-        fn = self.ctx.fn
-        if kind == "computed":
-            final = fn.finalize(event[1])
-            msgs, ev = self.token.start_relay(final)
-            out.extend(msgs)
-            self._token_event(ev, out)
-        elif kind == "terminated":
-            self.output = fn.decode(event[1])
-
-    def _on_parallel(self, tag, msg, src, out):
-        fn = self.ctx.fn
-        if tag == "report":
-            if msg.dst != self.ctx.uid or self.agg_pending is None:
-                return
-            self.agg_acc = fn.combine(self.agg_acc, msg.payload)
-            self.agg_pending.discard(src)
-            if not self.agg_pending:
-                if self.is_root:
-                    self._finish_parallel_root(out)
-                else:
-                    out.append(self._agg_msg("agg.report", self.agg_acc,
-                                             dst=self.in_branch))
-        elif tag == "result":
-            if src != self.in_branch or self.output is not None:
-                return
-            self.output = fn.decode(msg.payload)
-            if self.children():
-                out.append(self._agg_msg("agg.result", msg.payload))
-
-    def _finish_parallel_root(self, out):
-        final = self.ctx.fn.finalize(self.agg_acc)
-        self.output = self.ctx.fn.decode(final)
-        if self.children():
-            out.append(self._agg_msg("agg.result", final))
+    def _forward(self, msgs, out):
+        out.extend(msgs)
+        self.output = self.agg.output
 
 
 class GhsMstProtocol(Protocol):
@@ -557,31 +492,22 @@ class TokenConvergecastAutomaton(Automaton):
     def on_start(self):
         if not self.info.is_root:
             return []
-        out = []
-        msgs, event = self.token.start_compute(
-            self.ctx.fn.initial(self.ctx.value))
-        out.extend(msgs)
-        self._event(event, out)
-        return out
+        return self._advance(*self.token.start_compute(
+            self.ctx.fn.initial(self.ctx.value)))
 
     def on_message(self, msg, src):
-        out = []
-        msgs, event = self.token.handle(msg, src)
-        out.extend(msgs)
-        self._event(event, out)
-        return out
+        return self._advance(*self.token.handle(msg, src))
 
-    def _event(self, event, out):
-        if event is None:
-            return
+    def _advance(self, msgs, event):
+        """The token's messages, plus the relay pass the root starts once
+        the fold is complete; a terminated pass sets the output."""
         fn = self.ctx.fn
-        if event[0] == "computed":
-            final = fn.finalize(event[1])
-            msgs, ev = self.token.start_relay(final)
-            out.extend(msgs)
-            self._event(ev, out)
-        elif event[0] == "terminated":
+        if event is not None and event[0] == "computed":
+            relay, event = self.token.start_relay(fn.finalize(event[1]))
+            msgs = msgs + relay
+        if event is not None and event[0] == "terminated":
             self.output = fn.decode(event[1])
+        return msgs
 
 
 class TokenConvergecastProtocol(_NeedsHierarchical, Protocol):
@@ -604,8 +530,7 @@ class ParallelConvergecastAutomaton(Automaton):
         self.acc = ctx.fn.initial(ctx.value)
 
     def _value_msg(self, tag, payload, dst=None):
-        size = self.ctx.size_model.size(n_uids=1, n_values=1)
-        return Message(tag, self.ctx.uid, size, dst=dst, payload=payload)
+        return self.ctx.message(tag, dst=dst, payload=payload, uids=1, values=1)
 
     def on_start(self):
         if self.info.is_root and self.info.is_leaf:
@@ -660,8 +585,9 @@ def mst_edges(automata) -> frozenset:
             if state == BRANCH:
                 edges.add(edge_weight(uid, peer))
     for a, b in edges:
-        assert automata[a].edge_state[b] == BRANCH
-        assert automata[b].edge_state[a] == BRANCH
+        if (automata[a].edge_state.get(b) != BRANCH
+                or automata[b].edge_state.get(a) != BRANCH):
+            raise InvariantViolation(f"branch edge {(a, b)} is one-sided")
     return frozenset(edges)
 
 
@@ -675,7 +601,6 @@ def tree_from_automata(automata) -> dict[int, TreeInfo]:
 
 def ghs_build_mst(graph, scheduler="lockstep", seed=0, timing=None):
     """Run MST construction and return (tree map, trace)."""
-    from .engine import Simulation
     sim = Simulation(GhsMstProtocol(), graph, [0] * graph.n, fn=None,
                      scheduler=scheduler, seed=seed, timing=timing)
     trace = sim.run()

@@ -45,13 +45,16 @@ from __future__ import annotations
 
 import math
 
-from .engine import Protocol
-from .errors import ConfigError, NotHierarchical, StaleRoutingEntry
+from .engine import Protocol, Simulation
+from .errors import (ConfigError, InvariantViolation, NotHierarchical,
+                     StaleRoutingEntry)
 from .ghs import BRANCH, FOUND, INF_W, GhsAutomaton, TokenPass
-from .messages import Message
-from .topology import edge_weight
+from .topology import edge_weight, fail_link
 
 EPOCH_BITS = 8  # phase-3/4 and recovery messages carry an epoch byte
+# in-cluster token pass: compute/reply fold the cluster value in phase 3,
+# relay/ack disseminate the global value in phase 4
+TOKEN_TYPES = ("p3.compute", "p3.reply", "p4.relay", "p4.ack")
 
 
 class HybridAutomaton(GhsAutomaton):
@@ -216,11 +219,6 @@ class HybridAutomaton(GhsAutomaton):
     # phase 2: descendant counting and splitting
     # ------------------------------------------------------------------
 
-    def _m2(self, mtype, dst=None, payload=None, uids=0, values=0, extra=0):
-        size = self.ctx.size_model.size(n_uids=uids, n_values=values,
-                                        extra_bits=extra)
-        return Message(mtype, self.ctx.uid, size, dst=dst, payload=payload)
-
     def _maybe_start_p2(self, out):
         if (not self.halted or self.started_p2
                 or any(nb not in self.neighbor_done
@@ -249,13 +247,13 @@ class HybridAutomaton(GhsAutomaton):
         if count > self.cap:
             # too many descendants: start a new cluster and cut loose
             self._become_cut_root(count)
-            out.append(self._m2("p2.cut", dst=self.old_parent,
-                                payload=(count,), uids=2))
+            out.append(self.ctx.message("p2.cut", dst=self.old_parent,
+                                        payload=(count,), uids=2))
             return
         cut_uid, cut_size = (self.latest_cut[1], self.latest_cut[2]) \
             if self.latest_cut else (None, 0)
-        out.append(self._m2("p2.count", dst=self.parent,
-                            payload=(count, cut_uid, cut_size), uids=4))
+        out.append(self.ctx.message("p2.count", dst=self.parent,
+                                    payload=(count, cut_uid, cut_size), uids=4))
 
     def _become_cut_root(self, count):
         self.is_cut_root = True
@@ -298,8 +296,9 @@ class HybridAutomaton(GhsAutomaton):
         self.p4_ready = False
         self._reset_discovery()
         if self.ctx.live_neighbors():
-            out.append(self._m2("p3.announce", uids=2, extra=EPOCH_BITS,
-                                payload=(self.cluster_id, undo_uid, self.epoch)))
+            out.append(self.ctx.message(
+                "p3.announce", payload=(self.cluster_id, undo_uid, self.epoch),
+                uids=2, extra=EPOCH_BITS))
         self._maybe_report_discovery(out)
 
     def _reset_discovery(self):
@@ -330,9 +329,7 @@ class HybridAutomaton(GhsAutomaton):
                 self.old_parent = None
                 self.cluster_id = cid
                 self.root_uid = cid
-                self._begin_announce(None, out)
-            else:
-                self._begin_announce(None, out)
+            self._begin_announce(None, out)
         else:
             self._maybe_report_discovery(out)
 
@@ -362,9 +359,9 @@ class HybridAutomaton(GhsAutomaton):
             self._start_cluster_value(out)
         else:
             ids = tuple(sorted(self.neighbor_clusters))
-            out.append(self._m2("p3.clusters", dst=self.parent,
-                                payload=(ids, self.epoch),
-                                uids=1 + len(ids), extra=EPOCH_BITS))
+            out.append(self.ctx.message("p3.clusters", dst=self.parent,
+                                        payload=(ids, self.epoch),
+                                        uids=1 + len(ids), extra=EPOCH_BITS))
 
     def _on_clusters(self, msg, src, out):
         ids, epoch = msg.payload
@@ -376,15 +373,12 @@ class HybridAutomaton(GhsAutomaton):
         self.disc_pending.discard(src)
         self._maybe_report_discovery(out)
 
-    def _token_types(self):
-        return ("p3.compute", "p3.reply", "p4.relay", "p4.ack")
-
     def _start_cluster_value(self, out):
         if not self.value_dirty and self.cluster_value is not None:
             self._enter_p4(out)
             return
         self.token = TokenPass(self.ctx, None, self._members(),
-                               self._token_types())
+                               TOKEN_TYPES)
         msgs, event = self.token.start_compute(
             self.ctx.fn.initial(self.ctx.value))
         out.extend(msgs)
@@ -429,10 +423,9 @@ class HybridAutomaton(GhsAutomaton):
             return
         if self._all_routes_direct_to_roots():
             batch = self._pair_batch(cids)
-            out.append(self._m2("p4.share",
-                                payload=(self.cluster_id, batch, self.epoch),
-                                uids=1 + 2 * len(batch), values=len(batch),
-                                extra=EPOCH_BITS))
+            out.append(self.ctx.message(
+                "p4.share", payload=(self.cluster_id, batch, self.epoch),
+                uids=1 + 2 * len(batch), values=len(batch), extra=EPOCH_BITS))
             return
         for dest in sorted(self.neighbor_clusters):
             send = [c for c in cids if c != dest and self.pair_from[c] != dest]
@@ -442,11 +435,10 @@ class HybridAutomaton(GhsAutomaton):
             hop = self.routing.get(dest)
             if hop is None:
                 raise StaleRoutingEntry(f"no next hop toward cluster {dest}")
-            out.append(self._m2("p4.values", dst=hop,
-                                payload=(dest, self.cluster_id, batch,
-                                         self.epoch),
-                                uids=3 + 2 * len(batch), values=len(batch),
-                                extra=EPOCH_BITS))
+            out.append(self.ctx.message(
+                "p4.values", dst=hop,
+                payload=(dest, self.cluster_id, batch, self.epoch),
+                uids=3 + 2 * len(batch), values=len(batch), extra=EPOCH_BITS))
 
     def _ingest_pairs(self, src_cluster, batch, out):
         new = []
@@ -466,7 +458,8 @@ class HybridAutomaton(GhsAutomaton):
         total = sum(size for size, _ in self.value_table.values())
         if total < self.ctx.n:
             return
-        assert total == self.ctx.n, "cluster sizes overshoot the node count"
+        if total != self.ctx.n:
+            raise InvariantViolation("cluster sizes overshoot the node count")
         fn = self.ctx.fn
         acc = None
         for cid in sorted(self.value_table):
@@ -476,7 +469,7 @@ class HybridAutomaton(GhsAutomaton):
         self.output = fn.decode(self.global_final)
         if self.token is None:  # cluster value was reused, no compute pass ran
             self.token = TokenPass(self.ctx, None, self._members(),
-                                   self._token_types())
+                                   TOKEN_TYPES)
         msgs, _event = self.token.start_relay(self.global_final)
         out.extend(msgs)
 
@@ -491,10 +484,10 @@ class HybridAutomaton(GhsAutomaton):
             self._on_announce(msg, src, out)
         elif full == "p3.clusters":
             self._on_clusters(msg, src, out)
-        elif full in ("p3.compute", "p3.reply", "p4.relay", "p4.ack"):
+        elif full in TOKEN_TYPES:
             if self.token is None:
                 self.token = TokenPass(self.ctx, self.parent, self._members(),
-                                       self._token_types())
+                                       TOKEN_TYPES)
             msgs, event = self.token.handle(msg, src)
             out.extend(msgs)
             if event is None:
@@ -521,18 +514,18 @@ class HybridAutomaton(GhsAutomaton):
             if self.is_root:
                 self._ingest_pairs(src_cluster, batch, out)
             else:
-                out.append(self._m2("p4.values", dst=self.parent,
-                                    payload=msg.payload,
-                                    uids=3 + 2 * len(batch),
-                                    values=len(batch), extra=EPOCH_BITS))
+                out.append(self.ctx.message(
+                    "p4.values", dst=self.parent, payload=msg.payload,
+                    uids=3 + 2 * len(batch), values=len(batch),
+                    extra=EPOCH_BITS))
         else:
             hop = self.routing.get(dest)
             if hop is None:
                 raise StaleRoutingEntry(
                     f"node {self.ctx.uid} has no route toward {dest}")
-            out.append(self._m2("p4.values", dst=hop, payload=msg.payload,
-                                uids=3 + 2 * len(batch),
-                                values=len(batch), extra=EPOCH_BITS))
+            out.append(self.ctx.message(
+                "p4.values", dst=hop, payload=msg.payload,
+                uids=3 + 2 * len(batch), values=len(batch), extra=EPOCH_BITS))
 
     # ------------------------------------------------------------------
     # recovery from a single link failure
@@ -570,14 +563,7 @@ class HybridAutomaton(GhsAutomaton):
             # parent side: drop the branch and have the root recount
             self.edge_state[peer] = "basic"
             self.child_counts.pop(peer, None)
-            self.value_dirty = True
-            if self.is_root:
-                self.pf_initiator = True
-                self._pf_start_count(out)
-            else:
-                out.append(self._m2("pf.branch_lost", dst=self.parent,
-                                    payload=(self.epoch,), uids=1,
-                                    extra=EPOCH_BITS))
+            self._recount("pf.branch_lost", (self.epoch,), 1, out)
         else:
             self.edge_state.pop(peer, None)
             self._route_repair(peer, touched, out)
@@ -595,9 +581,10 @@ class HybridAutomaton(GhsAutomaton):
                     self.routing.pop(cid, None)
                     self.neighbor_clusters.discard(cid)
                     if not self.is_root and self.parent is not None:
-                        out.append(self._m2("pf.route_dead", dst=self.parent,
-                                            payload=(cid, self.epoch), uids=2,
-                                            extra=EPOCH_BITS))
+                        out.append(self.ctx.message(
+                            "pf.route_dead", dst=self.parent,
+                            payload=(cid, self.epoch), uids=2,
+                            extra=EPOCH_BITS))
 
     def _pf_start_count(self, out, token=None):
         if token is None:
@@ -612,8 +599,9 @@ class HybridAutomaton(GhsAutomaton):
         self.pf_cand_child = None
         self.latest_cut = None  # only cuts from this pass are undoable
         if self.pf_pending:
-            out.append(self._m2("pf.count_req", payload=(token, self.epoch),
-                                uids=3, extra=EPOCH_BITS))
+            out.append(self.ctx.message("pf.count_req",
+                                        payload=(token, self.epoch),
+                                        uids=3, extra=EPOCH_BITS))
         self._pf_maybe_report(out)
 
     def _pf_own_candidate(self):
@@ -638,14 +626,15 @@ class HybridAutomaton(GhsAutomaton):
             if count > self.cap:
                 # splitting rule, re-applied during recovery
                 self._become_cut_root(count)
-                out.append(self._m2("pf.cut", dst=self.old_parent,
-                                    payload=(count, self.pf_token, self.epoch),
-                                    uids=4, extra=EPOCH_BITS))
+                out.append(self.ctx.message(
+                    "pf.cut", dst=self.old_parent,
+                    payload=(count, self.pf_token, self.epoch),
+                    uids=4, extra=EPOCH_BITS))
                 return
-            out.append(self._m2("pf.count", dst=self.parent,
-                                payload=(count, cand, self.pf_token,
-                                         self.epoch),
-                                uids=6, extra=EPOCH_BITS))
+            out.append(self.ctx.message("pf.count", dst=self.parent,
+                                        payload=(count, cand, self.pf_token,
+                                                 self.epoch),
+                                        uids=6, extra=EPOCH_BITS))
             return
         # initiating root: decide what this part becomes
         self.pf_initiator = False
@@ -665,21 +654,21 @@ class HybridAutomaton(GhsAutomaton):
         self.root_uid = self.ctx.uid
         if self._members():
             # members may carry a stale cluster id after the break
-            out.append(self._m2("pf.newid",
-                                payload=(self.cluster_id, self.epoch),
-                                uids=1, extra=EPOCH_BITS))
+            out.append(self.ctx.message("pf.newid",
+                                        payload=(self.cluster_id, self.epoch),
+                                        uids=1, extra=EPOCH_BITS))
 
     def _pf_forward_join(self, cand, size, out):
         _w, x, y = cand
         if x == self.ctx.uid:
-            out.append(self._m2("pf.join_req", dst=y,
-                                payload=(size, self.epoch), uids=2,
-                                extra=EPOCH_BITS))
+            out.append(self.ctx.message("pf.join_req", dst=y,
+                                        payload=(size, self.epoch), uids=2,
+                                        extra=EPOCH_BITS))
         else:
             # the winning candidate propagated up through pf_cand_child
-            out.append(self._m2("pf.join", dst=self.pf_cand_child,
-                                payload=(cand, size, self.epoch),
-                                uids=4, extra=EPOCH_BITS))
+            out.append(self.ctx.message("pf.join", dst=self.pf_cand_child,
+                                        payload=(cand, size, self.epoch),
+                                        uids=4, extra=EPOCH_BITS))
 
     def _on_pf(self, tag, msg, src, out):
         if tag == "count_req":
@@ -709,14 +698,7 @@ class HybridAutomaton(GhsAutomaton):
             self.pf_pending.discard(src)
             self._pf_maybe_report(out)
         elif tag == "branch_lost":
-            if self.is_root:
-                self.pf_initiator = True
-                self.value_dirty = True
-                self._pf_start_count(out)
-            else:
-                out.append(self._m2("pf.branch_lost", dst=self.parent,
-                                    payload=msg.payload, uids=1,
-                                    extra=EPOCH_BITS))
+            self._recount("pf.branch_lost", msg.payload, 1, out)
         elif tag == "join":
             cand, size, _epoch = msg.payload
             self.pf_joining = True
@@ -728,50 +710,21 @@ class HybridAutomaton(GhsAutomaton):
                 self.old_parent = None  # a severed cut boundary is rejoined
             self.cut_children.pop(src, None)
             self.child_counts.pop(src, None)
-            self.value_dirty = True
-            out.append(self._m2("pf.join_ack", dst=src,
-                                payload=(self.cluster_id, epoch), uids=2,
-                                extra=EPOCH_BITS))
-            if self.is_root:
-                # absorbed nodes may push branches past the cap: recount and
-                # re-apply the splitting rule
-                self.pf_initiator = True
-                self._pf_start_count(out)
-            else:
-                out.append(self._m2("pf.size_up", dst=self.parent,
-                                    payload=(size, epoch), uids=2,
-                                    extra=EPOCH_BITS))
+            out.append(self.ctx.message("pf.join_ack", dst=src,
+                                        payload=(self.cluster_id, epoch),
+                                        uids=2, extra=EPOCH_BITS))
+            # absorbed nodes may push branches past the cap: the root
+            # recounts and re-applies the splitting rule
+            self._recount("pf.size_up", (size, epoch), 2, out)
         elif tag == "join_ack":
-            cid, epoch = msg.payload
-            self.edge_state[src] = BRANCH
-            if src == self.old_parent:
-                self.old_parent = None
-            self.cut_children.pop(src, None)
-            self.parent = src
-            self.is_root = False
-            self.pf_joining = False
-            self.cluster_id = cid
-            self.root_uid = cid
-            if self._members():
-                out.append(self._m2("pf.adopt", payload=(cid, epoch),
-                                    uids=1, extra=EPOCH_BITS))
+            self._reroot(src, *msg.payload, out)
         elif tag == "adopt":
             cid, epoch = msg.payload
             joined_half = not self.is_root or self.pf_joining
             if self.edge_state.get(src) == BRANCH and joined_half \
                     and self.cluster_id != cid:
                 # the joined half re-roots toward the attachment point
-                if src == self.old_parent:
-                    self.old_parent = None
-                self.cut_children.pop(src, None)
-                self.parent = src
-                self.is_root = False
-                self.pf_joining = False
-                self.cluster_id = cid
-                self.root_uid = cid
-                if self._members():
-                    out.append(self._m2("pf.adopt", payload=(cid, epoch),
-                                        uids=1, extra=EPOCH_BITS))
+                self._reroot(src, cid, epoch, out)
         elif tag == "newid":
             cid, epoch = msg.payload
             if src == self.parent and self.edge_state.get(src) == BRANCH \
@@ -779,36 +732,45 @@ class HybridAutomaton(GhsAutomaton):
                 self.cluster_id = cid
                 self.root_uid = cid
                 if self._members():
-                    out.append(self._m2("pf.newid", payload=(cid, epoch),
-                                        uids=1, extra=EPOCH_BITS))
+                    out.append(self.ctx.message("pf.newid",
+                                                payload=(cid, epoch),
+                                                uids=1, extra=EPOCH_BITS))
         elif tag == "size_up":
-            size, _epoch = msg.payload
-            if self.is_root:
-                self.value_dirty = True
-                self.pf_initiator = True
-                self._pf_start_count(out)
-            else:
-                out.append(self._m2("pf.size_up", dst=self.parent,
-                                    payload=msg.payload, uids=2,
-                                    extra=EPOCH_BITS))
+            self._recount("pf.size_up", msg.payload, 2, out)
         elif tag == "route_dead":
             cid, _epoch = msg.payload
-            cands = self.disc_candidates.get(cid)
-            if cands is not None:
-                cands.discard(src)
-            if self.routing.get(cid) == src:
-                left = self.disc_candidates.get(cid) or set()
-                if left:
-                    self.routing[cid] = min(left)
-                else:
-                    self.routing.pop(cid, None)
-                    self.neighbor_clusters.discard(cid)
-                    if not self.is_root and self.parent is not None:
-                        out.append(self._m2("pf.route_dead", dst=self.parent,
-                                            payload=msg.payload, uids=2,
-                                            extra=EPOCH_BITS))
+            self.disc_candidates.get(cid, set()).discard(src)
+            self._route_repair(src, [cid], out)
         else:
             raise AssertionError(f"unknown pf tag {tag}")
+
+    def _recount(self, mtype, payload, uids, out):
+        """Membership changed below this node: the root recounts its part,
+        any other node passes the news toward the root."""
+        self.value_dirty = True
+        if self.is_root:
+            self.pf_initiator = True
+            self._pf_start_count(out)
+        else:
+            out.append(self.ctx.message(mtype, dst=self.parent,
+                                        payload=payload, uids=uids,
+                                        extra=EPOCH_BITS))
+
+    def _reroot(self, parent, cid, epoch, out):
+        """Hang this node under `parent` in cluster `cid` and pass the
+        adoption on to the members below."""
+        self.edge_state[parent] = BRANCH
+        if parent == self.old_parent:
+            self.old_parent = None  # a severed cut boundary is rejoined
+        self.cut_children.pop(parent, None)
+        self.parent = parent
+        self.is_root = False
+        self.pf_joining = False
+        self.cluster_id = cid
+        self.root_uid = cid
+        if self._members():
+            out.append(self.ctx.message("pf.adopt", payload=(cid, epoch),
+                                        uids=1, extra=EPOCH_BITS))
 
     # re-consensus epoch, started by the experiment driver ---------------
 
@@ -863,7 +825,8 @@ def cluster_map(automata) -> dict[int, set]:
 def _depth(automata, uid):
     d, cur, seen = 0, uid, set()
     while automata[cur].parent is not None:
-        assert cur not in seen, "parent pointers form a cycle"
+        if cur in seen:
+            raise InvariantViolation("parent pointers form a cycle")
         seen.add(cur)
         cur = automata[cur].parent
         d += 1
@@ -922,7 +885,6 @@ class FailureExperiment:
 
     def __init__(self, graph, values, fn, m, *, timing=None, seed=0,
                  scheduler="lockstep", size_model=None):
-        from .engine import Simulation
         self.graph = graph
         self.fn = fn
         self.m = m
@@ -938,10 +900,8 @@ class FailureExperiment:
         return self.sim.automata
 
     def fail_link(self, edge, at=None):
-        from .engine import Simulation
-        from .topology import fail_link as drop
         u, v = edge
-        failed_graph = drop(self.graph, edge)  # raises if it would disconnect
+        failed_graph = fail_link(self.graph, edge)  # raises if it disconnects
         timing = self.sim.timing
         if at is None:
             at = self.initial_trace.last_output_time() + timing.d
@@ -959,7 +919,6 @@ class FailureExperiment:
         return self.repair_trace
 
     def reconsensus(self):
-        from .engine import Simulation
         epoch = 1 + max(a.epoch for a in self.sim.automata.values())
         for a in self.sim.automata.values():
             a.output = None

@@ -9,7 +9,8 @@ Every message a protocol sends is charged according to a single size model:
 this package).  UID-sized fields include sender/receiver addresses, fragment
 and cluster identifiers, edge weights (a pair of UIDs) and small counters
 that are bounded by the number of nodes.  `extra_bits` covers anything else
-a message type declares explicitly (e.g. an epoch byte).
+a message type declares explicitly (e.g. an epoch byte).  Automata build
+their messages with `NodeContext.message`, which applies this formula.
 
 Local broadcast reaches every neighbor at the cost of one message, so the
 engine charges each send once, independent of the receiver count.  One-to-one

@@ -39,7 +39,6 @@ class Graph:
         uidset = set(self.uids)
         if len(uidset) != len(self.uids):
             raise InvalidParams("duplicate UIDs")
-        adj: dict[int, list[int]] = {u: [] for u in self.uids}
         for a, b in self.edges:
             if a == b:
                 raise InvalidParams("self loop")
@@ -47,8 +46,7 @@ class Graph:
                 raise InvalidParams("edge references unknown UID")
             if a > b:
                 raise InvalidParams("edges must be stored as (min, max)")
-            adj[a].append(b)
-            adj[b].append(a)
+        adj = _adjacency(self.uids, self.edges)
         object.__setattr__(self, "adj", {u: tuple(sorted(ns)) for u, ns in adj.items()})
         if self.n > 1 and not self.is_connected():
             raise DisconnectedGraph(f"graph on {self.n} nodes is not connected")
@@ -69,21 +67,35 @@ class Graph:
         return edge_weight(u, v) in self.edges
 
     def is_connected(self) -> bool:
-        if not self.uids:
-            return True
-        seen = {self.uids[0]}
-        queue = deque(seen)
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.n
+        return _connected(self.adj)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         """Edges in increasing weight order (weight == the edge itself)."""
         return sorted(self.edges)
+
+
+def _adjacency(nodes, edges) -> dict:
+    adj = {u: [] for u in nodes}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _connected(adj) -> bool:
+    """Breadth-first search over an adjacency mapping: does it reach every
+    node from the first one?"""
+    if not adj:
+        return True
+    start = next(iter(adj))
+    seen = {start}
+    queue = deque(seen)
+    while queue:
+        for v in adj[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == len(adj)
 
 
 def _assign_uids(n: int, seed: int, pool_size: int | None = None) -> list[int]:
@@ -121,28 +133,10 @@ def _index_edges(kind: str, n: int, params: dict, rng: random.Random):
         for _ in range(1000):
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < p]
-            if _indices_connected(n, edges):
+            if _connected(_adjacency(range(n), edges)):
                 return edges
         raise InvalidParams(f"no connected sample after 1000 tries (n={n}, p={p})")
     raise InvalidParams(f"unknown topology kind {kind!r}")
-
-
-def _indices_connected(n: int, edges) -> bool:
-    if n <= 1:
-        return True
-    adj = {i: [] for i in range(n)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == n
 
 
 def make_topology(kind: str, n: int, params: dict | None = None,
@@ -164,29 +158,12 @@ def fail_link(graph: Graph, edge: tuple[int, int]) -> Graph:
     key = edge_weight(*edge)
     if key not in graph.edges:
         raise InvalidParams(f"edge {edge} not in graph")
-    remaining = graph.edges - {key}
-    if not _uid_edges_connected(graph.uids, remaining):
-        raise WouldDisconnect(f"removing {edge} disconnects the graph")
-    return Graph(uids=graph.uids, edges=remaining, kind=graph.kind,
-                 pool_size=graph.pool_size)
-
-
-def _uid_edges_connected(uids, edges) -> bool:
-    if len(uids) <= 1:
-        return True
-    adj = {u: [] for u in uids}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {uids[0]}
-    queue = deque(seen)
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(uids)
+    try:
+        return Graph(uids=graph.uids, edges=graph.edges - {key},
+                     kind=graph.kind, pool_size=graph.pool_size)
+    except DisconnectedGraph:
+        raise WouldDisconnect(
+            f"removing {edge} disconnects the graph") from None
 
 
 def dump_adjacency(graph: Graph) -> str:

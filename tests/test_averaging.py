@@ -1,8 +1,8 @@
 import pytest
 
 from consim.averaging import AverageProtocol
-from consim.engine import TimingParams, run, validate_trace
-from consim.errors import ConfigError
+from consim.engine import Simulation, TimingParams, run, validate_trace
+from consim.errors import ConfigError, InvariantViolation
 from consim.functions import MaxFunction, MeanFunction, oracle
 from consim.messages import SizeModel
 from consim.metrics import message_complexity
@@ -126,3 +126,14 @@ def test_quadratic_mixing_on_paths():
     r32 = rounds_used(average(g32, list(range(32)), eps=1e-3, lean=True))
     r64 = rounds_used(average(g64, list(range(64)), eps=1e-3, lean=True))
     assert r64 / r32 >= 3.0
+
+
+def test_link_down_mid_run_raises_typed_error():
+    # a lost link leaves a round's neighborhood incomplete; averaging does
+    # not support that and must say so with a typed error
+    g = make_topology("path", 6, seed=1)
+    sim = Simulation(AverageProtocol(eps=1e-9), g, list(range(6)),
+                     fn=MeanFunction(128), timing=TIMING, scheduler="lockstep")
+    sim.schedule_link_down(g.uids[2], g.uids[3], at=1.5 * D)
+    with pytest.raises(InvariantViolation, match="incomplete neighborhood"):
+        sim.run()

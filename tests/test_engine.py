@@ -1,10 +1,15 @@
+import os
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
-from consim.engine import (AdversarialMaxDelay, Automaton, Protocol,
-                           RandomAsync, Simulation, SynchronousLockstep,
-                           TimingParams, get_scheduler, run, validate_trace)
+from consim.engine import (AdversarialMaxDelay, Automaton, Event,
+                           ExecutionTrace, Protocol, RandomAsync, Simulation,
+                           SynchronousLockstep, TimingParams, get_scheduler,
+                           run, validate_trace)
 from consim.errors import ConfigError, DisconnectedGraph, NonTermination
 from consim.functions import MaxFunction
 from consim.messages import Message, SizeModel
@@ -214,3 +219,54 @@ def test_trace_jsonl_schema_field_order():
                       if '"kind": "send"' in ln)
     keys = [part.split(":")[0].strip(' {"') for part in first_send.split(",")]
     assert keys == ["kind", "t", "node", "msg_type", "size_bits", "src"]
+
+
+# -- validate_trace on hand-built traces ---------------------------------------
+
+PATH2 = make_topology("path", 2, seed=0)
+
+
+def _hand_trace(sends):
+    """sends: (send time, delivery delay or None) pairs from one node of a
+    2-node path; each send expects one delivery."""
+    a, b = PATH2.uids
+    events = []
+    for ref, (t, delay) in enumerate(sends):
+        msg = Message("x.msg", a, 8)
+        events.append(Event("send", t, a, msg=msg, ref=ref))
+        if delay is not None:
+            events.append(Event("deliver", t + delay, b, msg=msg, ref=ref))
+    events.sort(key=lambda e: e.t)
+    return ExecutionTrace(events=events, outputs={}, config={},
+                          timing=TimingParams(d=0.01, l=0.001),
+                          size_model=SizeModel(uid_bits=2, value_bits=8),
+                          graph=PATH2,
+                          send_fanout={ref: 1 for ref in range(len(sends))})
+
+
+def test_validate_trace_accepts_tiny_random_delay():
+    # RandomAsync draws delays from (0, d]; this one came from a real run
+    validate_trace(_hand_trace([(0.0, 2.79e-10)]))
+
+
+@pytest.mark.parametrize("sends, text", [
+    ([(0.0, 0.0101)], "outside (0, d]"),
+    ([(0.0, 0.0)], "outside (0, d]"),
+    ([(0.0, 0.004), (0.005, 0.004)], "inside an earlier window"),
+    ([(0.0, None)], "delivered 0/1 times"),
+])
+def test_validate_trace_rejects(sends, text):
+    with pytest.raises(AssertionError, match=re.escape(text)):
+        validate_trace(_hand_trace(sends))
+
+
+def test_checks_survive_python_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         os.path.join(here, "test_engine.py") + "::test_validate_trace_rejects",
+         os.path.join(here, "test_averaging.py")
+         + "::test_link_down_mid_run_raises_typed_error"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
