@@ -72,8 +72,6 @@ class AverageProtocol(Protocol):
     def validate(self, graph, fn, scheduler):
         if fn is None or fn.name != "mean":
             raise ConfigError("the averaging algorithm only computes the mean")
-        if fn.bits < 96:
-            raise ConfigError("averaging needs b >= 96")
 
     def automaton(self, ctx):
         return AverageAutomaton(ctx, ctx.fn.bits - 64)

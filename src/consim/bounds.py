@@ -105,25 +105,21 @@ CURVE_CSV_COLUMNS = ("mode", "algo", "n", "b", "d", "m",
 def curve_rows(n: int, b: int, d: float, m_values, modes=MODES) -> list[dict]:
     """Long-format table for bound curves: one row per (algorithm, m, mode).
     The fixed algorithms ignore m; the tunable one gets one row per m."""
+    def row(mode, algo, bandwidth, m=None, bytes_bits=None, time_s=None,
+            messages=None):
+        return {"mode": mode, "algo": algo, "n": n, "b": b, "d": d, "m": m,
+                "bandwidth_bps": bandwidth, "bytes_bits": bytes_bits,
+                "time_s": time_s, "messages": messages}
+
     rows = []
     for mode in modes:
-        rows.append({"mode": mode, "algo": "flooding", "n": n, "b": b, "d": d,
-                     "m": None, "bandwidth_bps": flooding_bandwidth(n, b, d, mode),
-                     "bytes_bits": None, "time_s": None, "messages": None})
-        rows.append({"mode": mode, "algo": "average", "n": n, "b": b, "d": d,
-                     "m": None, "bandwidth_bps": average_bandwidth(n, b, d, mode),
-                     "bytes_bits": None, "time_s": None, "messages": None})
-        rows.append({"mode": mode, "algo": "ghs-token", "n": n, "b": b, "d": d,
-                     "m": None,
-                     "bandwidth_bps": ghs_token_bandwidth(n, b, d, mode),
-                     "bytes_bits": ghs_token_bytes(n, b, mode),
-                     "time_s": token_time(n, d),
-                     "messages": token_messages(n)})
-        for m in m_values:
-            rows.append({"mode": mode, "algo": "hybrid", "n": n, "b": b,
-                         "d": d, "m": m,
-                         "bandwidth_bps": hybrid_bandwidth(n, b, d, m, mode),
-                         "bytes_bits": None, "time_s": None, "messages": None})
+        rows.append(row(mode, "flooding", flooding_bandwidth(n, b, d, mode)))
+        rows.append(row(mode, "average", average_bandwidth(n, b, d, mode)))
+        rows.append(row(mode, "ghs-token", ghs_token_bandwidth(n, b, d, mode),
+                        bytes_bits=ghs_token_bytes(n, b, mode),
+                        time_s=token_time(n, d), messages=token_messages(n)))
+        rows += [row(mode, "hybrid", hybrid_bandwidth(n, b, d, m, mode), m=m)
+                 for m in m_values]
     return rows
 
 

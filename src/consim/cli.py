@@ -19,46 +19,18 @@ import argparse
 import os
 import random
 import sys
-from typing import Callable, NamedTuple
 
 from . import bounds as bnd
-from .averaging import AverageProtocol
+from .algorithms import ALGORITHMS
 from .engine import SCHEDULERS, Simulation, TimingParams
 from .errors import (ConfigError, ConsimError, InvalidParams, NotHierarchical,
                      WouldDisconnect)
-from .flooding import FloodingProtocol
 from .functions import get_function
-from .ghs import GhsParallelProtocol, GhsTokenProtocol
-from .hybrid import FailureExperiment, HybridProtocol
-from .messages import SizeModel
+from .hybrid import FailureExperiment
 from .metrics import (CSV_HEADER, ComplexityReport, byte_complexity,
                       message_complexity, peak_bandwidth, report_from_trace)
 from .topology import TOPOLOGY_KINDS, make_topology
 from .validation import SUITES, run_suites
-
-
-class Algorithm(NamedTuple):
-    protocol: Callable  # parsed flags -> Protocol
-    bound: Callable  # (parsed flags, log mode) -> bandwidth ceiling, bits/s
-
-
-def _token_bound(a, mode):
-    return bnd.ghs_token_bandwidth(a.n, a.bits, a.d, mode)
-
-
-ALGORITHMS = {
-    "flooding": Algorithm(
-        lambda a: FloodingProtocol(),
-        lambda a, mode: bnd.flooding_bandwidth(a.n, a.bits, a.d, mode)),
-    "average": Algorithm(
-        lambda a: AverageProtocol(eps=a.eps),
-        lambda a, mode: bnd.average_bandwidth(a.n, a.bits, a.d, mode)),
-    "ghs-parallel": Algorithm(lambda a: GhsParallelProtocol(), _token_bound),
-    "ghs-token": Algorithm(lambda a: GhsTokenProtocol(), _token_bound),
-    "hybrid": Algorithm(
-        lambda a: HybridProtocol(a.m),
-        lambda a, mode: bnd.hybrid_bandwidth(a.n, a.bits, a.d, a.m, mode)),
-}
 
 
 def _algorithm(args):
@@ -70,33 +42,35 @@ def _algorithm(args):
 
 def _values(args, graph, fn):
     if args.init_values:
-        vals = [int(v) for v in args.init_values.split(",")]
+        try:
+            vals = [int(v) for v in args.init_values.split(",")]
+        except ValueError:
+            raise ConfigError("--init-values expects comma-separated integers, "
+                              f"got {args.init_values!r}") from None
         if len(vals) != graph.n:
             raise ConfigError("--init-values must list exactly n integers")
         return vals
     rng = random.Random(args.seed ^ 0xA5A5)
     if fn.name == "vote":
         return [rng.randrange(fn.candidates) for _ in range(graph.n)]
+    if fn.bits < 2:
+        raise ConfigError("seeded values need --bits >= 2; give --init-values")
     return [rng.randrange(1, 1 << min(fn.bits - 1, 16)) for _ in range(graph.n)]
 
 
 def _build(args):
-    params = {}
-    if args.topo == "random_connected":
-        params["p"] = args.p
-    if args.topo == "balanced_tree":
-        params["arity"] = args.arity
-    graph = make_topology(args.topo, args.n, params, seed=args.seed)
+    # each topology family reads only its own parameter
+    graph = make_topology(args.topo, args.n, {"p": args.p, "arity": args.arity},
+                          seed=args.seed)
     fn = get_function(args.fn, args.bits)
     timing = TimingParams(d=args.d, l=args.l if args.l else args.d / 10)
-    sm = SizeModel.for_network(args.n, args.bits, pool_size=graph.pool_size)
-    return graph, fn, timing, sm
+    return graph, fn, timing
 
 
 def _single_report(args) -> tuple[list[ComplexityReport], object]:
-    graph, fn, timing, sm = _build(args)
+    graph, fn, timing = _build(args)
     values = _values(args, graph, fn)
-    protocol = _algorithm(args).protocol(args)
+    protocol = _algorithm(args).protocol(args.m, args.eps)
     m = args.m if args.algo == "hybrid" else None
     if args.fail:
         if args.algo != "hybrid":
@@ -106,8 +80,7 @@ def _single_report(args) -> tuple[list[ComplexityReport], object]:
         except ValueError:
             raise ConfigError(f"--fail expects U,V, got {args.fail!r}") from None
         exp = FailureExperiment(graph, values, fn, args.m, timing=timing,
-                                seed=args.seed, scheduler=args.sched,
-                                size_model=sm)
+                                seed=args.seed, scheduler=args.sched)
         exp.fail_link((u, v), at=args.fail_at)
         rerun = exp.reconsensus()
         rows = [report_from_trace(exp.initial_trace, algo="hybrid", m=m)]
@@ -123,7 +96,7 @@ def _single_report(args) -> tuple[list[ComplexityReport], object]:
         rows.append(report_from_trace(rerun, algo="hybrid-rerun", m=m))
         return rows, exp.rerun_trace
     sim = Simulation(protocol, graph, values, fn=fn, timing=timing,
-                     scheduler=args.sched, seed=args.seed, size_model=sm,
+                     scheduler=args.sched, seed=args.seed,
                      event_cap=args.event_cap)
     trace = sim.run()
     return [report_from_trace(trace, m=m)], trace
@@ -142,16 +115,19 @@ def cmd_run(args) -> int:
     _emit(CSV_HEADER + "\n" + "\n".join(r.csv_row() for r in rows) + "\n",
           args.out)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(trace.to_jsonl())
+        _emit(trace.to_jsonl(), args.trace)
     return 0
 
 
-def _axis_values(spec: str) -> list[int]:
-    if ":" in spec:
-        lo, hi = (int(x) for x in spec.split(":"))
-        return list(range(lo, hi + 1))
-    return [int(v) for v in spec.split(",")]
+def _axis_values(spec: str, flag: str) -> list[int]:
+    try:
+        if ":" in spec:
+            lo, hi = (int(x) for x in spec.split(":"))
+            return list(range(lo, hi + 1))
+        return [int(v) for v in spec.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} expects a comma list or lo:hi range of "
+                          f"integers, got {spec!r}") from None
 
 
 def _sweep_one(payload):
@@ -161,14 +137,13 @@ def _sweep_one(payload):
     setattr(args, axis, value)
     rows, _trace = _single_report(args)
     bound = _algorithm(args).bound
-    ceil, exact = (bound(args, mode) for mode in bnd.MODES)
+    ceil, exact = (bound(args.n, args.bits, args.d, args.m, mode)
+                   for mode in bnd.MODES)
     return rows[0].csv_row() + f",{ceil!r},{exact!r}"
 
 
 def cmd_sweep(args) -> int:
-    if args.axis not in ("m", "n", "b"):
-        raise ConfigError("sweep axis must be one of m, n, b")
-    values = _axis_values(args.values)
+    values = _axis_values(args.values, "--values")
     axis = {"b": "bits"}.get(args.axis, args.axis)
     base = vars(args).copy()
     for k in ("func", "out", "values", "axis", "workers"):
@@ -187,7 +162,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.sweep_m:
-        m_values = _axis_values(args.sweep_m)
+        m_values = _axis_values(args.sweep_m, "--sweep-m")
     else:
         m_values = [args.m] if args.m else []
     rows = bnd.curve_rows(args.n, args.bits, args.d, m_values)
@@ -204,25 +179,25 @@ def cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
-def _load_config_defaults(argv):
-    """Pre-scan for --config and turn the file into parser defaults, so
-    explicit flags keep overriding."""
-    if "--config" not in argv:
+def _config_entries(argv) -> dict:
+    """The entries of the --config file, if one is given, keyed by option
+    dest; a small pre-parser finds the flag in any of its spellings."""
+    pre = argparse.ArgumentParser(prog="consim", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return {}
-    path = argv[argv.index("--config") + 1]
-    defaults = {}
+    entries = {}
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, val = (part.strip() for part in line.split("=", 1))
-            else:
+            key, sep, val = line.partition("=")
+            if not sep:
                 key, _, val = line.partition(" ")
-                val = val.strip()
-            defaults[key.replace("-", "_")] = val
-    return defaults
+            entries[key.strip().replace("-", "_")] = val.strip()
+    return entries
 
 
 def _add_experiment_flags(sub, default_seed):
@@ -254,7 +229,10 @@ def _add_experiment_flags(sub, default_seed):
     sub.add_argument("--out", default=None, help="write CSV here")
 
 
-def build_parser(default_seed: int) -> argparse.ArgumentParser:
+def build_parser(default_seed: int, config=None) -> argparse.ArgumentParser:
+    """The command-line parser.  `config` holds the --config file's entries;
+    they become defaults of run and sweep, which argparse converts like
+    flag values and explicit flags override."""
     parser = argparse.ArgumentParser(
         prog="consim",
         description="consensus protocol simulator and bandwidth harness")
@@ -266,7 +244,6 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     p_run.add_argument("--fail", default=None, metavar="U,V",
                        help="fail link u,v after completion (hybrid only)")
     p_run.add_argument("--fail-at", type=float, default=None)
-    p_run.set_defaults(func=cmd_run)
 
     p_sweep = subs.add_parser("sweep", help="one report row per axis point")
     _add_experiment_flags(p_sweep, default_seed)
@@ -277,7 +254,10 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     p_sweep.add_argument("--fail", default=None, help=argparse.SUPPRESS)
     p_sweep.add_argument("--fail-at", type=float, default=None,
                          help=argparse.SUPPRESS)
-    p_sweep.set_defaults(func=cmd_sweep)
+    for sub, func in ((p_run, cmd_run), (p_sweep, cmd_sweep)):
+        # after every add_argument, so that each entry reaches its flag
+        sub.set_defaults(**(config or {}))
+        sub.set_defaults(func=func)
 
     p_bounds = subs.add_parser("bounds", help="closed-form ceiling curves")
     p_bounds.add_argument("--n", type=int, required=True)
@@ -297,16 +277,9 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     default_seed = int(os.environ.get("CONSIM_SEED", "0"))
-    parser = build_parser(default_seed)
     try:
-        file_defaults = _load_config_defaults(argv)
+        parser = build_parser(default_seed, _config_entries(argv))
         args = parser.parse_args(argv)
-        for key, val in file_defaults.items():
-            flag = "--" + key.replace("_", "-")
-            if hasattr(args, key) and flag not in argv:
-                current = getattr(args, key)
-                caster = type(current) if current is not None else str
-                setattr(args, key, caster(val))
         return args.func(args)
     except (ConfigError, InvalidParams, NotHierarchical, WouldDisconnect,
             FileNotFoundError) as exc:

@@ -22,7 +22,9 @@ SynchronousLockstep   rounds of length d; everything sent during round r is
                       immediately.  Special case of the asynchronous model.
 AdversarialMaxDelay   every delivery takes the full d and co-enabled
                       transitions fire together, maximizing the traffic that
-                      shares a transmission window.
+                      shares a transmission window.  With zero transition
+                      latency every transmission starts on a multiple of d,
+                      so this replays exactly as SynchronousLockstep.
 RandomAsync           delivery delays drawn uniformly from (0, d] per
                       receiver and transition latencies from (0, l].
 
@@ -39,7 +41,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .errors import ConfigError, DisconnectedGraph, NonTermination
+from .errors import (ConfigError, DisconnectedGraph, NonTermination,
+                     NotHierarchical)
 from .messages import Message, SizeModel
 from .topology import Graph
 
@@ -67,15 +70,12 @@ class SynchronousLockstep:
         return 0.0
 
 
-class AdversarialMaxDelay:
+class AdversarialMaxDelay(SynchronousLockstep):
+    """Every delivery takes the full d.  Transitions have zero latency, so
+    every transmission starts on a multiple of d and start + d is exactly
+    the lockstep delivery time."""
+
     name = "adversarial"
-    quantized = True
-
-    def delivery_time(self, start, timing, rng):
-        return start + timing.d
-
-    def latency(self, timing, rng):
-        return 0.0
 
 
 class RandomAsync:
@@ -171,7 +171,6 @@ class NodeContext:
         self.n = sim.graph.n
         self.fn = sim.fn
         self.size_model = sim.size_model
-        self.params = sim.protocol_params
         self.neighbors = tuple(sorted(sim.adj[uid]))
         self._flush_requested = False
 
@@ -218,6 +217,7 @@ class Protocol:
 
     name = "?"
     lockstep_only = False
+    hierarchical_only = False  # needs a commutative, associative combine
     round_driven = False
 
     def automaton(self, ctx: NodeContext) -> Automaton:
@@ -243,9 +243,8 @@ class Simulation:
 
     def __init__(self, protocol, graph, values, *, fn=None, timing=None,
                  scheduler="lockstep", seed=0, size_model=None,
-                 event_cap=10_000_000, protocol_params=None, automata=None,
-                 start_time=0.0, require_outputs=True, meta=None,
-                 record_events=True):
+                 event_cap=10_000_000, automata=None, start_time=0.0,
+                 require_outputs=True, record_events=True):
         if graph.n > 1 and not graph.is_connected():
             raise DisconnectedGraph("refusing to simulate a disconnected graph")
         self.protocol = protocol
@@ -259,14 +258,15 @@ class Simulation:
         self.size_model = size_model or SizeModel.for_network(
             graph.n, getattr(fn, "bits", 32), pool_size=graph.pool_size)
         self.event_cap = event_cap
-        self.protocol_params = protocol_params or {}
         self.require_outputs = require_outputs
-        self.meta = meta or {}
         self.start_time = start_time
 
         if protocol.lockstep_only and self.scheduler.name != "lockstep":
             raise ConfigError(
                 f"protocol {protocol.name} only runs under the lockstep scheduler")
+        if protocol.hierarchical_only and not getattr(fn, "hierarchical", False):
+            raise NotHierarchical(
+                f"{protocol.name} needs a hierarchically computable function")
         protocol.validate(graph, fn, self.scheduler)
 
         self.adj: dict[int, set] = {u: set(graph.adj[u]) for u in graph.uids}
@@ -324,11 +324,11 @@ class Simulation:
         self._push(self.start_time if at is None else at, _KICK,
                    ("kick", uid, method, tuple(args)))
 
-    def _schedule_fire(self, uid, t, trigger):
+    def _schedule_fire(self, uid, t, method, args=(), msg=None, ref=None):
         lat = self.scheduler.latency(self.timing, self.rng)
         ft = self._snap(max(t + lat, self._last_fire[uid]))
         self._last_fire[uid] = ft
-        self._push(ft, _FIRE, ("fire", uid, trigger))
+        self._push(ft, _FIRE, ("fire", uid, method, args, msg, ref))
 
     def _transmit(self, uid, msgs, emit_t):
         for msg in msgs:
@@ -353,7 +353,7 @@ class Simulation:
     def run(self) -> ExecutionTrace:
         if self._fresh_automata:
             for uid in sorted(self.automata):
-                self._push(self.start_time, _KICK, ("start", uid))
+                self.schedule_kick(uid, "on_start")
         if self.protocol.round_driven:
             r0 = round(self.start_time / self.timing.d)
             self._push(self.start_time, _ROUND, ("round", r0))
@@ -367,11 +367,8 @@ class Simulation:
                     f"event cap {self.event_cap} exceeded at t={t:.6g}")
             self.now = t
             kind = payload[0]
-            if kind == "start":
-                self._schedule_fire(payload[1], t, ("start",))
-            elif kind == "kick":
-                _, uid, method, args = payload
-                self._schedule_fire(uid, t, ("kick", method, args))
+            if kind == "kick":
+                self._schedule_fire(payload[1], t, payload[2], payload[3])
             elif kind == "tx":
                 self._do_tx(t, seq, payload[1], payload[2])
             elif kind == "deliver":
@@ -379,15 +376,10 @@ class Simulation:
             elif kind == "linkdown":
                 self._do_linkdown(t, payload[1], payload[2])
             elif kind == "fire":
-                self._do_fire(t, payload[1], payload[2])
+                self._fire(t, *payload[1:])
             elif kind == "flush":
-                uid = payload[1]
-                self._flush_pending.discard(uid)
-                if self._record:
-                    self._events.append(Event("transition", t, uid))
-                msgs = self.automata[uid].on_flush()
-                self._transmit(uid, msgs, t)
-                self._post_transition(uid, t)
+                self._flush_pending.discard(payload[1])
+                self._fire(t, payload[1], "on_flush")
             elif kind == "round":
                 self._do_round(t, payload[1])
 
@@ -415,34 +407,24 @@ class Simulation:
         if self._record:
             self._events.append(Event("deliver", t, dst, msg=msg, ref=send_seq))
         if msg.dst is None or msg.dst == dst:
-            self._schedule_fire(dst, t, ("msg", msg, send_seq))
+            self._schedule_fire(dst, t, "on_message", msg=msg, ref=send_seq)
 
     def _do_linkdown(self, t, u, v):
         if v in self.adj[u]:
             self.adj[u].discard(v)
             self.adj[v].discard(u)
             for uid, peer in ((u, v), (v, u)) if u < v else ((v, u), (u, v)):
-                self._schedule_fire(uid, t, ("linkdown", peer))
+                self._schedule_fire(uid, t, "on_link_down", (peer,))
 
-    def _record_transition(self, t, uid, msg=None, ref=None):
+    def _fire(self, t, uid, method, args=(), msg=None, ref=None):
+        """One transition: invoke the automaton's `method` and transmit what
+        it returns.  A delivery calls on_message directly, the hot path."""
+        auto = self.automata[uid]
         if self._record:
             self._events.append(Event("transition", t, uid, msg=msg, ref=ref))
-
-    def _do_fire(self, t, uid, trigger):
-        auto = self.automata[uid]
-        if trigger[0] == "start":
-            self._record_transition(t, uid)
-            msgs = auto.on_start()
-        elif trigger[0] == "msg":
-            _, msg, send_seq = trigger
-            self._record_transition(t, uid, msg, send_seq)
+        if msg is not None:
             msgs = auto.on_message(msg, msg.src)
-        elif trigger[0] == "linkdown":
-            self._record_transition(t, uid)
-            msgs = auto.on_link_down(trigger[1])
-        else:  # kick
-            _, method, args = trigger
-            self._record_transition(t, uid)
+        else:
             msgs = getattr(auto, method)(*args)
         self._transmit(uid, msgs or [], t)
         self._post_transition(uid, t)
@@ -471,7 +453,6 @@ class Simulation:
             "fn": getattr(self.fn, "name", None),
             "topology": self.graph.kind,
         }
-        config.update(self.meta)
         return ExecutionTrace(events=self._events, outputs=dict(self.outputs),
                               config=config, timing=self.timing,
                               size_model=self.size_model, graph=self.graph,
@@ -521,6 +502,9 @@ def validate_trace(trace: ExecutionTrace, _tol=1e-9):
             deliver_counts[e.ref] += 1
             node_deliver_t[(e.node, e.ref)] = e.t
         elif e.kind == "transition" and e.ref is not None:
+            if (e.node, e.ref) not in node_deliver_t:
+                raise AssertionError(f"node {e.node} reacted to send {e.ref} "
+                                     f"it never got")
             dt = e.t - node_deliver_t[(e.node, e.ref)]
             if not -_tol <= dt <= l + _tol:
                 raise AssertionError(f"transition latency {dt} exceeds l")

@@ -9,6 +9,8 @@ combine step, because every node ends up holding the full multiset.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .engine import Automaton, Protocol
 from .errors import DuplicateUidConflict
 
@@ -58,10 +60,7 @@ class FloodingAutomaton(Automaton):
         fn = self.ctx.fn
         vals = [self.known[u] for u in sorted(self.known)]
         if fn.hierarchical:
-            acc = vals[0]
-            for v in vals[1:]:
-                acc = fn.combine(acc, v)
-            self.output = fn.decode(fn.finalize(acc))
+            self.output = fn.decode(fn.finalize(reduce(fn.combine, vals)))
         else:
             # non-hierarchical functions work straight off the raw multiset;
             # initial() is injective for them (plain b-bit integers)

@@ -27,6 +27,7 @@ through combine/finalize, and is the ground truth for every correctness test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .errors import DomainOverflow, InvalidParams, NotHierarchical
 
@@ -72,18 +73,12 @@ class ConsensusFunction:
     # full-multiset route (non-hierarchical functions) ------------------
     def compute_full(self, raws):
         """Consensus value straight from all raw inputs."""
-        return self.finalize(self._fold(raws))
-
-    def _fold(self, raws):
-        vals = [self.initial(r) for r in raws]
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = self.combine(acc, v)
-        return acc
+        return self.finalize(reduce(self.combine,
+                                    [self.initial(r) for r in raws]))
 
 
-class MaxFunction(ConsensusFunction):
-    name = "max"
+class _UnsignedFunction(ConsensusFunction):
+    """Values, intermediates and the result are unsigned b-bit integers."""
 
     def initial(self, raw):
         v = int(raw)
@@ -94,15 +89,19 @@ class MaxFunction(ConsensusFunction):
         if not 0 <= value < (1 << self.bits):
             raise DomainOverflow(f"{value} does not fit in {self.bits} bits")
 
+    def decode(self, final):
+        return final
+
+
+class MaxFunction(_UnsignedFunction):
+    name = "max"
+
     def combine(self, a, b):
         return a if a >= b else b
 
     def finalize(self, value):
         self._check(value)
         return value
-
-    def decode(self, final):
-        return final
 
 
 class MinFunction(MaxFunction):
@@ -191,29 +190,17 @@ class VoteFunction(ConsensusFunction):
         return final
 
 
-class MedianFunction(ConsensusFunction):
+class MedianFunction(_UnsignedFunction):
     """Lower median; kept as the stock example of a non-hierarchical function."""
 
     hierarchical = False
     name = "median"
-
-    def initial(self, raw):
-        v = int(raw)
-        self._check(v)
-        return v
-
-    def _check(self, value):
-        if not 0 <= value < (1 << self.bits):
-            raise DomainOverflow(f"{value} does not fit in {self.bits} bits")
 
     def combine(self, a, b):
         raise NotHierarchical("median has no commutative/associative combine")
 
     def finalize(self, value):
         raise NotHierarchical("median has no fold to finalize")
-
-    def decode(self, final):
-        return final
 
     def compute_full(self, raws):
         ordered = sorted(int(r) for r in raws)

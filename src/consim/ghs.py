@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import Automaton, Protocol, Simulation
-from .errors import InvariantViolation, NotHierarchical
+from .errors import InvariantViolation
 from .topology import edge_weight
 
 BASIC, BRANCH, REJECTED = "basic", "branch", "rejected"
@@ -160,7 +160,7 @@ class TokenPass:
                 return [], ("terminated", self.final)
             return ([self._msg(self.m_ack, self.parent)],
                     ("terminated", self.final))
-        raise AssertionError(f"token pass got foreign message {msg.mtype}")
+        raise InvariantViolation(f"token pass got foreign message {msg.mtype}")
 
 
 class GhsAutomaton(Automaton):
@@ -273,7 +273,7 @@ class GhsAutomaton(Automaton):
         elif tag == "rooted":
             self._on_rooted(msg, src, out)
         else:
-            raise AssertionError(f"unknown message {msg.mtype}")
+            raise InvariantViolation(f"unknown message {msg.mtype}")
 
     def _handle_after_done(self, tag, msg, src, out) -> bool:
         """Hook for subclasses whose fragments stop while neighbors are
@@ -406,7 +406,9 @@ class GhsAutomaton(Automaton):
     # -- post-MST: rooting and aggregation ---------------------------------
 
     def _after_halt(self, out):
-        """Runs at the root once the MST is final."""
+        """Runs once this node knows the MST is final and who its root is:
+        at the root when it halts, elsewhere on the root's `rooted` flood
+        (which the token pipeline never sends)."""
         if self.mode is None:
             self.output = self.root_uid
         if self.mode != "token" and self.children():
@@ -420,12 +422,7 @@ class GhsAutomaton(Automaton):
             return
         self.halted = True
         self.root_uid = msg.payload[0]
-        if self.mode is None:
-            self.output = self.root_uid
-        if self.children():
-            out.append(self._m("rooted", payload=(self.root_uid,), uids=1))
-        if self.mode == "parallel":
-            self._start_aggregation(out)
+        self._after_halt(out)
 
     def _start_aggregation(self, out):
         aggregation = {"parallel": ParallelConvergecastAutomaton,
@@ -456,26 +453,21 @@ class GhsMstProtocol(Protocol):
         return GhsAutomaton(ctx, mode=None)
 
 
-class _NeedsHierarchical:
-    def validate(self, graph, fn, scheduler):
-        if fn is None or not fn.hierarchical:
-            raise NotHierarchical(
-                f"{self.name} needs a hierarchically computable function")
-
-
-class GhsParallelProtocol(_NeedsHierarchical, Protocol):
+class GhsParallelProtocol(Protocol):
     """MST construction chained into a parallel convergecast."""
 
     name = "ghs-parallel"
+    hierarchical_only = True
 
     def automaton(self, ctx):
         return GhsAutomaton(ctx, mode="parallel")
 
 
-class GhsTokenProtocol(_NeedsHierarchical, Protocol):
+class GhsTokenProtocol(Protocol):
     """MST construction chained into the bandwidth-frugal token traversal."""
 
     name = "ghs-token"
+    hierarchical_only = True
 
     def automaton(self, ctx):
         return GhsAutomaton(ctx, mode="token")
@@ -510,10 +502,11 @@ class TokenConvergecastAutomaton(Automaton):
         return msgs
 
 
-class TokenConvergecastProtocol(_NeedsHierarchical, Protocol):
+class TokenConvergecastProtocol(Protocol):
     """Token traversal over an already-rooted tree."""
 
     name = "token-convergecast"
+    hierarchical_only = True
 
     def __init__(self, tree: dict[int, TreeInfo]):
         self.tree = tree
@@ -563,10 +556,11 @@ class ParallelConvergecastAutomaton(Automaton):
         return []
 
 
-class ParallelConvergecastProtocol(_NeedsHierarchical, Protocol):
+class ParallelConvergecastProtocol(Protocol):
     """Parallel (leaves-first) convergecast over an already-rooted tree."""
 
     name = "parallel-convergecast"
+    hierarchical_only = True
 
     def __init__(self, tree: dict[int, TreeInfo]):
         self.tree = tree

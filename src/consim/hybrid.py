@@ -44,10 +44,10 @@ membership changed recompute their value.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 from .engine import Protocol, Simulation
-from .errors import (ConfigError, InvariantViolation, NotHierarchical,
-                     StaleRoutingEntry)
+from .errors import ConfigError, InvariantViolation, StaleRoutingEntry
 from .ghs import BRANCH, FOUND, INF_W, GhsAutomaton, TokenPass
 from .topology import edge_weight, fail_link
 
@@ -61,9 +61,9 @@ class HybridAutomaton(GhsAutomaton):
     MSG_PREFIX = "p1"
     REPORT_UIDS = 4  # recipient + edge weight + subtree count
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, m):
         super().__init__(ctx, mode=None)
-        n, m = ctx.n, ctx.params["m"]
+        n = ctx.n
         self.m = m
         self.threshold = math.ceil(n / m)
         self.cap = max(1, n // m)          # cut when a branch exceeds this
@@ -142,13 +142,16 @@ class HybridAutomaton(GhsAutomaton):
             self._change_root(out)
 
     def _finalize_p1(self, root_uid, parent, out):
-        self.halted = True  # phase 1 locally complete
+        """Phase 1 is locally complete: this node roots cluster `root_uid`
+        (parent None) or hangs below `parent` in it."""
+        self.halted = True
         self.is_root = parent is None
         self.root_uid = root_uid
         self.cluster_id = root_uid
         self.parent = parent
         if self.ctx.neighbors:
             out.append(self._m("done", payload=(self.cluster_id,), uids=1))
+        self._drain(out)  # deferred connects/tests resolve under done rules
         self._maybe_start_p2(out)
 
     def children(self):
@@ -185,35 +188,24 @@ class HybridAutomaton(GhsAutomaton):
         elif prefix == "p2":
             self._on_p2(tag, msg, src, out)
         elif prefix in ("p3", "p4"):
-            self._on_later_phase(prefix, tag, msg, src, out)
+            self._on_later_phase(msg, src, out)
         elif prefix == "pf":
             self._on_pf(tag, msg, src, out)
         else:
             super()._dispatch(msg, src, out)
 
-    def _adopt_p1(self, cluster_id, parent, out):
-        self.halted = True
-        self.is_root = False
-        self.root_uid = cluster_id
-        self.cluster_id = cluster_id
-        self.parent = parent
-        if self.ctx.neighbors:
-            out.append(self._m("done", payload=(cluster_id,), uids=1))
-        self._drain(out)  # deferred connects/tests resolve under done rules
-        self._maybe_start_p2(out)
-
     def _on_p1_done(self, msg, src, out):
         cid = msg.payload[0]
         self.neighbor_done[src] = cid
         if not self.halted and self.edge_state.get(src) == BRANCH:
-            self._adopt_p1(cid, src, out)
+            self._finalize_p1(cid, src, out)
         else:
             self._maybe_start_p2(out)
 
     def _on_p1_absorb(self, msg, src, out):
         if self.halted:
             return  # already adopted via the done flood
-        self._adopt_p1(msg.payload[0], src, out)
+        self._finalize_p1(msg.payload[0], src, out)
 
     # ------------------------------------------------------------------
     # phase 2: descendant counting and splitting
@@ -277,7 +269,7 @@ class HybridAutomaton(GhsAutomaton):
             self.cut_children[src] = msg.payload[0]
             self._note_cut(src, msg.payload[0])
         else:
-            raise AssertionError(f"unknown p2 tag {tag}")
+            raise InvariantViolation(f"unknown p2 tag {tag}")
         self._maybe_count(out)
 
     def _note_cut(self, uid, size):
@@ -429,16 +421,24 @@ class HybridAutomaton(GhsAutomaton):
             return
         for dest in sorted(self.neighbor_clusters):
             send = [c for c in cids if c != dest and self.pair_from[c] != dest]
-            if not send:
-                continue
-            batch = self._pair_batch(send)
-            hop = self.routing.get(dest)
-            if hop is None:
-                raise StaleRoutingEntry(f"no next hop toward cluster {dest}")
-            out.append(self.ctx.message(
-                "p4.values", dst=hop,
-                payload=(dest, self.cluster_id, batch, self.epoch),
-                uids=3 + 2 * len(batch), values=len(batch), extra=EPOCH_BITS))
+            if send:
+                out.append(self._values_msg(self._hop(dest), (
+                    dest, self.cluster_id, self._pair_batch(send), self.epoch)))
+
+    def _hop(self, dest):
+        hop = self.routing.get(dest)
+        if hop is None:
+            raise StaleRoutingEntry(
+                f"node {self.ctx.uid} has no route toward cluster {dest}")
+        return hop
+
+    def _values_msg(self, dst, payload):
+        """A routed batch of (cluster, size, value) triples, payload
+        (dest cluster, source cluster, batch, epoch)."""
+        batch = payload[2]
+        return self.ctx.message("p4.values", dst=dst, payload=payload,
+                                uids=3 + 2 * len(batch), values=len(batch),
+                                extra=EPOCH_BITS)
 
     def _ingest_pairs(self, src_cluster, batch, out):
         new = []
@@ -461,11 +461,8 @@ class HybridAutomaton(GhsAutomaton):
         if total != self.ctx.n:
             raise InvariantViolation("cluster sizes overshoot the node count")
         fn = self.ctx.fn
-        acc = None
-        for cid in sorted(self.value_table):
-            val = self.value_table[cid][1]
-            acc = val if acc is None else fn.combine(acc, val)
-        self.global_final = fn.finalize(acc)
+        self.global_final = fn.finalize(reduce(
+            fn.combine, [self.value_table[c][1] for c in sorted(self.value_table)]))
         self.output = fn.decode(self.global_final)
         if self.token is None:  # cluster value was reused, no compute pass ran
             self.token = TokenPass(self.ctx, None, self._members(),
@@ -478,13 +475,13 @@ class HybridAutomaton(GhsAutomaton):
         self._flush_pairs(out)
         return out
 
-    def _on_later_phase(self, prefix, tag, msg, src, out):
-        full = f"{prefix}.{tag}"
-        if full == "p3.announce":
+    def _on_later_phase(self, msg, src, out):
+        mtype = msg.mtype
+        if mtype == "p3.announce":
             self._on_announce(msg, src, out)
-        elif full == "p3.clusters":
+        elif mtype == "p3.clusters":
             self._on_clusters(msg, src, out)
-        elif full in TOKEN_TYPES:
+        elif mtype in TOKEN_TYPES:
             if self.token is None:
                 self.token = TokenPass(self.ctx, self.parent, self._members(),
                                        TOKEN_TYPES)
@@ -496,36 +493,26 @@ class HybridAutomaton(GhsAutomaton):
                 self._root_token_event(event, out)
             elif event[0] == "terminated":
                 self.output = self.ctx.fn.decode(event[1])
-        elif full == "p4.share":
+        elif mtype == "p4.share":
             src_cluster, batch, epoch = msg.payload
             if self.is_root and epoch == self.epoch and \
                     src_cluster != self.cluster_id:
                 self._ingest_pairs(src_cluster, batch, out)
-        elif full == "p4.values":
+        elif mtype == "p4.values":
             self._on_routed_values(msg, out)
         else:
-            raise AssertionError(f"unknown message {full}")
+            raise InvariantViolation(f"unknown message {mtype}")
 
     def _on_routed_values(self, msg, out):
         dest, src_cluster, batch, epoch = msg.payload
         if epoch != self.epoch:
             return
-        if dest == self.cluster_id:
-            if self.is_root:
-                self._ingest_pairs(src_cluster, batch, out)
-            else:
-                out.append(self.ctx.message(
-                    "p4.values", dst=self.parent, payload=msg.payload,
-                    uids=3 + 2 * len(batch), values=len(batch),
-                    extra=EPOCH_BITS))
+        if dest == self.cluster_id and self.is_root:
+            self._ingest_pairs(src_cluster, batch, out)
+        elif dest == self.cluster_id:
+            out.append(self._values_msg(self.parent, msg.payload))
         else:
-            hop = self.routing.get(dest)
-            if hop is None:
-                raise StaleRoutingEntry(
-                    f"node {self.ctx.uid} has no route toward {dest}")
-            out.append(self.ctx.message(
-                "p4.values", dst=hop, payload=msg.payload,
-                uids=3 + 2 * len(batch), values=len(batch), extra=EPOCH_BITS))
+            out.append(self._values_msg(self._hop(dest), msg.payload))
 
     # ------------------------------------------------------------------
     # recovery from a single link failure
@@ -650,13 +637,8 @@ class HybridAutomaton(GhsAutomaton):
             self.pf_joining = True
             self._pf_forward_join(cand, count, out)
             return
-        self.cluster_id = self.ctx.uid
-        self.root_uid = self.ctx.uid
-        if self._members():
-            # members may carry a stale cluster id after the break
-            out.append(self.ctx.message("pf.newid",
-                                        payload=(self.cluster_id, self.epoch),
-                                        uids=1, extra=EPOCH_BITS))
+        # members may carry a stale cluster id after the break
+        self._rename(self.ctx.uid, self.epoch, "pf.newid", out)
 
     def _pf_forward_join(self, cand, size, out):
         _w, x, y = cand
@@ -729,12 +711,7 @@ class HybridAutomaton(GhsAutomaton):
             cid, epoch = msg.payload
             if src == self.parent and self.edge_state.get(src) == BRANCH \
                     and self.cluster_id != cid:
-                self.cluster_id = cid
-                self.root_uid = cid
-                if self._members():
-                    out.append(self.ctx.message("pf.newid",
-                                                payload=(cid, epoch),
-                                                uids=1, extra=EPOCH_BITS))
+                self._rename(cid, epoch, "pf.newid", out)
         elif tag == "size_up":
             self._recount("pf.size_up", msg.payload, 2, out)
         elif tag == "route_dead":
@@ -742,7 +719,7 @@ class HybridAutomaton(GhsAutomaton):
             self.disc_candidates.get(cid, set()).discard(src)
             self._route_repair(src, [cid], out)
         else:
-            raise AssertionError(f"unknown pf tag {tag}")
+            raise InvariantViolation(f"unknown pf tag {tag}")
 
     def _recount(self, mtype, payload, uids, out):
         """Membership changed below this node: the root recounts its part,
@@ -766,11 +743,16 @@ class HybridAutomaton(GhsAutomaton):
         self.parent = parent
         self.is_root = False
         self.pf_joining = False
+        self._rename(cid, epoch, "pf.adopt", out)
+
+    def _rename(self, cid, epoch, mtype, out):
+        """Join cluster `cid` and pass the news (`mtype`) to the members
+        below."""
         self.cluster_id = cid
         self.root_uid = cid
         if self._members():
-            out.append(self.ctx.message("pf.adopt", payload=(cid, epoch),
-                                        uids=1, extra=EPOCH_BITS))
+            out.append(self.ctx.message(mtype, payload=(cid, epoch), uids=1,
+                                        extra=EPOCH_BITS))
 
     # re-consensus epoch, started by the experiment driver ---------------
 
@@ -793,6 +775,7 @@ class HybridProtocol(Protocol):
     """Cluster-based consensus tuned by m (1 = one cluster, n = singletons)."""
 
     name = "hybrid"
+    hierarchical_only = True
 
     def __init__(self, m: int):
         if m < 1:
@@ -800,16 +783,11 @@ class HybridProtocol(Protocol):
         self.m = m
 
     def validate(self, graph, fn, scheduler):
-        if fn is None or not fn.hierarchical:
-            raise NotHierarchical(
-                "the tunable algorithm needs a hierarchically computable function")
         if self.m > graph.n:
             raise ConfigError("m cannot exceed the node count")
 
     def automaton(self, ctx):
-        ctx.params = dict(ctx.params)
-        ctx.params["m"] = self.m
-        return HybridAutomaton(ctx)
+        return HybridAutomaton(ctx, self.m)
 
 
 # -- structural checks and the failure-experiment driver ---------------------
@@ -902,16 +880,9 @@ class FailureExperiment:
     def fail_link(self, edge, at=None):
         u, v = edge
         failed_graph = fail_link(self.graph, edge)  # raises if it disconnects
-        timing = self.sim.timing
         if at is None:
-            at = self.initial_trace.last_output_time() + timing.d
-        repair = Simulation(self.sim.protocol, self.graph, self.sim.values,
-                            fn=self.fn, timing=timing,
-                            scheduler=self.sim.scheduler,
-                            seed=self.sim.seed + 1,
-                            size_model=self.sim.size_model,
-                            automata=self.sim.automata, start_time=at,
-                            require_outputs=False)
+            at = self.initial_trace.last_output_time() + self.sim.timing.d
+        repair = self._continue(at, require_outputs=False)
         repair.schedule_link_down(u, v, at)
         self.repair_trace = repair.run()
         self.graph = failed_graph
@@ -927,12 +898,7 @@ class FailureExperiment:
         else:
             start = self.sim.start_time
         start = round(start / self.sim.timing.d) * self.sim.timing.d
-        rerun = Simulation(self.sim.protocol, self.graph, self.sim.values,
-                           fn=self.fn, timing=self.sim.timing,
-                           scheduler=self.sim.scheduler,
-                           seed=self.sim.seed + 1,
-                           size_model=self.sim.size_model,
-                           automata=self.sim.automata, start_time=start)
+        rerun = self._continue(start)
         for uid in sorted(self.sim.automata):
             a = self.sim.automata[uid]
             if a.parent is None and not a.awaiting_release:
@@ -940,3 +906,12 @@ class FailureExperiment:
         self.rerun_trace = rerun.run()
         self.sim = rerun
         return self.rerun_trace
+
+    def _continue(self, start, require_outputs=True):
+        """A follow-on execution over the current automata and graph."""
+        return Simulation(self.sim.protocol, self.graph, self.sim.values,
+                          fn=self.fn, timing=self.sim.timing,
+                          scheduler=self.sim.scheduler, seed=self.sim.seed + 1,
+                          size_model=self.sim.size_model,
+                          automata=self.sim.automata, start_time=start,
+                          require_outputs=require_outputs)

@@ -21,11 +21,16 @@ def peak_bandwidth(trace, d: float | None = None, msg_filter=None) -> float:
     does not stack with it.  `msg_filter` restricts the sweep to matching
     messages (e.g. one protocol phase).
     """
-    d = trace.timing.d if d is None else d
+    sends = trace.sends()
+    if msg_filter is not None:
+        sends = [e for e in sends if msg_filter(e.msg)]
+    return _sweep(sends, trace.timing.d if d is None else d)
+
+
+def _sweep(sends, d: float) -> float:
+    """Peak of the summed constant-rate windows of `sends`."""
     endpoints: list[tuple[float, float]] = []
-    for e in trace.sends():
-        if msg_filter is not None and not msg_filter(e.msg):
-            continue
+    for e in sends:
         rate = e.msg.size_bits / d
         endpoints.append((e.t, rate))
         endpoints.append((e.t + d, -rate))
@@ -46,9 +51,11 @@ def peak_bandwidth(trace, d: float | None = None, msg_filter=None) -> float:
 
 def peak_bandwidth_by_phase(trace, d: float | None = None) -> dict:
     """Peak per message-type prefix (the dotted phase tag)."""
-    prefixes = {e.msg.mtype.split(".")[0] for e in trace.sends()}
-    return {p: peak_bandwidth(trace, d, lambda m, p=p: m.mtype.split(".")[0] == p)
-            for p in sorted(prefixes)}
+    phases: dict[str, list] = {}
+    for e in trace.sends():
+        phases.setdefault(e.msg.mtype.split(".")[0], []).append(e)
+    d = trace.timing.d if d is None else d
+    return {p: _sweep(phases[p], d) for p in sorted(phases)}
 
 
 def time_complexity(trace) -> float:
@@ -62,18 +69,17 @@ def time_complexity(trace) -> float:
 
 
 def message_complexity(trace, msg_filter=None) -> int:
-    sends = trace.sends()
-    if not sends and trace.messages_total and msg_filter is None:
-        return trace.messages_total  # lean trace: counters only
-    return sum(1 for e in sends if msg_filter is None or msg_filter(e.msg))
+    if msg_filter is None and trace.messages_total:
+        return trace.messages_total  # the engine's counter, lean runs too
+    return sum(1 for e in trace.sends()
+               if msg_filter is None or msg_filter(e.msg))
 
 
 def byte_complexity(trace, msg_filter=None) -> int:
     """Total traffic in bits (divide by 8 for bytes)."""
-    sends = trace.sends()
-    if not sends and trace.bits_total and msg_filter is None:
+    if msg_filter is None and trace.bits_total:
         return trace.bits_total
-    return sum(e.msg.size_bits for e in sends
+    return sum(e.msg.size_bits for e in trace.sends()
                if msg_filter is None or msg_filter(e.msg))
 
 

@@ -57,14 +57,8 @@ class Graph:
     def n(self) -> int:
         return len(self.uids)
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adj[u]
-
     def degree(self, u: int) -> int:
         return len(self.adj[u])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_weight(u, v) in self.edges
 
     def is_connected(self) -> bool:
         return _connected(self.adj)

@@ -32,18 +32,17 @@ import random
 from dataclasses import dataclass
 
 from . import bounds as bnd
+from .algorithms import ALGORITHMS
 from .averaging import AverageProtocol
-from .engine import Event, ExecutionTrace, Simulation, TimingParams, run, \
-    validate_trace
+from .engine import Event, ExecutionTrace, Simulation, TimingParams, run
 from .errors import WouldDisconnect
 from .flooding import FloodingProtocol
 from .functions import (MaxFunction, MeanFunction, MinFunction, VoteFunction,
                         get_function, oracle)
-from .ghs import (GhsMstProtocol, GhsParallelProtocol, GhsTokenProtocol,
+from .ghs import (GhsMstProtocol, GhsTokenProtocol,
                   ParallelConvergecastProtocol, TokenConvergecastProtocol,
                   mst_edges, root_tree)
-from .hybrid import (FailureExperiment, HybridProtocol,
-                     check_cluster_discipline, cluster_map)
+from .hybrid import FailureExperiment, HybridProtocol, check_cluster_discipline
 from .messages import Message, SizeModel
 from .metrics import (byte_complexity, message_complexity, peak_bandwidth,
                       peak_bandwidth_by_phase, time_complexity)
@@ -65,43 +64,41 @@ class CheckResult:
 
 
 def _run(protocol, graph, values, fn, scheduler="lockstep", seed=0, **kw):
-    sm = SizeModel.for_network(graph.n, fn.bits if fn else 32,
-                               pool_size=graph.pool_size)
     return run(protocol, graph, values, fn=fn, timing=TIMING,
-               scheduler=scheduler, seed=seed, size_model=sm, **kw)
+               scheduler=scheduler, seed=seed, **kw)
+
+
+def _peak(protocol, kind, n, fn) -> float:
+    """Peak bandwidth of one lockstep run on the seed-1 graph of `kind`,
+    with initial values 0..n-1."""
+    g = make_topology(kind, n, seed=1)
+    return peak_bandwidth(_run(protocol, g, list(range(n)), fn))
 
 
 # ---------------------------------------------------------------------------
 # headline figures (criterion 1)
 # ---------------------------------------------------------------------------
 
-def check_headline_average() -> CheckResult:
-    g = make_topology("complete", 100, seed=1)
-    trace = _run(AverageProtocol(eps=1e-3), g, list(range(100)),
-                 MeanFunction(B_HEADLINE))
-    peak = peak_bandwidth(trace)
-    target = 7_750_000.0
+def _headline(name, peak, target, tolerance) -> CheckResult:
     off = abs(peak - target) / target
-    return CheckResult("headline.average-7750kbps", off <= 0.05,
+    return CheckResult(name, off <= tolerance,
                        f"peak {peak:.0f} bps vs {target:.0f} ({off:+.2%})")
+
+
+def check_headline_average() -> CheckResult:
+    return _headline("headline.average-7750kbps",
+                     _peak(AverageProtocol(eps=1e-3), "complete", 100,
+                           MeanFunction(B_HEADLINE)), 7_750_000.0, 0.05)
 
 
 def check_headline_flooding() -> CheckResult:
-    g = make_topology("complete", 100, seed=1)
-    trace = _run(FloodingProtocol(), g, list(range(100)),
-                 MaxFunction(B_HEADLINE))
-    peak = peak_bandwidth(trace)
-    target = 775_000_000.0
-    off = abs(peak - target) / target
-    return CheckResult("headline.flooding-775Mbps", off <= 0.10,
-                       f"peak {peak:.0f} bps vs {target:.0f} ({off:+.2%})")
+    return _headline("headline.flooding-775Mbps",
+                     _peak(FloodingProtocol(), "complete", 100,
+                           MaxFunction(B_HEADLINE)), 775_000_000.0, 0.10)
 
 
 def check_headline_token() -> CheckResult:
-    g = make_topology("star", 100, seed=1)
-    trace = _run(GhsTokenProtocol(), g, list(range(100)),
-                 MaxFunction(B_HEADLINE))
-    peak = peak_bandwidth(trace)
+    peak = _peak(GhsTokenProtocol(), "star", 100, MaxFunction(B_HEADLINE))
     offs = {}
     for mode in bnd.MODES:
         formula = bnd.ghs_token_bandwidth(100, B_HEADLINE, D, mode)
@@ -152,10 +149,8 @@ def check_mst_oracle(graphs: int = 100) -> CheckResult:
         n = rng.randrange(2, 51)
         p = rng.choice([0.15, 0.3, 0.6, 1.0])
         g = make_topology("random_connected", n, {"p": p}, seed=trial)
-        sm = SizeModel.for_network(n, 32, pool_size=g.pool_size)
         sim = Simulation(GhsMstProtocol(), g, [0] * n, fn=None, timing=TIMING,
-                         scheduler=schedulers[trial % 3], seed=trial,
-                         size_model=sm)
+                         scheduler=schedulers[trial % 3], seed=trial)
         sim.run()
         if mst_edges(sim.automata) != kruskal_mst(g):
             return CheckResult("mst.kruskal-equivalence", False,
@@ -174,19 +169,21 @@ def _matrix_graph(kind: str, n: int, seed: int):
     return make_topology(actual, n, params, seed=seed)
 
 
+def _matches(fn, got, want) -> bool:
+    """An output against the oracle; the mean gets a relative 1e-9."""
+    if fn.name == "mean":
+        return abs(got - want) <= 1e-9 * abs(want)
+    return got == want
+
+
 def check_consensus_matrix(n: int = 8, seeds: int = 5) -> CheckResult:
     topologies = ("path", "cycle", "star", "complete", "random")
     schedulers = ("lockstep", "random", "adversarial")
     fns = ("max", "mean", "vote:3")
-    algos = {
-        "flooding": lambda: FloodingProtocol(),
-        "ghs-parallel": lambda: GhsParallelProtocol(),
-        "ghs-token": lambda: GhsTokenProtocol(),
-        "hybrid": lambda: HybridProtocol(3),
-    }
     rng = random.Random(55)
     runs = 0
-    for algo, factory in algos.items():
+    for algo in ("flooding", "ghs-parallel", "ghs-token", "hybrid"):
+        factory = ALGORITHMS[algo].protocol
         for topo in topologies:
             for fname in fns:
                 fn = get_function(fname, 128)
@@ -197,18 +194,12 @@ def check_consensus_matrix(n: int = 8, seeds: int = 5) -> CheckResult:
                             values = [rng.randrange(3) for _ in range(n)]
                         else:
                             values = [rng.randrange(10, 100) for _ in range(n)]
-                        trace = _run(factory(), g, values, fn,
+                        trace = _run(factory(3, None), g, values, fn,
                                      scheduler=sched, seed=seed)
                         runs += 1
                         want = oracle(fn, values)
                         for got in trace.outputs.values():
-                            if fn.name == "mean":
-                                if abs(got - want) > 1e-9 * abs(want):
-                                    return CheckResult(
-                                        "consensus.matrix", False,
-                                        f"{algo}/{topo}/{fname}/{sched}/{seed}:"
-                                        f" {got} vs {want}")
-                            elif got != want:
+                            if not _matches(fn, got, want):
                                 return CheckResult(
                                     "consensus.matrix", False,
                                     f"{algo}/{topo}/{fname}/{sched}/{seed}:"
@@ -219,11 +210,12 @@ def check_consensus_matrix(n: int = 8, seeds: int = 5) -> CheckResult:
             g = _matrix_graph(topo, n, seed)
             values = [rng.randrange(10, 100) for _ in range(n)]
             fn = MeanFunction(128)
-            trace = _run(AverageProtocol(eps=1e-12), g, values, fn, seed=seed)
+            trace = _run(ALGORITHMS["average"].protocol(None, 1e-12), g,
+                         values, fn, seed=seed)
             runs += 1
             want = oracle(fn, values)
             for got in trace.outputs.values():
-                if abs(got - want) > 1e-9 * abs(want):
+                if not _matches(fn, got, want):
                     return CheckResult("consensus.matrix", False,
                                        f"average/{topo}/{seed}: {got} vs {want}")
     return CheckResult("consensus.matrix", True,
@@ -237,34 +229,24 @@ def check_consensus_matrix(n: int = 8, seeds: int = 5) -> CheckResult:
 NS = (10, 20, 50, 100)
 
 
-def _stability(name, ratios, extra="") -> CheckResult:
+def _stability(name, ratios) -> CheckResult:
     lo, hi = min(ratios), max(ratios)
     ok = lo > 0 and hi / lo <= 2.0
     detail = (f"C per n {['%.3f' % r for r in ratios]}, max/min "
-              f"{hi / lo:.2f}" + extra)
+              f"{hi / lo:.2f}")
     return CheckResult(name, ok, detail)
 
 
 def check_ceiling_average() -> CheckResult:
-    ratios = []
-    for n in NS:
-        g = make_topology("complete", n, seed=1)
-        trace = _run(AverageProtocol(eps=1e-3), g, list(range(n)),
-                     MeanFunction(B_HEADLINE))
-        ratios.append(peak_bandwidth(trace)
-                      / bnd.average_bandwidth(n, B_HEADLINE, D))
-    return _stability("ceiling.average", ratios)
+    return _stability("ceiling.average", [
+        _peak(AverageProtocol(eps=1e-3), "complete", n, MeanFunction(B_HEADLINE))
+        / bnd.average_bandwidth(n, B_HEADLINE, D) for n in NS])
 
 
 def check_ceiling_flooding() -> CheckResult:
-    ratios = []
-    for n in NS:
-        g = make_topology("complete", n, seed=1)
-        trace = _run(FloodingProtocol(), g, list(range(n)),
-                     MaxFunction(B_HEADLINE))
-        ratios.append(peak_bandwidth(trace)
-                      / bnd.flooding_bandwidth(n, B_HEADLINE, D))
-    return _stability("ceiling.flooding", ratios)
+    return _stability("ceiling.flooding", [
+        _peak(FloodingProtocol(), "complete", n, MaxFunction(B_HEADLINE))
+        / bnd.flooding_bandwidth(n, B_HEADLINE, D) for n in NS])
 
 
 def check_ceiling_parallel_convergecast() -> CheckResult:
@@ -296,13 +278,8 @@ def check_ceiling_hybrid_phases(m: int = 2) -> list[CheckResult]:
 def check_token_tightness() -> CheckResult:
     """The bandwidth-frugal pipeline sits within a constant factor of the
     (n log n + b)/d expression on both sides at desk scale."""
-    ratios = []
-    for n in NS:
-        g = make_topology("star", n, seed=1)
-        trace = _run(GhsTokenProtocol(), g, list(range(n)),
-                     MaxFunction(B_HEADLINE))
-        ratios.append(peak_bandwidth(trace)
-                      / bnd.ghs_token_bandwidth(n, B_HEADLINE, D))
+    ratios = [_peak(GhsTokenProtocol(), "star", n, MaxFunction(B_HEADLINE))
+              / bnd.ghs_token_bandwidth(n, B_HEADLINE, D) for n in NS]
     ok = all(0.4 <= r <= 2.5 for r in ratios)
     return CheckResult("ceiling.token-tightness", ok,
                        f"peak/formula per n: {['%.3f' % r for r in ratios]}")
@@ -402,9 +379,7 @@ def check_recovery(instances: int = 20) -> CheckResult:
         g = make_topology("random_connected", n, {"p": rng.choice([0.4, 0.6])},
                           seed=trial)
         values = [rng.randrange(1000) for _ in range(n)]
-        sm = SizeModel.for_network(n, 64, pool_size=g.pool_size)
-        exp = FailureExperiment(g, values, fn, m, timing=TIMING, seed=trial,
-                                size_model=sm)
+        exp = FailureExperiment(g, values, fn, m, timing=TIMING, seed=trial)
         tree = {(min(u, a.parent), max(u, a.parent))
                 for u, a in exp.automata.items() if a.parent is not None}
         breakable = []
@@ -492,22 +467,20 @@ def check_peak_against_brute_force(traces: int = 100) -> CheckResult:
 
 def check_determinism(configs: int = 50) -> CheckResult:
     rng = random.Random(77)
-    protos = [
-        ("flooding", lambda m: FloodingProtocol()),
-        ("ghs-token", lambda m: GhsTokenProtocol()),
-        ("ghs-parallel", lambda m: GhsParallelProtocol()),
-        ("hybrid", lambda m: HybridProtocol(m)),
-    ]
+    names = ("flooding", "ghs-token", "ghs-parallel", "hybrid")
     for trial in range(configs):
-        name, factory = protos[trial % len(protos)]
+        name = names[trial % len(names)]
+        factory = ALGORITHMS[name].protocol
         n = rng.randrange(2, 16)
         m = rng.randrange(1, n + 1)
         sched = ("lockstep", "random", "adversarial")[trial % 3]
         g = make_topology("random_connected", n, {"p": 0.5}, seed=trial)
         values = [rng.randrange(100) for _ in range(n)]
         fn = MaxFunction(64)
-        t1 = _run(factory(m), g, list(values), fn, scheduler=sched, seed=trial)
-        t2 = _run(factory(m), g, list(values), fn, scheduler=sched, seed=trial)
+        t1 = _run(factory(m, None), g, list(values), fn, scheduler=sched,
+                  seed=trial)
+        t2 = _run(factory(m, None), g, list(values), fn, scheduler=sched,
+                  seed=trial)
         if t1.to_jsonl() != t2.to_jsonl():
             return CheckResult("properties.determinism", False,
                                f"{name} n={n} {sched} seed={trial} diverged")

@@ -144,3 +144,43 @@ def test_validate_single_suite(capsys):
     assert "checks passed" in out
     assert all(ln.startswith(("PASS", "FAIL")) or "checks passed" in ln
                for ln in out.strip().splitlines())
+
+
+def test_config_file_given_with_equals_sign(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("algo = ghs-token\ntopo = star\nn = 5\n")
+    code, out, _ = run_cli(capsys, "run", f"--config={cfg}")
+    assert code == 0
+    cells = out.strip().splitlines()[1].split(",")
+    assert cells[:3] == ["ghs-token", "star", "5"]
+
+
+def test_config_flag_without_a_value_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_config_file_values_are_converted_like_flags(tmp_path, capsys):
+    from consim.topology import make_topology
+    u, v = sorted(make_topology("complete", 6, seed=1).uids)[:2]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"algo = hybrid\nm = 2\ntopo = complete\nn = 6\n"
+                   f"seed = 1\nfail = {u},{v}\nfail-at = 0.5\n")
+    code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["hybrid", "hybrid-repair", "hybrid-rerun"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--axis", "m", "--values", "1:x", "--algo", "hybrid",
+     "--topo", "cycle", "--n", "6"),
+    ("run", "--topo", "path", "--n", "3", "--init-values", "1,a,3"),
+    ("run", "--topo", "path", "--n", "3", "--bits", "1"),
+])
+def test_malformed_input_is_a_configuration_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("configuration error:")

@@ -10,8 +10,9 @@ from consim.engine import (AdversarialMaxDelay, Automaton, Event,
                            ExecutionTrace, Protocol, RandomAsync, Simulation,
                            SynchronousLockstep, TimingParams, get_scheduler,
                            run, validate_trace)
-from consim.errors import ConfigError, DisconnectedGraph, NonTermination
-from consim.functions import MaxFunction
+from consim.errors import (ConfigError, DisconnectedGraph, NonTermination,
+                           NotHierarchical)
+from consim.functions import MaxFunction, MedianFunction
 from consim.messages import Message, SizeModel
 from consim.topology import Graph, make_topology
 
@@ -207,6 +208,19 @@ def test_disconnected_graph_rejected_before_start():
         _sim(broken)
 
 
+def test_hierarchical_only_is_enforced_before_validate():
+    class Picky(PingProtocol):
+        name = "picky"
+        hierarchical_only = True
+
+        def validate(self, graph, fn, scheduler):
+            raise AssertionError("validate ran before the engine's check")
+
+    g = make_topology("path", 3, seed=0)
+    with pytest.raises(NotHierarchical, match="picky"):
+        Simulation(Picky(), g, [1, 2, 3], fn=MedianFunction(32))
+
+
 def test_unknown_scheduler_rejected():
     with pytest.raises(ConfigError):
         get_scheduler("chaotic")
@@ -227,15 +241,19 @@ PATH2 = make_topology("path", 2, seed=0)
 
 
 def _hand_trace(sends):
-    """sends: (send time, delivery delay or None) pairs from one node of a
-    2-node path; each send expects one delivery."""
+    """sends: (send time, delivery delay or None[, transition latency])
+    from one node of a 2-node path; each send expects one delivery, and a
+    latency adds the receiver's transition on it."""
     a, b = PATH2.uids
     events = []
-    for ref, (t, delay) in enumerate(sends):
+    for ref, (t, delay, *latency) in enumerate(sends):
         msg = Message("x.msg", a, 8)
         events.append(Event("send", t, a, msg=msg, ref=ref))
         if delay is not None:
             events.append(Event("deliver", t + delay, b, msg=msg, ref=ref))
+        for lat in latency:
+            events.append(Event("transition", t + (delay or 0.0) + lat, b,
+                                msg=msg, ref=ref))
     events.sort(key=lambda e: e.t)
     return ExecutionTrace(events=events, outputs={}, config={},
                           timing=TimingParams(d=0.01, l=0.001),
@@ -254,6 +272,7 @@ def test_validate_trace_accepts_tiny_random_delay():
     ([(0.0, 0.0)], "outside (0, d]"),
     ([(0.0, 0.004), (0.005, 0.004)], "inside an earlier window"),
     ([(0.0, None)], "delivered 0/1 times"),
+    ([(0.0, 0.004, 0.0), (0.01, None, 0.0005)], "it never got"),
 ])
 def test_validate_trace_rejects(sends, text):
     with pytest.raises(AssertionError, match=re.escape(text)):

@@ -4,12 +4,12 @@ import zlib
 import pytest
 
 from consim.engine import Simulation, TimingParams, run, validate_trace
-from consim.errors import NotHierarchical
+from consim.errors import InvariantViolation, NotHierarchical
 from consim.functions import MaxFunction, MeanFunction, MedianFunction, oracle
 from consim.ghs import (GhsMstProtocol, GhsParallelProtocol, GhsTokenProtocol,
                         ParallelConvergecastProtocol, TokenConvergecastProtocol,
-                        ghs_build_mst, mst_edges, root_tree, tree_from_automata)
-from consim.messages import SizeModel
+                        TokenPass, ghs_build_mst, mst_edges, root_tree, tree_from_automata)
+from consim.messages import Message, SizeModel
 from consim.metrics import (byte_complexity, message_complexity,
                             peak_bandwidth, time_complexity)
 from consim.topology import Graph, kruskal_mst, make_topology
@@ -154,6 +154,13 @@ def test_token_rejects_non_hierarchical():
     with pytest.raises(NotHierarchical):
         run(TokenConvergecastProtocol(tree), g, [1, 2, 3],
             fn=MedianFunction(32), timing=TIMING)
+
+
+def test_token_pass_rejects_foreign_message_with_typed_error():
+    token = TokenPass(None, None, (), ("t.compute", "t.reply", "t.relay",
+                                       "t.ack"))
+    with pytest.raises(InvariantViolation, match="foreign message x.other"):
+        token.handle(Message("x.other", 1, 8), 1)
 
 
 # -- parallel convergecast ----------------------------------------------------
