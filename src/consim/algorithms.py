@@ -36,7 +36,7 @@ ALGORITHMS = {
     "average": Algorithm(lambda m, eps: AverageProtocol(eps=eps),
                          _fixed(bnd.average_bandwidth)),
     "ghs-parallel": Algorithm(lambda m, eps: GhsParallelProtocol(),
-                              _fixed(bnd.ghs_token_bandwidth)),
+                              _fixed(bnd.average_bandwidth)),
     "ghs-token": Algorithm(lambda m, eps: GhsTokenProtocol(),
                            _fixed(bnd.ghs_token_bandwidth)),
     "hybrid": Algorithm(lambda m, eps: HybridProtocol(m), bnd.hybrid_bandwidth),

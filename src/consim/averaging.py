@@ -66,8 +66,7 @@ class AverageProtocol(Protocol):
         if eps <= 0:
             raise ConfigError("eps must be positive")
         self.eps = eps
-        self._target = None
-        self._spread = None
+        self._values = None  # initial values the monitor was set up for
 
     def validate(self, graph, fn, scheduler):
         if fn is None or fn.name != "mean":
@@ -84,7 +83,8 @@ class AverageProtocol(Protocol):
                 / sum(w.values()))
 
     def on_round_boundary(self, automata, r, sim):
-        if self._target is None:
+        if self._values is not sim.values:  # a new execution
+            self._values = sim.values
             self._target = self._fixed_point(sim)
             vals = [sim.values[u] for u in sim.graph.uids]
             self._spread = max(vals) - min(vals)

@@ -9,7 +9,8 @@ one mode and report the measured constant alongside it.
 Per algorithm, for n nodes, b-bit values, window d and cluster parameter m:
 
   flooding    bandwidth n^2 (log n + b) / d
-  average     bandwidth n (log n + b) / d
+  average     bandwidth n (log n + b) / d, also the ceiling of ghs-parallel's
+              convergecast, where up to n nodes send a value in one window
   ghs-token   bandwidth (n log n + b) / d, bytes n (log n + b),
               messages 4(n-1) and time 4(n-1) d for the tree-aggregation
               stage alone
@@ -102,9 +103,10 @@ CURVE_CSV_COLUMNS = ("mode", "algo", "n", "b", "d", "m",
                      "bandwidth_bps", "bytes_bits", "time_s", "messages")
 
 
-def curve_rows(n: int, b: int, d: float, m_values, modes=MODES) -> list[dict]:
+def curve_rows(n: int, b: int, d: float, m_values) -> list[dict]:
     """Long-format table for bound curves: one row per (algorithm, m, mode).
-    The fixed algorithms ignore m; the tunable one gets one row per m."""
+    The fixed algorithms ignore m; the tunable one gets one row per m, which
+    `eval_bounds` checks."""
     def row(mode, algo, bandwidth, m=None, bytes_bits=None, time_s=None,
             messages=None):
         return {"mode": mode, "algo": algo, "n": n, "b": b, "d": d, "m": m,
@@ -112,13 +114,14 @@ def curve_rows(n: int, b: int, d: float, m_values, modes=MODES) -> list[dict]:
                 "time_s": time_s, "messages": messages}
 
     rows = []
-    for mode in modes:
+    for mode in MODES:
         rows.append(row(mode, "flooding", flooding_bandwidth(n, b, d, mode)))
         rows.append(row(mode, "average", average_bandwidth(n, b, d, mode)))
         rows.append(row(mode, "ghs-token", ghs_token_bandwidth(n, b, d, mode),
                         bytes_bits=ghs_token_bytes(n, b, mode),
                         time_s=token_time(n, d), messages=token_messages(n)))
-        rows += [row(mode, "hybrid", hybrid_bandwidth(n, b, d, m, mode), m=m)
+        rows += [row(mode, "hybrid",
+                     eval_bounds(n, b, d, m, mode)["hybrid_bandwidth_bps"], m=m)
                  for m in m_values]
     return rows
 

@@ -164,7 +164,7 @@ def cmd_bounds(args) -> int:
     if args.sweep_m:
         m_values = _axis_values(args.sweep_m, "--sweep-m")
     else:
-        m_values = [args.m] if args.m else []
+        m_values = [] if args.m is None else [args.m]
     rows = bnd.curve_rows(args.n, args.bits, args.d, m_values)
     _emit(bnd.curve_csv(rows), args.out)
     return 0

@@ -97,13 +97,11 @@ SCHEDULERS = {
 }
 
 
-def get_scheduler(name):
-    if isinstance(name, str):
-        try:
-            return SCHEDULERS[name]()
-        except KeyError:
-            raise ConfigError(f"unknown scheduler {name!r}") from None
-    return name
+def get_scheduler(name: str):
+    try:
+        return SCHEDULERS[name]()
+    except KeyError:
+        raise ConfigError(f"unknown scheduler {name!r}") from None
 
 
 @dataclass
@@ -295,8 +293,6 @@ class Simulation:
 
     @staticmethod
     def _normalize_values(graph, values):
-        if values is None:
-            return {u: 0 for u in graph.uids}
         if isinstance(values, dict):
             return dict(values)
         vals = list(values)
@@ -444,14 +440,7 @@ class Simulation:
             "scheduler": self.scheduler.name,
             "seed": self.seed,
             "start_time": self.start_time,
-            "n": self.graph.n,
-            "d": self.timing.d,
-            "l": self.timing.l,
-            "uid_bits": self.size_model.uid_bits,
-            "value_bits": self.size_model.value_bits,
-            "flag_bits": self.size_model.flag_bits,
             "fn": getattr(self.fn, "name", None),
-            "topology": self.graph.kind,
         }
         return ExecutionTrace(events=self._events, outputs=dict(self.outputs),
                               config=config, timing=self.timing,
@@ -466,15 +455,16 @@ def run(protocol, graph, values, **kwargs) -> ExecutionTrace:
     return Simulation(protocol, graph, values, **kwargs).run()
 
 
-def validate_trace(trace: ExecutionTrace, _tol=1e-9):
+def validate_trace(trace: ExecutionTrace):
     """Check the structural invariants every fair execution must satisfy:
     chronological order, complete per-neighbor fan-out with every delivery
     delay in (0, d], transition latency within l, disjoint per-node
-    transmission windows and at most one output per node.  `_tol` absorbs
+    transmission windows and at most one output per node.  `tol` absorbs
     float rounding at the upper ends and in the ordering checks; any
     positive delay is a valid draw.  Raises AssertionError on the first
     violation, explicitly, so the checks also run under `python -O`."""
     d, l = trace.timing.d, trace.timing.l
+    tol = 1e-9  # seconds
     last_t = float("-inf")
     sends: dict[int, Event] = {}
     deliver_counts: dict[int, int] = {}
@@ -482,14 +472,14 @@ def validate_trace(trace: ExecutionTrace, _tol=1e-9):
     node_deliver_t: dict[tuple, float] = {}
     outputs_seen = set()
     for e in trace.events:
-        if e.t < last_t - _tol:
+        if e.t < last_t - tol:
             raise AssertionError("events out of chronological order")
         last_t = max(last_t, e.t)
         if e.kind == "send":
             sends[e.ref] = e
             deliver_counts[e.ref] = 0
             prev_end = node_send_end.get(e.node, float("-inf"))
-            if e.t < prev_end - _tol:
+            if e.t < prev_end - tol:
                 raise AssertionError(
                     f"node {e.node} started a send inside an earlier window")
             node_send_end[e.node] = e.t + d
@@ -497,7 +487,7 @@ def validate_trace(trace: ExecutionTrace, _tol=1e-9):
             if e.ref not in sends:
                 raise AssertionError("deliver references an unknown send")
             delay = e.t - sends[e.ref].t
-            if not 0 < delay <= d + _tol:
+            if not 0 < delay <= d + tol:
                 raise AssertionError(f"delivery delay {delay} outside (0, d]")
             deliver_counts[e.ref] += 1
             node_deliver_t[(e.node, e.ref)] = e.t
@@ -506,7 +496,7 @@ def validate_trace(trace: ExecutionTrace, _tol=1e-9):
                 raise AssertionError(f"node {e.node} reacted to send {e.ref} "
                                      f"it never got")
             dt = e.t - node_deliver_t[(e.node, e.ref)]
-            if not -_tol <= dt <= l + _tol:
+            if not -tol <= dt <= l + tol:
                 raise AssertionError(f"transition latency {dt} exceeds l")
         elif e.kind == "output":
             if e.node in outputs_seen:

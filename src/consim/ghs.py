@@ -114,53 +114,47 @@ class TokenPass:
 
     def start_compute(self, own_value):
         self.acc = own_value
-        if not self.children:
-            return [], ("computed", self.acc)
-        return [self._msg(self.m_compute, self.children[0])], None
+        self.idx = 0
+        return self._advance(relay=False)
 
     def start_relay(self, final):
         self.final = final
         self.idx = 0
-        if not self.children:
-            return [], ("terminated", final)
-        return [self._msg(self.m_relay, self.children[0], final)], None
+        return self._advance(relay=True)
 
     def handle(self, msg, src):
         if msg.mtype == self.m_compute:
             self.parent = src
             self.acc = self.ctx.fn.initial(self.ctx.value)
             self.idx = 0
-            if not self.children:
-                return [self._msg(self.m_reply, self.parent, self.acc)], None
-            return [self._msg(self.m_compute, self.children[0])], None
-        if msg.mtype == self.m_reply:
+        elif msg.mtype == self.m_reply:
             self.acc = self.ctx.fn.combine(self.acc, msg.payload)
             self.idx += 1
-            if self.idx < len(self.children):
-                return [self._msg(self.m_compute, self.children[self.idx])], None
+        elif msg.mtype == self.m_relay:
+            self.final = msg.payload
+            self.idx = 0
+        elif msg.mtype == self.m_ack:
+            self.idx += 1
+        else:
+            raise InvariantViolation(
+                f"token pass got foreign message {msg.mtype}")
+        return self._advance(relay=msg.mtype in (self.m_relay, self.m_ack))
+
+    def _advance(self, relay):
+        """Pass the token to the next child; once every child is done, hand
+        it back to the parent (a reply, or an ack that ends this node's
+        relay pass) or, at the root, end the pass."""
+        if self.idx < len(self.children):
+            child = self.children[self.idx]
+            if relay:
+                return [self._msg(self.m_relay, child, self.final)], None
+            return [self._msg(self.m_compute, child)], None
+        if not relay:
             if self.parent is None:
                 return [], ("computed", self.acc)
             return [self._msg(self.m_reply, self.parent, self.acc)], None
-        if msg.mtype == self.m_relay:
-            self.final = msg.payload
-            self.idx = 0
-            if self.children:
-                return [self._msg(self.m_relay, self.children[0], self.final)], None
-            if self.parent is not None:
-                # a leaf acks and is done
-                return ([self._msg(self.m_ack, self.parent)],
-                        ("terminated", self.final))
-            return [], ("terminated", self.final)
-        if msg.mtype == self.m_ack:
-            self.idx += 1
-            if self.idx < len(self.children):
-                return [self._msg(self.m_relay, self.children[self.idx],
-                                  self.final)], None
-            if self.parent is None:
-                return [], ("terminated", self.final)
-            return ([self._msg(self.m_ack, self.parent)],
-                    ("terminated", self.final))
-        raise InvariantViolation(f"token pass got foreign message {msg.mtype}")
+        up = [] if self.parent is None else [self._msg(self.m_ack, self.parent)]
+        return up, ("terminated", self.final)
 
 
 class GhsAutomaton(Automaton):
@@ -536,8 +530,6 @@ class ParallelConvergecastAutomaton(Automaton):
     def on_message(self, msg, src):
         fn = self.ctx.fn
         if msg.mtype == "agg.report":
-            if msg.dst != self.ctx.uid:
-                return []
             self.acc = fn.combine(self.acc, msg.payload)
             self.pending.discard(src)
             if self.pending:

@@ -79,7 +79,6 @@ class HybridAutomaton(GhsAutomaton):
         self.cut_children: dict[int, int] = {}
         self.latest_cut: tuple | None = None  # (arrival seq, uid, size)
         self._cut_seq = 0
-        self.is_cut_root = False
         self.awaiting_release = False
         self.old_parent: int | None = None
         self.undo_exception: int | None = None
@@ -109,7 +108,6 @@ class HybridAutomaton(GhsAutomaton):
         self.pf_count = 0
         self.pf_cand: tuple | None = None      # (weight, node, peer)
         self.pf_cand_child: int | None = None  # child that reported it
-        self.pf_join_size = 0
         self.pf_undo: int | None = None
         self.pf_token: tuple | None = None
         self._pf_pass = 0
@@ -248,7 +246,6 @@ class HybridAutomaton(GhsAutomaton):
                                     payload=(count, cut_uid, cut_size), uids=4))
 
     def _become_cut_root(self, count):
-        self.is_cut_root = True
         self.awaiting_release = True
         self.old_parent = self.parent
         self.parent = None
@@ -315,7 +312,6 @@ class HybridAutomaton(GhsAutomaton):
             self.epoch = epoch
             if undo_uid == self.ctx.uid:
                 # the original root pulled us back in
-                self.is_cut_root = False
                 self.is_root = False
                 self.parent = self.old_parent
                 self.old_parent = None
@@ -519,6 +515,10 @@ class HybridAutomaton(GhsAutomaton):
     # ------------------------------------------------------------------
 
     def on_link_down(self, peer):
+        if self.output is None:
+            raise InvariantViolation(
+                f"link to {peer} failed before node {self.ctx.uid} output; "
+                f"hybrid recovers only after consensus completes")
         out = []
         self.neighbor_done.pop(peer, None)
         self.neighbor_cluster.pop(peer, None)
@@ -633,7 +633,6 @@ class HybridAutomaton(GhsAutomaton):
             self.pf_undo = cut_uid
             self.undo_exception = cut_uid
         elif count < self.floor_size and cand is not None:
-            self.pf_join_size = count
             self.pf_joining = True
             self._pf_forward_join(cand, count, out)
             return
@@ -687,10 +686,7 @@ class HybridAutomaton(GhsAutomaton):
             self._pf_forward_join(tuple(cand), size, out)
         elif tag == "join_req":
             size, epoch = msg.payload
-            self.edge_state[src] = BRANCH
-            if src == self.old_parent:
-                self.old_parent = None  # a severed cut boundary is rejoined
-            self.cut_children.pop(src, None)
+            self._attach(src)
             self.child_counts.pop(src, None)
             out.append(self.ctx.message("pf.join_ack", dst=src,
                                         payload=(self.cluster_id, epoch),
@@ -733,13 +729,17 @@ class HybridAutomaton(GhsAutomaton):
                                         payload=payload, uids=uids,
                                         extra=EPOCH_BITS))
 
+    def _attach(self, peer):
+        """Make the edge to `peer` a tree edge of this node's cluster."""
+        self.edge_state[peer] = BRANCH
+        if peer == self.old_parent:
+            self.old_parent = None  # a severed cut boundary is rejoined
+        self.cut_children.pop(peer, None)
+
     def _reroot(self, parent, cid, epoch, out):
         """Hang this node under `parent` in cluster `cid` and pass the
         adoption on to the members below."""
-        self.edge_state[parent] = BRANCH
-        if parent == self.old_parent:
-            self.old_parent = None  # a severed cut boundary is rejoined
-        self.cut_children.pop(parent, None)
+        self._attach(parent)
         self.parent = parent
         self.is_root = False
         self.pf_joining = False
@@ -911,7 +911,8 @@ class FailureExperiment:
         """A follow-on execution over the current automata and graph."""
         return Simulation(self.sim.protocol, self.graph, self.sim.values,
                           fn=self.fn, timing=self.sim.timing,
-                          scheduler=self.sim.scheduler, seed=self.sim.seed + 1,
+                          scheduler=self.sim.scheduler.name,
+                          seed=self.sim.seed + 1,
                           size_model=self.sim.size_model,
                           automata=self.sim.automata, start_time=start,
                           require_outputs=require_outputs)

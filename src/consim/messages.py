@@ -39,24 +39,23 @@ class SizeModel:
 
     uid_bits   -- ceil(log2 |S|) for the UID pool S in use
     value_bits -- width b of one consensus value (initial or intermediate)
-    flag_bits  -- constant per-message type tag
+    flag_bits  -- constant per-message type tag, one byte
     """
 
     uid_bits: int
     value_bits: int
-    flag_bits: int = 8
+    flag_bits = 8
 
     def __post_init__(self):
-        if self.uid_bits < 1 or self.value_bits < 1 or self.flag_bits < 1:
+        if self.uid_bits < 1 or self.value_bits < 1:
             raise ValueError("all size-model fields must be positive")
 
     @classmethod
-    def for_network(cls, n: int, value_bits: int, pool_size: int | None = None,
-                    flag_bits: int = 8) -> "SizeModel":
+    def for_network(cls, n: int, value_bits: int,
+                    pool_size: int | None = None) -> "SizeModel":
         """Model for an n-node network; the UID pool defaults to 2n."""
         pool = 2 * n if pool_size is None else pool_size
-        return cls(uid_bits=uid_bits_for_pool(pool), value_bits=value_bits,
-                   flag_bits=flag_bits)
+        return cls(uid_bits=uid_bits_for_pool(pool), value_bits=value_bits)
 
     def size(self, n_uids: int = 0, n_values: int = 0, extra_bits: int = 0) -> int:
         return (self.flag_bits + n_uids * self.uid_bits

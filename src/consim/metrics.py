@@ -14,17 +14,13 @@ from dataclasses import dataclass
 from .errors import IncompleteTrace
 
 
-def peak_bandwidth(trace, d: float | None = None, msg_filter=None) -> float:
+def peak_bandwidth(trace) -> float:
     """Exact peak data rate (bits/second) of a trace.
 
     Windows are half-open, so a window ending exactly where another begins
-    does not stack with it.  `msg_filter` restricts the sweep to matching
-    messages (e.g. one protocol phase).
+    does not stack with it.
     """
-    sends = trace.sends()
-    if msg_filter is not None:
-        sends = [e for e in sends if msg_filter(e.msg)]
-    return _sweep(sends, trace.timing.d if d is None else d)
+    return _sweep(trace.sends(), trace.timing.d)
 
 
 def _sweep(sends, d: float) -> float:
@@ -49,13 +45,12 @@ def _sweep(sends, d: float) -> float:
     return peak
 
 
-def peak_bandwidth_by_phase(trace, d: float | None = None) -> dict:
+def peak_bandwidth_by_phase(trace) -> dict:
     """Peak per message-type prefix (the dotted phase tag)."""
     phases: dict[str, list] = {}
     for e in trace.sends():
         phases.setdefault(e.msg.mtype.split(".")[0], []).append(e)
-    d = trace.timing.d if d is None else d
-    return {p: _sweep(phases[p], d) for p in sorted(phases)}
+    return {p: _sweep(phases[p], trace.timing.d) for p in sorted(phases)}
 
 
 def time_complexity(trace) -> float:
@@ -68,19 +63,17 @@ def time_complexity(trace) -> float:
     return max(outs) - start
 
 
-def message_complexity(trace, msg_filter=None) -> int:
-    if msg_filter is None and trace.messages_total:
+def message_complexity(trace) -> int:
+    if trace.messages_total:
         return trace.messages_total  # the engine's counter, lean runs too
-    return sum(1 for e in trace.sends()
-               if msg_filter is None or msg_filter(e.msg))
+    return len(trace.sends())
 
 
-def byte_complexity(trace, msg_filter=None) -> int:
+def byte_complexity(trace) -> int:
     """Total traffic in bits (divide by 8 for bytes)."""
-    if msg_filter is None and trace.bits_total:
+    if trace.bits_total:
         return trace.bits_total
-    return sum(e.msg.size_bits for e in trace.sends()
-               if msg_filter is None or msg_filter(e.msg))
+    return sum(e.msg.size_bits for e in trace.sends())
 
 
 CSV_HEADER = "algo,topology,n,b_bits,d_s,m,seed,time_s,messages,bytes,peak_bps"
@@ -117,7 +110,7 @@ def report_from_trace(trace, algo: str | None = None,
                       m: int | None = None) -> ComplexityReport:
     return ComplexityReport(
         algo=algo or trace.config["protocol"],
-        topology=trace.config.get("topology", "?"),
+        topology=trace.graph.kind,
         n=trace.graph.n,
         b_bits=trace.size_model.value_bits,
         d_s=trace.timing.d,

@@ -3,9 +3,10 @@
 Graphs are connected, undirected and static for the life of an execution;
 `fail_link` produces a new graph value rather than mutating in place.  Node
 UIDs are drawn from a pool of 2n integers shuffled by the seed, so distinct
-seeds exercise distinct UID assignments.  Edge weights are the lexicographic
-pair (min UID, max UID), which totally orders the edges and makes the
-minimum spanning tree unique.
+seeds exercise distinct UID assignments; an imported graph's pool also
+covers its largest UID.  Edge weights are the lexicographic pair (min UID,
+max UID), which totally orders the edges and makes the minimum spanning
+tree unique.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Graph:
     uids: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
     kind: str = "custom"
-    pool_size: int = 0
+    pool_size: int = field(init=False)  # UIDs are drawn from range(pool_size)
     adj: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -51,7 +52,7 @@ class Graph:
         if self.n > 1 and not self.is_connected():
             raise DisconnectedGraph(f"graph on {self.n} nodes is not connected")
         object.__setattr__(self, "pool_size",
-                           self.pool_size or 2 * len(self.uids))
+                           max(2 * self.n, max(self.uids, default=-1) + 1))
 
     @property
     def n(self) -> int:
@@ -62,10 +63,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return _connected(self.adj)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        """Edges in increasing weight order (weight == the edge itself)."""
-        return sorted(self.edges)
 
 
 def _adjacency(nodes, edges) -> dict:
@@ -92,10 +89,8 @@ def _connected(adj) -> bool:
     return len(seen) == len(adj)
 
 
-def _assign_uids(n: int, seed: int, pool_size: int | None = None) -> list[int]:
-    pool = list(range(pool_size if pool_size is not None else 2 * n))
-    if len(pool) < n:
-        raise InvalidParams("UID pool smaller than node count")
+def _assign_uids(n: int, seed: int) -> list[int]:
+    pool = list(range(2 * n))
     random.Random(seed).shuffle(pool)
     return pool[:n]
 
@@ -134,17 +129,16 @@ def _index_edges(kind: str, n: int, params: dict, rng: random.Random):
 
 
 def make_topology(kind: str, n: int, params: dict | None = None,
-                  seed: int = 0, pool_size: int | None = None) -> Graph:
+                  seed: int = 0) -> Graph:
     """Build a connected graph of the given family on seeded UIDs."""
     if n < 1:
         raise InvalidParams("need at least one node")
     params = params or {}
     rng = random.Random(seed ^ 0x5EED)
-    uids = _assign_uids(n, seed, pool_size)
+    uids = _assign_uids(n, seed)
     idx_edges = _index_edges(kind, n, params, rng) if n > 1 else []
     edges = frozenset(edge_weight(uids[a], uids[b]) for a, b in idx_edges)
-    return Graph(uids=tuple(uids), edges=edges, kind=kind,
-                 pool_size=pool_size if pool_size is not None else 2 * n)
+    return Graph(uids=tuple(uids), edges=edges, kind=kind)
 
 
 def fail_link(graph: Graph, edge: tuple[int, int]) -> Graph:
@@ -154,7 +148,7 @@ def fail_link(graph: Graph, edge: tuple[int, int]) -> Graph:
         raise InvalidParams(f"edge {edge} not in graph")
     try:
         return Graph(uids=graph.uids, edges=graph.edges - {key},
-                     kind=graph.kind, pool_size=graph.pool_size)
+                     kind=graph.kind)
     except DisconnectedGraph:
         raise WouldDisconnect(
             f"removing {edge} disconnects the graph") from None
@@ -163,7 +157,7 @@ def fail_link(graph: Graph, edge: tuple[int, int]) -> Graph:
 def dump_adjacency(graph: Graph) -> str:
     """Text form: first line n, then one `u v` pair per edge."""
     lines = [str(graph.n)]
-    lines += [f"{a} {b}" for a, b in graph.sorted_edges()]
+    lines += [f"{a} {b}" for a, b in sorted(graph.edges)]
     return "\n".join(lines) + "\n"
 
 
@@ -198,7 +192,7 @@ def kruskal_mst(graph: Graph) -> frozenset[tuple[int, int]]:
         return x
 
     tree = set()
-    for a, b in graph.sorted_edges():
+    for a, b in sorted(graph.edges):  # increasing weight: weight == edge
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb

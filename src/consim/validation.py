@@ -169,11 +169,15 @@ def _matrix_graph(kind: str, n: int, seed: int):
     return make_topology(actual, n, params, seed=seed)
 
 
-def _matches(fn, got, want) -> bool:
-    """An output against the oracle; the mean gets a relative 1e-9."""
-    if fn.name == "mean":
-        return abs(got - want) <= 1e-9 * abs(want)
-    return got == want
+def _mismatch(fn, values, trace) -> str | None:
+    """The first output that misses the oracle, as `got vs want`; the mean
+    gets a relative 1e-9."""
+    want = oracle(fn, values)
+    tol = 1e-9 * abs(want) if fn.name == "mean" else 0
+    for got in trace.outputs.values():
+        if abs(got - want) > tol:
+            return f"{got} vs {want}"
+    return None
 
 
 def check_consensus_matrix(n: int = 8, seeds: int = 5) -> CheckResult:
@@ -197,13 +201,11 @@ def check_consensus_matrix(n: int = 8, seeds: int = 5) -> CheckResult:
                         trace = _run(factory(3, None), g, values, fn,
                                      scheduler=sched, seed=seed)
                         runs += 1
-                        want = oracle(fn, values)
-                        for got in trace.outputs.values():
-                            if not _matches(fn, got, want):
-                                return CheckResult(
-                                    "consensus.matrix", False,
-                                    f"{algo}/{topo}/{fname}/{sched}/{seed}:"
-                                    f" {got} vs {want}")
+                        bad = _mismatch(fn, values, trace)
+                        if bad:
+                            return CheckResult(
+                                "consensus.matrix", False,
+                                f"{algo}/{topo}/{fname}/{sched}/{seed}: {bad}")
     # averaging: regular graphs, lockstep, mean only
     for topo in ("cycle", "complete"):
         for seed in range(seeds):
@@ -213,11 +215,10 @@ def check_consensus_matrix(n: int = 8, seeds: int = 5) -> CheckResult:
             trace = _run(ALGORITHMS["average"].protocol(None, 1e-12), g,
                          values, fn, seed=seed)
             runs += 1
-            want = oracle(fn, values)
-            for got in trace.outputs.values():
-                if not _matches(fn, got, want):
-                    return CheckResult("consensus.matrix", False,
-                                       f"average/{topo}/{seed}: {got} vs {want}")
+            bad = _mismatch(fn, values, trace)
+            if bad:
+                return CheckResult("consensus.matrix", False,
+                                   f"average/{topo}/{seed}: {bad}")
     return CheckResult("consensus.matrix", True,
                        f"{runs} runs match the centralized oracle")
 
@@ -237,16 +238,22 @@ def _stability(name, ratios) -> CheckResult:
     return CheckResult(name, ok, detail)
 
 
+def _ratios(protocol, kind, fn, formula) -> list[float]:
+    """Measured peak over the closed-form ceiling, per n in NS."""
+    return [_peak(protocol, kind, n, fn) / formula(n, B_HEADLINE, D)
+            for n in NS]
+
+
 def check_ceiling_average() -> CheckResult:
-    return _stability("ceiling.average", [
-        _peak(AverageProtocol(eps=1e-3), "complete", n, MeanFunction(B_HEADLINE))
-        / bnd.average_bandwidth(n, B_HEADLINE, D) for n in NS])
+    return _stability("ceiling.average", _ratios(
+        AverageProtocol(eps=1e-3), "complete", MeanFunction(B_HEADLINE),
+        bnd.average_bandwidth))
 
 
 def check_ceiling_flooding() -> CheckResult:
-    return _stability("ceiling.flooding", [
-        _peak(FloodingProtocol(), "complete", n, MaxFunction(B_HEADLINE))
-        / bnd.flooding_bandwidth(n, B_HEADLINE, D) for n in NS])
+    return _stability("ceiling.flooding", _ratios(
+        FloodingProtocol(), "complete", MaxFunction(B_HEADLINE),
+        bnd.flooding_bandwidth))
 
 
 def check_ceiling_parallel_convergecast() -> CheckResult:
@@ -256,8 +263,8 @@ def check_ceiling_parallel_convergecast() -> CheckResult:
         hub = max(g.uids, key=g.degree)
         trace = _run(ParallelConvergecastProtocol(root_tree(g, hub)), g,
                      list(range(n)), MaxFunction(B_HEADLINE))
-        formula = n * (B_HEADLINE + bnd.log_term(n, "ceil_log2")) / D
-        ratios.append(peak_bandwidth(trace) / formula)
+        ratios.append(peak_bandwidth(trace)
+                      / bnd.average_bandwidth(n, B_HEADLINE, D))
     return _stability("ceiling.parallel-convergecast", ratios)
 
 
@@ -278,8 +285,8 @@ def check_ceiling_hybrid_phases(m: int = 2) -> list[CheckResult]:
 def check_token_tightness() -> CheckResult:
     """The bandwidth-frugal pipeline sits within a constant factor of the
     (n log n + b)/d expression on both sides at desk scale."""
-    ratios = [_peak(GhsTokenProtocol(), "star", n, MaxFunction(B_HEADLINE))
-              / bnd.ghs_token_bandwidth(n, B_HEADLINE, D) for n in NS]
+    ratios = _ratios(GhsTokenProtocol(), "star", MaxFunction(B_HEADLINE),
+                     bnd.ghs_token_bandwidth)
     ok = all(0.4 <= r <= 2.5 for r in ratios)
     return CheckResult("ceiling.token-tightness", ok,
                        f"peak/formula per n: {['%.3f' % r for r in ratios]}")
@@ -442,7 +449,7 @@ def _synthetic_trace(rng) -> ExecutionTrace:
                             ref=i))
     events.sort(key=lambda e: e.t)
     sm = SizeModel(uid_bits=7, value_bits=64)
-    return ExecutionTrace(events=events, outputs={}, config={"d": D},
+    return ExecutionTrace(events=events, outputs={}, config={},
                           timing=TIMING, size_model=sm, graph=g)
 
 

@@ -84,6 +84,27 @@ def test_bounds_table(capsys):
     assert len(hybrid_rows) == 10  # five m values, two modes
 
 
+@pytest.mark.parametrize("m_flags", [("--sweep-m", "0:12"), ("--m", "0"),
+                                     ("--m", "11")])
+def test_bounds_rejects_m_outside_one_to_n(capsys, m_flags):
+    code, out, err = run_cli(capsys, "bounds", "--n", "10", *m_flags)
+    assert code == 2
+    assert "configuration error" in err and not out
+
+
+def test_sweep_ghs_parallel_ceiling_is_the_convergecast_formula(capsys):
+    # on a star the convergecast sends n-1 values inside one window, so its
+    # ceiling is n (log n + b) / d, not the token traversal's
+    code, out, _ = run_cli(capsys, "sweep", "--axis", "n", "--values", "20",
+                           "--algo", "ghs-parallel", "--topo", "star",
+                           "--fn", "max")
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    peak, ceil = float(row[10]), float(row[11])
+    assert ceil == 20 * (5 + 768) / 0.01
+    assert 0.5 <= peak / ceil <= 2.0
+
+
 def test_failure_injection_rows(capsys):
     code, out, _ = run_cli(capsys, "run", "--algo", "hybrid", "--m", "2",
                            "--topo", "complete", "--n", "6", "--fn", "max",

@@ -4,7 +4,8 @@ import zlib
 import pytest
 
 from consim.engine import Simulation, TimingParams, run, validate_trace
-from consim.errors import ConfigError, NotHierarchical, WouldDisconnect
+from consim.errors import (ConfigError, InvariantViolation, NotHierarchical,
+                           WouldDisconnect)
 from consim.functions import (MaxFunction, MeanFunction, MedianFunction,
                               VoteFunction, oracle)
 from consim.hybrid import (FailureExperiment, HybridProtocol, branch_sizes,
@@ -201,6 +202,17 @@ def test_recovery_after_non_tree_edge_failure_keeps_clusters():
     assert cluster_map(exp.automata) == before  # no re-clustering
     rerun = exp.reconsensus()
     assert set(rerun.outputs.values()) == {8}
+
+
+def test_link_down_before_output_is_rejected_promptly():
+    # recovery starts only once consensus has completed; a failure during
+    # phase 1 must end in a typed error, not loop until the event cap
+    g = make_topology("random_connected", 30, {"p": 0.3}, seed=3)
+    sim = Simulation(HybridProtocol(3), g, list(range(30)), fn=MaxFunction(64),
+                     timing=TIMING, seed=3, event_cap=200_000)
+    sim.schedule_link_down(1, 2, at=0.015)
+    with pytest.raises(InvariantViolation, match="before node 1 output"):
+        sim.run()
 
 
 def test_failed_bridge_rejected():

@@ -24,7 +24,7 @@ def synthetic_trace(sends, d=0.01, n=2, outputs_at=None):
     events.sort(key=lambda e: e.t)
     sm = SizeModel(uid_bits=7, value_bits=768)
     return ExecutionTrace(events=events, outputs={u: 0 for u in g.uids},
-                          config={"d": d, "topology": "path", "seed": 0},
+                          config={"seed": 0},
                           timing=TimingParams(d=d, l=d / 10),
                           size_model=sm, graph=g)
 

@@ -7,6 +7,7 @@ import hashlib
 
 import pytest
 
+from consim.averaging import AverageProtocol
 from consim.engine import TimingParams, run
 from consim.errors import WouldDisconnect
 from consim.flooding import FloodingProtocol
@@ -117,7 +118,25 @@ PINS = {
 }
 
 
+AVERAGE_PINS = {
+    "recorded":
+        "cda5c5fe37b65c95e46df7b2724b1558a65c326585831f42cc0ab212b4a0d937",
+    "lean":
+        "2800bbdad953b7117573ac352d812dff6fc5c0803e16121911198bc72a85aa10",
+}
+
+
 @pytest.mark.parametrize("scheduler", ["lockstep", "random", "adversarial"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_digest_is_pinned(case, scheduler):
     assert digest(CASES[case](scheduler)) == PINS[f"{case}/{scheduler}"]
+
+
+@pytest.mark.parametrize("mode", sorted(AVERAGE_PINS))
+def test_average_digest_is_pinned(mode):
+    # averaging runs under lockstep only; a lean run logs outputs alone
+    g = make_topology("random_connected", 14, {"p": 0.35}, seed=4)
+    values = [(7 * i + 3) % 41 for i in range(14)]
+    trace = run(AverageProtocol(eps=1e-3), g, values, fn=MeanFunction(128),
+                timing=TIMING, seed=4, record_events=mode == "recorded")
+    assert digest([trace]) == AVERAGE_PINS[mode]

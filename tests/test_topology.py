@@ -3,6 +3,7 @@ import random
 import pytest
 
 from consim.errors import DisconnectedGraph, InvalidParams, WouldDisconnect
+from consim.messages import uid_bits_for_pool
 from consim.topology import (Graph, dump_adjacency, edge_weight, fail_link,
                              kruskal_mst, load_adjacency, make_topology)
 
@@ -106,6 +107,12 @@ def test_fail_link_cycle_chord_and_bridge():
 def test_direct_graph_construction_rejects_disconnected():
     with pytest.raises(DisconnectedGraph):
         Graph(uids=(0, 1, 2, 3), edges=frozenset({(0, 1), (2, 3)}))
+
+
+def test_imported_uids_are_charged_their_full_width():
+    g = load_adjacency("3\n10 20\n20 30\n")
+    assert g.pool_size == 31
+    assert uid_bits_for_pool(g.pool_size) == 5  # UID 30 needs five bits
 
 
 def test_adjacency_round_trip():
