@@ -5,7 +5,7 @@ Each entry pairs a protocol factory, taking the cluster parameter m and the
 averaging tolerance eps, with the algorithm's closed-form bandwidth ceiling
 as a function of (n, b, d, m, log mode).  Algorithms without a cluster
 parameter ignore m.  Which schedulers and functions a protocol accepts is
-declared on the protocol itself (`lockstep_only`, `hierarchical_only`) and
+declared on the protocol itself (`round_driven`, `hierarchical_only`) and
 enforced by the engine.
 """
 

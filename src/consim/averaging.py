@@ -20,9 +20,21 @@ estimate, once every estimate is within eps * range(x) of the fixed point.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .engine import Automaton, Protocol
 from .errors import ConfigError, InvariantViolation
+
+_ESTIMATE = attrgetter("estimate")
+
+
+def div_round_half_even(num: int, den: int) -> int:
+    """num / den rounded to the nearest integer, ties to even, for den > 0:
+    the value of round(Fraction(num, den)) in integer arithmetic."""
+    q, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and q & 1):
+        q += 1
+    return q
 
 
 class AverageAutomaton(Automaton):
@@ -43,7 +55,7 @@ class AverageAutomaton(Automaton):
             raise InvariantViolation(
                 "lockstep round delivered an incomplete neighborhood")
         total = self.estimate + sum(self.inbox)
-        self.estimate = round(Fraction(total, len(self.inbox) + 1))
+        self.estimate = div_round_half_even(total, len(self.inbox) + 1)
         self.inbox = []
         self.rounds_run += 1
 
@@ -59,7 +71,6 @@ class AverageProtocol(Protocol):
     """Needs fn=mean; rejects everything else at validation time."""
 
     name = "average"
-    lockstep_only = True
     round_driven = True
 
     def __init__(self, eps: float = 1e-3):
@@ -88,14 +99,16 @@ class AverageProtocol(Protocol):
             self._target = self._fixed_point(sim)
             vals = [sim.values[u] for u in sim.graph.uids]
             self._spread = max(vals) - min(vals)
+        nodes = [automata[uid] for uid in sorted(automata)]
         if r > 0:
-            for uid in sorted(automata):
-                automata[uid].apply_update()
-        worst = max(abs(a.estimate_value() - self._target)
-                    for a in automata.values())
+            for a in nodes:
+                a.apply_update()
+        # estimate_value is monotone in the estimate, so the two extreme
+        # estimates are the farthest from the target
+        extremes = (min(nodes, key=_ESTIMATE), max(nodes, key=_ESTIMATE))
+        worst = max(abs(a.estimate_value() - self._target) for a in extremes)
         if worst <= self.eps * self._spread:
-            for a in automata.values():
+            for a in nodes:
                 a.output = a.estimate_value()
             return True, []
-        return False, [(uid, automata[uid].broadcast())
-                       for uid in sorted(automata)]
+        return False, [(a.ctx.uid, a.broadcast()) for a in nodes]

@@ -105,8 +105,8 @@ CURVE_CSV_COLUMNS = ("mode", "algo", "n", "b", "d", "m",
 
 def curve_rows(n: int, b: int, d: float, m_values) -> list[dict]:
     """Long-format table for bound curves: one row per (algorithm, m, mode).
-    The fixed algorithms ignore m; the tunable one gets one row per m, which
-    `eval_bounds` checks."""
+    The fixed algorithms ignore m; the tunable one gets one row per m.  Every
+    row comes from `eval_bounds`, which checks n, b, d and m."""
     def row(mode, algo, bandwidth, m=None, bytes_bits=None, time_s=None,
             messages=None):
         return {"mode": mode, "algo": algo, "n": n, "b": b, "d": d, "m": m,
@@ -115,11 +115,13 @@ def curve_rows(n: int, b: int, d: float, m_values) -> list[dict]:
 
     rows = []
     for mode in MODES:
-        rows.append(row(mode, "flooding", flooding_bandwidth(n, b, d, mode)))
-        rows.append(row(mode, "average", average_bandwidth(n, b, d, mode)))
-        rows.append(row(mode, "ghs-token", ghs_token_bandwidth(n, b, d, mode),
-                        bytes_bits=ghs_token_bytes(n, b, mode),
-                        time_s=token_time(n, d), messages=token_messages(n)))
+        fixed = eval_bounds(n, b, d, mode=mode)
+        rows.append(row(mode, "flooding", fixed["flooding_bandwidth_bps"]))
+        rows.append(row(mode, "average", fixed["average_bandwidth_bps"]))
+        rows.append(row(mode, "ghs-token", fixed["ghs_token_bandwidth_bps"],
+                        bytes_bits=fixed["ghs_token_bytes_bits"],
+                        time_s=fixed["token_time_s"],
+                        messages=fixed["token_messages"]))
         rows += [row(mode, "hybrid",
                      eval_bounds(n, b, d, m, mode)["hybrid_bandwidth_bps"], m=m)
                  for m in m_values]

@@ -31,6 +31,12 @@ RandomAsync           delivery delays drawn uniformly from (0, d] per
 A broadcast is charged once regardless of receiver count; the engine fans it
 out into one Deliver event per neighbor.  Messages carrying a `dst` tag are
 delivered everywhere but only the tagged recipient's automaton reacts.
+
+Round-driven protocols run under lockstep only, so every broadcast made at a
+round boundary lands exactly at the next one.  The engine charges those
+broadcasts at the boundary and delivers each round's batch at the next
+boundary, without a heap entry per message; the send, deliver and transition
+records, their refs and their order are the ones per-message events give.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .errors import (ConfigError, DisconnectedGraph, NonTermination,
-                     NotHierarchical)
+from .errors import (ConfigError, DisconnectedGraph, InvariantViolation,
+                     NonTermination, NotHierarchical)
 from .messages import Message, SizeModel
 from .topology import Graph
 
@@ -214,9 +220,8 @@ class Protocol:
     """Factory for a family of automata, one per node."""
 
     name = "?"
-    lockstep_only = False
     hierarchical_only = False  # needs a commutative, associative combine
-    round_driven = False
+    round_driven = False  # sends only at round boundaries; lockstep only
 
     def automaton(self, ctx: NodeContext) -> Automaton:
         raise NotImplementedError
@@ -259,7 +264,7 @@ class Simulation:
         self.require_outputs = require_outputs
         self.start_time = start_time
 
-        if protocol.lockstep_only and self.scheduler.name != "lockstep":
+        if protocol.round_driven and self.scheduler.name != "lockstep":
             raise ConfigError(
                 f"protocol {protocol.name} only runs under the lockstep scheduler")
         if protocol.hierarchical_only and not getattr(fn, "hierarchical", False):
@@ -378,6 +383,12 @@ class Simulation:
                 self._fire(t, payload[1], "on_flush")
             elif kind == "round":
                 self._do_round(t, payload[1])
+            elif kind == "land":
+                self._land_round(t, payload[1], payload[2])
+                processed += payload[3] - 1  # the event cap counts per message
+            elif kind == "react":
+                self._react_round(t, payload[1])
+                processed += payload[2] - 1
 
         missing = [u for u in self.automata if u not in self.outputs]
         if self.require_outputs and missing:
@@ -425,14 +436,79 @@ class Simulation:
         self._transmit(uid, msgs or [], t)
         self._post_transition(uid, t)
 
+    def _reserve(self, count):
+        """Take the sequence numbers of `count` per-message heap entries that
+        a round batch stands in for; returns the first."""
+        first = self._seq + 1
+        self._seq += count
+        return first
+
     def _do_round(self, t, r):
+        """Round boundary r.  The protocol's broadcasts start now and land at
+        (r+1)*d as one batch entry.  Each send takes the sequence number its
+        transmission entry would have had (its ref), and its receivers come
+        from the live adjacency, as that entry would have taken them."""
         halted, sends = self.protocol.on_round_boundary(self.automata, r, self)
-        for uid, msg in sends:
-            self._transmit(uid, [msg], t)
+        d = self.timing.d
+        start = self._snap(t)
+        for uid, _ in sends:
+            free = self._tx_free[uid]
+            if free > t and self._snap(free) != start:
+                raise InvariantViolation(
+                    f"node {uid}'s round-{r} send would start inside its "
+                    f"earlier transmission window")
+            self._tx_free[uid] = start + d
+        first_ref = self._reserve(len(sends))
         for uid in sorted(self.automata):
             self._post_transition(uid, t)
         if not halted:
-            self._push((r + 1) * self.timing.d, _ROUND, ("round", r + 1))
+            self._push((r + 1) * d, _ROUND, ("round", r + 1))
+        if not sends:
+            return
+        batch, fanout, reactions = [], 0, 0
+        for ref, (uid, msg) in enumerate(sends, first_ref):
+            receivers = sorted(self.adj[uid])
+            targets = (receivers if msg.dst is None
+                       else [nb for nb in receivers if nb == msg.dst])
+            self._messages_total += 1
+            self._bits_total += msg.size_bits
+            if self._record:
+                self._events.append(Event("send", start, uid, msg=msg, ref=ref))
+                self._send_fanout[ref] = len(receivers)
+            batch.append((msg, ref, receivers, targets))
+            fanout += len(receivers)
+            reactions += len(targets)
+        heapq.heappush(self._heap, ((r + 1) * d, _DELIVER, self._reserve(fanout),
+                                    ("land", batch, reactions,
+                                     len(sends) + fanout)))
+
+    def _land_round(self, t, batch, reactions):
+        """A round's broadcasts reach every receiver.  The receivers react at
+        _FIRE priority, after any link-down transition scheduled earlier.
+        Lockstep has no transition latency and one send per node and round,
+        so the per-link FIFO clock and per-node fire clock never hold these
+        back and are not kept for them."""
+        if self._record:
+            self._events.extend(Event("deliver", t, nb, msg=msg, ref=ref)
+                                for msg, ref, receivers, _ in batch
+                                for nb in receivers)
+        if reactions:
+            heapq.heappush(self._heap, (t, _FIRE, self._reserve(reactions),
+                                        ("react", batch, reactions)))
+
+    def _react_round(self, t, batch):
+        for msg, ref, _, targets in batch:
+            for uid in targets:
+                auto = self.automata[uid]
+                if self._record:
+                    self._events.append(
+                        Event("transition", t, uid, msg=msg, ref=ref))
+                if auto.on_message(msg, msg.src):
+                    raise InvariantViolation(
+                        f"node {uid} answered a round delivery with messages;"
+                        f" a round-driven protocol sends only at boundaries")
+                if auto.output is not None or auto.ctx._flush_requested:
+                    self._post_transition(uid, t)  # else it would do nothing
 
     def _trace(self) -> ExecutionTrace:
         config = {

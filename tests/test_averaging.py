@@ -1,8 +1,12 @@
-import pytest
+from fractions import Fraction
 
-from consim.averaging import AverageProtocol
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from consim.averaging import AverageProtocol, div_round_half_even
 from consim.engine import Simulation, TimingParams, run, validate_trace
-from consim.errors import ConfigError, InvariantViolation
+from consim.errors import ConfigError, InvariantViolation, NonTermination
 from consim.functions import MaxFunction, MeanFunction, oracle
 from consim.messages import SizeModel
 from consim.metrics import message_complexity
@@ -140,3 +144,38 @@ def test_link_down_mid_run_raises_typed_error():
     sim.schedule_link_down(g.uids[2], g.uids[3], at=1.5 * D)
     with pytest.raises(InvariantViolation, match="incomplete neighborhood"):
         sim.run()
+
+
+def test_event_cap_counts_every_message_of_a_round():
+    # a round's broadcasts travel as one batch, yet the cap counts each send,
+    # delivery and reaction: a run that never converges stops after the same
+    # simulated time as with one event per message (17 per round on P4)
+    g = make_topology("path", 4, seed=0)
+    with pytest.raises(NonTermination, match=r"cap 1700 exceeded at t=1$"):
+        run(AverageProtocol(eps=1e-30), g, [0, 1, 2, 3], fn=MeanFunction(128),
+            timing=TIMING, event_cap=1700, record_events=False)
+
+
+WIDE = 1 << 800  # estimates of a b-bit run are b bits wide; b = 768 is the widest
+TOTALS = st.one_of(st.integers(-(1 << 20), 1 << 20), st.integers(-WIDE, WIDE))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(total=TOTALS, k=st.integers(1, 130))
+@example(total=-7, k=2)
+@example(total=-(WIDE + 1), k=3)
+@example(total=WIDE - 1, k=129)
+def test_integer_rounding_equals_fraction_rounding(total, k):
+    assert div_round_half_even(total, k) == round(Fraction(total, k))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(q=TOTALS, half=st.integers(1, 65))
+@example(q=-1, half=1)
+@example(q=-WIDE, half=65)
+def test_integer_rounding_sends_exact_ties_to_even(q, half):
+    k = 2 * half
+    total = q * k + half  # exactly halfway between q and q + 1
+    got = div_round_half_even(total, k)
+    assert got == round(Fraction(total, k))
+    assert got in (q, q + 1) and got % 2 == 0

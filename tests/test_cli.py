@@ -92,6 +92,15 @@ def test_bounds_rejects_m_outside_one_to_n(capsys, m_flags):
     assert "configuration error" in err and not out
 
 
+@pytest.mark.parametrize("flags", [("--n", "0"), ("--n", "10", "--bits", "0"),
+                                   ("--n", "10", "--d", "0")])
+def test_bounds_rejects_n_b_d_out_of_range(capsys, flags):
+    # also without --m: the fixed algorithms' rows are checked too
+    code, out, err = run_cli(capsys, "bounds", *flags)
+    assert code == 2
+    assert err.startswith("configuration error:") and not out
+
+
 def test_sweep_ghs_parallel_ceiling_is_the_convergecast_formula(capsys):
     # on a star the convergecast sends n-1 values inside one window, so its
     # ceiling is n (log n + b) / d, not the token traversal's

@@ -10,8 +10,8 @@ from consim.engine import (AdversarialMaxDelay, Automaton, Event,
                            ExecutionTrace, Protocol, RandomAsync, Simulation,
                            SynchronousLockstep, TimingParams, get_scheduler,
                            run, validate_trace)
-from consim.errors import (ConfigError, DisconnectedGraph, NonTermination,
-                           NotHierarchical)
+from consim.errors import (ConfigError, DisconnectedGraph,
+                           InvariantViolation, NonTermination, NotHierarchical)
 from consim.functions import MaxFunction, MedianFunction
 from consim.messages import Message, SizeModel
 from consim.topology import Graph, make_topology
@@ -219,6 +219,67 @@ def test_hierarchical_only_is_enforced_before_validate():
     g = make_topology("path", 3, seed=0)
     with pytest.raises(NotHierarchical, match="picky"):
         Simulation(Picky(), g, [1, 2, 3], fn=MedianFunction(32))
+
+
+class Answering(Automaton):
+    def on_message(self, msg, src):
+        return [self.ctx.message("ping.answer")]
+
+
+class RoundPing(Protocol):
+    """Round-driven: each node broadcasts `per_node` messages at round 0 and
+    outputs its value at round 1."""
+
+    name = "round-ping"
+    round_driven = True
+
+    def __init__(self, per_node=1, automaton=Automaton):
+        self.per_node = per_node
+        self.automaton = automaton
+
+    def on_round_boundary(self, automata, r, sim):
+        if r > 0:
+            for a in automata.values():
+                a.output = a.ctx.value
+            return True, []
+        return False, [(uid, automata[uid].ctx.message("ping.round"))
+                       for uid in sorted(automata)
+                       for _ in range(self.per_node)]
+
+
+def _round_ping(protocol, scheduler="lockstep"):
+    g = make_topology("path", 3, seed=0)
+    return run(protocol, g, [1, 2, 3], fn=MaxFunction(32),
+               scheduler=scheduler, timing=TimingParams(d=0.01, l=0.001))
+
+
+def test_round_driven_broadcasts_land_at_the_next_boundary():
+    trace = _round_ping(RoundPing())
+    validate_trace(trace)
+    assert sorted(trace.outputs.values()) == [1, 2, 3]
+    assert trace.messages_total == 3 and sum(trace.send_fanout.values()) == 4
+    assert {e.t for e in trace.events if e.kind == "send"} == {0.0}
+    assert {e.t for e in trace.events
+            if e.kind != "send" and e.ref is not None} == {0.01}
+
+
+@pytest.mark.parametrize("scheduler", ["random", "adversarial"])
+def test_round_driven_protocol_needs_lockstep(scheduler):
+    with pytest.raises(ConfigError, match="round-ping only runs under"):
+        _round_ping(RoundPing(), scheduler)
+
+
+def test_round_delivery_answered_with_messages_is_rejected():
+    with pytest.raises(InvariantViolation, match="answered a round delivery"):
+        _round_ping(RoundPing(automaton=Answering))
+
+
+def test_round_send_inside_earlier_window_is_rejected():
+    # a second send in one round would start a round late and miss the
+    # next boundary
+    with pytest.raises(InvariantViolation,
+                       match="round-0 send would start inside its earlier"):
+        _round_ping(RoundPing(per_node=2))
 
 
 def test_unknown_scheduler_rejected():

@@ -8,8 +8,8 @@ import hashlib
 import pytest
 
 from consim.averaging import AverageProtocol
-from consim.engine import TimingParams, run
-from consim.errors import WouldDisconnect
+from consim.engine import Simulation, TimingParams, run
+from consim.errors import InvariantViolation, WouldDisconnect
 from consim.flooding import FloodingProtocol
 from consim.functions import MaxFunction, MeanFunction
 from consim.ghs import (GhsMstProtocol, GhsParallelProtocol, GhsTokenProtocol,
@@ -26,6 +26,17 @@ def digest(traces):
     for trace in traces:
         h.update(trace.to_jsonl().encode())
         h.update(repr(sorted(trace.outputs.items())).encode())
+    return h.hexdigest()
+
+
+def full_digest(traces):
+    """digest() plus what the JSONL export leaves out: every event's ref,
+    the per-send fan-out and the message and bit totals."""
+    h = hashlib.sha256(digest(traces).encode())
+    for trace in traces:
+        h.update(repr([e.ref for e in trace.events]).encode())
+        h.update(repr(sorted(trace.send_fanout.items())).encode())
+        h.update(f"{trace.messages_total} {trace.bits_total}".encode())
     return h.hexdigest()
 
 
@@ -123,7 +134,41 @@ AVERAGE_PINS = {
         "cda5c5fe37b65c95e46df7b2724b1558a65c326585831f42cc0ab212b4a0d937",
     "lean":
         "2800bbdad953b7117573ac352d812dff6fc5c0803e16121911198bc72a85aa10",
+    # full_digest over n = 2, 5, 16 of one topology kind
+    "path/recorded":
+        "845ac6ebdb268185fff9f78b96e09e628ab10163125c31a48e1c7bfd3002d523",
+    "path/lean":
+        "dc51ebfb7a38311eaea2a42194ff12c2f9ee215cdb5c3bad7cabf97aa98fda86",
+    "cycle/recorded":
+        "f40d84fcbf4a3ef4bb8de61a77e49bbe2d6a7713cdfad04322609c09c812bc66",
+    "cycle/lean":
+        "f8fb08ef532f83c7bbb6d884a0e835f569ad7c837464cd8067b75119e8cd5a0f",
+    "complete/recorded":
+        "13c15e885678ab57d0b86a3b21eb0b07823e926d941cd8d34768e64bb958ccbf",
+    "complete/lean":
+        "415804e79d7cadfa908be9d861a14715a76d39da82fd684dca8a9f001789aa23",
+    "star/recorded":
+        "a1700cca5ef6b9680dcaeb9ed6fb38d17bfd82b6a6787be037a05cbdf747e231",
+    "star/lean":
+        "f67be76def2b6f1d30a0cdbecb0f2976dce92935143ea709ca21f24ca37280d4",
+    "random_connected/recorded":
+        "f67a66d8e7c77451b7e559ea84e7749090cd3315c1fb31617874d4a3f6aa672a",
+    "random_connected/lean":
+        "e0075c4661b432ffeaebf0c7a4db34065afefadef14d53c07c65a888bc685d70",
 }
+
+# link-down runs end in the incomplete-neighborhood error: its text, the
+# round it is raised at and full_digest of the records up to it
+AVERAGE_LINK_DOWN_PINS = {
+    "2.3": ("lockstep round delivered an incomplete neighborhood", 4,
+            "c378dac804eed1d1bf9dd414b16c83b4e302f0fb77e6924aea6d4a58b8a51bde"),
+    "2.7": ("lockstep round delivered an incomplete neighborhood", 4,
+            "e2e7cd546664f862b6b733495253456e9b1aebc6fe0cef23e4b4213e32cf399d"),
+    "3": ("lockstep round delivered an incomplete neighborhood", 4,
+           "6d5cfa6b24074eb5efd53ee00196630f9bd6bd26bceada16a9d672a5b5dfe8eb"),
+}
+
+AVERAGE_KINDS = ("path", "cycle", "complete", "star", "random_connected")
 
 
 @pytest.mark.parametrize("scheduler", ["lockstep", "random", "adversarial"])
@@ -132,11 +177,38 @@ def test_trace_digest_is_pinned(case, scheduler):
     assert digest(CASES[case](scheduler)) == PINS[f"{case}/{scheduler}"]
 
 
-@pytest.mark.parametrize("mode", sorted(AVERAGE_PINS))
+def _average(kind, n, mode):
+    g = make_topology(kind, n, {"p": 0.35}, seed=4)
+    values = [(7 * i + 3) % 41 for i in range(n)]
+    return run(AverageProtocol(eps=1e-3), g, values, fn=MeanFunction(128),
+               timing=TIMING, seed=4, record_events=mode == "recorded")
+
+
+@pytest.mark.parametrize("mode", ["lean", "recorded"])
 def test_average_digest_is_pinned(mode):
     # averaging runs under lockstep only; a lean run logs outputs alone
-    g = make_topology("random_connected", 14, {"p": 0.35}, seed=4)
-    values = [(7 * i + 3) % 41 for i in range(14)]
-    trace = run(AverageProtocol(eps=1e-3), g, values, fn=MeanFunction(128),
-                timing=TIMING, seed=4, record_events=mode == "recorded")
+    trace = _average("random_connected", 14, mode)
     assert digest([trace]) == AVERAGE_PINS[mode]
+
+
+@pytest.mark.parametrize("mode", ["lean", "recorded"])
+@pytest.mark.parametrize("kind", AVERAGE_KINDS)
+def test_average_topology_digest_is_pinned(kind, mode):
+    traces = [_average(kind, n, mode) for n in (2, 5, 16)]
+    assert full_digest(traces) == AVERAGE_PINS[f"{kind}/{mode}"]
+
+
+@pytest.mark.parametrize("at", sorted(AVERAGE_LINK_DOWN_PINS))
+def test_average_link_down_is_pinned(at):
+    # 2.7 d is mid-round, and its link-down transitions snap to the next
+    # boundary, where they fall between that round's deliveries and its
+    # message transitions; 3 d is exactly on that boundary
+    g = make_topology("path", 6, seed=1)
+    sim = Simulation(AverageProtocol(eps=1e-9), g, list(range(6)),
+                     fn=MeanFunction(128), timing=TIMING, seed=4)
+    sim.schedule_link_down(g.uids[2], g.uids[3], at=float(at) * TIMING.d)
+    with pytest.raises(InvariantViolation) as err:
+        sim.run()
+    got = (str(err.value), round(sim.now / TIMING.d),
+           full_digest([sim._trace()]))
+    assert got == AVERAGE_LINK_DOWN_PINS[at]
