@@ -115,7 +115,8 @@ def cmd_run(args) -> int:
     _emit(CSV_HEADER + "\n" + "\n".join(r.csv_row() for r in rows) + "\n",
           args.out)
     if args.trace:
-        _emit(trace.to_jsonl(), args.trace)
+        with open(args.trace, "w") as fh:
+            fh.writelines(trace.jsonl_chunks())
     return 0
 
 

@@ -28,9 +28,13 @@ AdversarialMaxDelay   every delivery takes the full d and co-enabled
 RandomAsync           delivery delays drawn uniformly from (0, d] per
                       receiver and transition latencies from (0, l].
 
-A broadcast is charged once regardless of receiver count; the engine fans it
-out into one Deliver event per neighbor.  Messages carrying a `dst` tag are
-delivered everywhere but only the tagged recipient's automaton reacts.
+A broadcast is charged once regardless of receiver count and delivered to
+every neighbor it had when its transmission started.  Messages carrying a
+`dst` tag are delivered everywhere but only the tagged recipient's automaton
+reacts.  Under the random scheduler each copy is its own heap entry with its
+own delay draw; under the quantized schedulers all copies land at the same
+boundary, so one heap entry per send stands in for them and records the
+same per-neighbor deliveries, refs and order.
 
 Round-driven protocols run under lockstep only, so every broadcast made at a
 round boundary lands exactly at the next one.  The engine charges those
@@ -110,7 +114,7 @@ def get_scheduler(name: str):
         raise ConfigError(f"unknown scheduler {name!r}") from None
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """One trace record: a send, a per-neighbor delivery, an automaton
     transition or a node output."""
@@ -136,6 +140,19 @@ class Event:
         return rec
 
 
+_JSONL_CHUNK = 65536  # records per piece of a streamed export
+
+
+def _record_format(e: Event) -> str:
+    """%-format string of `e`'s JSONL record, taking (kind, t, node); the
+    rest is json.dumps of the record's message fields, which depend only on
+    the message."""
+    rec = e.to_record()
+    del rec["kind"], rec["t"], rec["node"]
+    tail = ", " + json.dumps(rec)[1:]
+    return '{"kind": "%s", "t": %r, "node": %d' + tail.replace("%", "%%")
+
+
 @dataclass
 class ExecutionTrace:
     """Time-ordered event log of one fair execution plus its configuration.
@@ -157,8 +174,29 @@ class ExecutionTrace:
     def sends(self):
         return [e for e in self.events if e.kind == "send"]
 
+    def jsonl_chunks(self):
+        """The JSONL export in pieces of _JSONL_CHUNK records, each piece
+        ending in a newline.  A record is its kind, time and node formatted
+        into a tail prebuilt, with json.dumps, once per distinct message."""
+        formats = {}
+        events, chunk = self.events, _JSONL_CHUNK
+        if not events:
+            yield "\n"
+        for i in range(0, len(events), chunk):
+            lines = []
+            for e in events[i:i + chunk]:
+                m = e.msg
+                key = None if m is None else (m.mtype, m.size_bits, m.src,
+                                              m.dst)
+                fmt = formats.get(key)
+                if fmt is None:
+                    fmt = formats[key] = _record_format(e)
+                lines.append(fmt % (e.kind, e.t, e.node))
+            lines.append("")
+            yield "\n".join(lines)
+
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(e.to_record()) for e in self.events) + "\n"
+        return "".join(self.jsonl_chunks())
 
     def last_output_time(self) -> float:
         return max(e.t for e in self.events if e.kind == "output")
@@ -294,6 +332,7 @@ class Simulation:
         self._last_fire = {u: start_time for u in graph.uids}
         self._link_clock: dict[tuple, float] = {}
         self._flush_pending: set = set()
+        self._quantized = getattr(self.scheduler, "quantized", False)
         self.now = start_time
 
     @staticmethod
@@ -313,7 +352,7 @@ class Simulation:
         return self._seq
 
     def _snap(self, t: float) -> float:
-        if getattr(self.scheduler, "quantized", False):
+        if self._quantized:
             return round(t / self.timing.d) * self.timing.d
         return t
 
@@ -364,14 +403,18 @@ class Simulation:
             t, prio, seq, payload = heapq.heappop(self._heap)
             processed += 1
             if processed > self.event_cap:
-                raise NonTermination(
-                    f"event cap {self.event_cap} exceeded at t={t:.6g}")
+                self._cap_exceeded(t)
             self.now = t
             kind = payload[0]
             if kind == "kick":
                 self._schedule_fire(payload[1], t, payload[2], payload[3])
             elif kind == "tx":
                 self._do_tx(t, seq, payload[1], payload[2])
+            elif kind == "fan":
+                processed += len(payload[1]) - 1  # the cap counts per copy
+                if processed > self.event_cap:
+                    self._cap_exceeded(t)
+                self._do_fan(t, payload[1], payload[2], payload[3])
             elif kind == "deliver":
                 self._do_deliver(t, payload)
             elif kind == "linkdown":
@@ -396,16 +439,35 @@ class Simulation:
                 f"execution went quiescent but nodes {missing} never output")
         return self._trace()
 
+    def _cap_exceeded(self, t):
+        raise NonTermination(
+            f"event cap {self.event_cap} exceeded at t={t:.6g}")
+
     def _do_tx(self, t, seq, uid, msg):
+        """A transmission starts.  Under a quantized scheduler every copy
+        lands at the same boundary, so one heap entry carries them all; it
+        takes the sequence numbers of the per-copy entries it stands in for,
+        which were consecutive at one (time, priority), so nothing else could
+        pop between them.  The per-link FIFO clock is not kept on that path:
+        one sender's transmissions start on distinct multiples of d, so its
+        earlier copies always land at earlier boundaries, and the boundary
+        is already a multiple of d, so snapping it changes nothing."""
         receivers = sorted(self.adj[uid])
         self._messages_total += 1
         self._bits_total += msg.size_bits
         if self._record:
             self._events.append(Event("send", t, uid, msg=msg, ref=seq))
             self._send_fanout[seq] = len(receivers)
+        if self._quantized:
+            if receivers:
+                dt = self.scheduler.delivery_time(t, self.timing, self.rng)
+                heapq.heappush(self._heap, (dt, _DELIVER,
+                                            self._reserve(len(receivers)),
+                                            ("fan", receivers, msg, seq)))
+            return
         for nb in receivers:
             dt = self.scheduler.delivery_time(t, self.timing, self.rng)
-            dt = self._snap(max(dt, self._link_clock.get((uid, nb), 0.0)))
+            dt = max(dt, self._link_clock.get((uid, nb), 0.0))
             self._link_clock[(uid, nb)] = dt
             self._push(dt, _DELIVER, ("deliver", nb, msg, seq))
 
@@ -415,6 +477,18 @@ class Simulation:
             self._events.append(Event("deliver", t, dst, msg=msg, ref=send_seq))
         if msg.dst is None or msg.dst == dst:
             self._schedule_fire(dst, t, "on_message", msg=msg, ref=send_seq)
+
+    def _do_fan(self, t, receivers, msg, ref):
+        """All copies of one quantized send land, in receiver order; the
+        receivers a `dst` tag leaves out drop theirs unread."""
+        if self._record:
+            self._events.extend([Event("deliver", t, nb, msg, ref)
+                                 for nb in receivers])
+        if msg.dst is None:
+            for nb in receivers:
+                self._schedule_fire(nb, t, "on_message", msg=msg, ref=ref)
+        elif msg.dst in receivers:
+            self._schedule_fire(msg.dst, t, "on_message", msg=msg, ref=ref)
 
     def _do_linkdown(self, t, u, v):
         if v in self.adj[u]:

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import re
@@ -6,13 +7,18 @@ import sys
 
 import pytest
 
-from consim.engine import (AdversarialMaxDelay, Automaton, Event,
+from consim import engine
+from consim.algorithms import ALGORITHMS
+from consim.cli import _single_report, build_parser
+from consim.cli import main as cli_main
+from consim.engine import (SCHEDULERS, AdversarialMaxDelay, Automaton, Event,
                            ExecutionTrace, Protocol, RandomAsync, Simulation,
                            SynchronousLockstep, TimingParams, get_scheduler,
                            run, validate_trace)
 from consim.errors import (ConfigError, DisconnectedGraph,
                            InvariantViolation, NonTermination, NotHierarchical)
-from consim.functions import MaxFunction, MedianFunction
+from consim.functions import MaxFunction, MeanFunction, MedianFunction
+from consim.hybrid import FailureExperiment
 from consim.messages import Message, SizeModel
 from consim.topology import Graph, make_topology
 
@@ -350,3 +356,92 @@ def test_checks_survive_python_O():
          + "::test_link_down_mid_run_raises_typed_error"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# -- the JSONL export against a plain json.dumps of every record ---------------
+
+def _reference_jsonl(events):
+    return "\n".join(json.dumps(e.to_record()) for e in events) + "\n"
+
+
+def _assert_export_matches(trace):
+    expected = _reference_jsonl(trace.events)
+    assert trace.to_jsonl() == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_JSONL_CHUNK", 7)  # many chunk boundaries
+        assert trace.to_jsonl() == expected
+
+
+def _algorithm_scheduler_cases():
+    for algo in sorted(ALGORITHMS):
+        # averaging is round-driven and runs under lockstep only
+        scheds = ["lockstep"] if algo == "average" else sorted(SCHEDULERS)
+        yield from ((algo, s) for s in scheds)
+
+
+@pytest.mark.parametrize("algo, scheduler", _algorithm_scheduler_cases())
+def test_export_matches_json_dumps_per_record(algo, scheduler):
+    g = make_topology("random_connected", 12, {"p": 0.3}, seed=5)
+    fn = MeanFunction(128) if algo == "average" else MaxFunction(64)
+    trace = run(ALGORITHMS[algo].protocol(3, 1e-3), g,
+                [(5 * i + 2) % 23 for i in range(12)], fn=fn,
+                scheduler=scheduler, seed=5,
+                timing=TimingParams(d=0.01, l=0.001))
+    _assert_export_matches(trace)
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_export_matches_json_dumps_on_failure_traces(scheduler):
+    g = make_topology("complete", 8, seed=2)
+    exp = FailureExperiment(g, list(range(8)), MaxFunction(64), 2,
+                            timing=TimingParams(d=0.01, l=0.001), seed=2,
+                            scheduler=scheduler)
+    child = next(u for u, a in sorted(exp.automata.items())
+                 if a.parent is not None)
+    exp.fail_link((child, exp.automata[child].parent))
+    exp.reconsensus()
+    for trace in (exp.initial_trace, exp.repair_trace, exp.rerun_trace):
+        assert trace.events
+        _assert_export_matches(trace)
+
+
+def test_export_of_lean_and_empty_traces():
+    g = make_topology("cycle", 6, seed=1)
+    lean = _sim(g, record_events=False).run()
+    assert {e.kind for e in lean.events} == {"output"}
+    _assert_export_matches(lean)
+    lean.events = []
+    assert lean.to_jsonl() == "\n"
+    _assert_export_matches(lean)
+
+
+def test_export_of_hand_built_records():
+    # floats whose repr is long or exponent-form, a dst of 0, and an mtype
+    # that needs escaping and carries a %-format directive
+    msg = Message('x."q"\\%s\n\u00e9', 0, 9, dst=0)
+    events = [Event("send", 1e-05, 0, msg=msg, ref=1),
+              Event("deliver", 0.1 + 0.2, 3, msg=msg, ref=1),
+              Event("transition", 1e16, 3, msg=msg, ref=1),
+              Event("transition", 0.0, 5),
+              Event("output", 2, 3, value=7),
+              Event("deliver", 0.5, 0, msg=Message("y", 3, 8, dst=0)),
+              Event("deliver", 0.5, 0, msg=Message("y", 3, 8))]
+    trace = ExecutionTrace(events=events, outputs={}, config={},
+                           timing=TimingParams(), graph=PATH2,
+                           size_model=SizeModel(uid_bits=2, value_bits=8))
+    _assert_export_matches(trace)
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_cli_trace_file_equals_to_jsonl(tmp_path, capsys, fail):
+    argv = ["run", "--algo", "hybrid", "--m", "2", "--topo", "complete",
+            "--n", "6", "--fn", "max", "--seed", "3"]
+    if fail:
+        u, v = sorted(make_topology("complete", 6, seed=3).edges)[0]
+        argv += ["--fail", f"{u},{v}"]
+    _rows, trace = _single_report(build_parser(0).parse_args(argv))
+    path = tmp_path / "trace.jsonl"
+    assert cli_main(argv + ["--trace", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_text() == trace.to_jsonl() == _reference_jsonl(
+        trace.events)

@@ -8,15 +8,15 @@ import hashlib
 import pytest
 
 from consim.averaging import AverageProtocol
-from consim.engine import Simulation, TimingParams, run
-from consim.errors import InvariantViolation, WouldDisconnect
+from consim.engine import Automaton, Protocol, Simulation, TimingParams, run
+from consim.errors import InvariantViolation, NonTermination, WouldDisconnect
 from consim.flooding import FloodingProtocol
 from consim.functions import MaxFunction, MeanFunction
 from consim.ghs import (GhsMstProtocol, GhsParallelProtocol, GhsTokenProtocol,
                         ParallelConvergecastProtocol, TokenConvergecastProtocol,
                         root_tree)
 from consim.hybrid import FailureExperiment
-from consim.topology import edge_weight, make_topology
+from consim.topology import edge_weight, fail_link, make_topology
 
 TIMING = TimingParams(d=0.01, l=0.001)
 
@@ -212,3 +212,70 @@ def test_average_link_down_is_pinned(at):
     got = (str(err.value), round(sim.now / TIMING.d),
            full_digest([sim._trace()]))
     assert got == AVERAGE_LINK_DOWN_PINS[at]
+
+
+# -- fan-out batches: under lockstep one send's copies land together ---------
+
+class Chatter(Automaton):
+    """Outputs at start and sends three messages tagged for itself, so that
+    no receiver reacts: each send is a fan-out nobody answers."""
+
+    def on_start(self):
+        self.output = self.ctx.value
+        return [self.ctx.message("chat.x", dst=self.ctx.uid, uids=1)] * 3
+
+
+class ChatterProtocol(Protocol):
+    name = "chatter"
+
+    def automaton(self, ctx):
+        return Chatter(ctx)
+
+
+# on K4 the loop takes 12 entries at t=0 and the 4 transmissions at d, then
+# the 12 copies that land at d; cap 27 falls inside the last of them
+EVENT_CAP_PINS = {16: "t=0.01", 17: "t=0.01", 21: "t=0.01", 27: "t=0.01",
+                  28: "t=0.02", 40: "t=0.02", 52: "t=0.03"}
+
+
+@pytest.mark.parametrize("cap", sorted(EVENT_CAP_PINS))
+def test_event_cap_counts_every_copy_of_a_fan_out(cap):
+    g = make_topology("complete", 4, seed=0)
+    with pytest.raises(NonTermination) as err:
+        run(ChatterProtocol(), g, [1, 2, 3, 4], fn=MaxFunction(32),
+            timing=TIMING, event_cap=cap)
+    assert str(err.value) == (f"event cap {cap} exceeded at "
+                              f"{EVENT_CAP_PINS[cap]}")
+
+
+LINK_DOWN_FAN_OUT_PINS = {
+    "0.6": "613e0322ef1af981d5681ead3acbf1021dfa6efb01463f4beba7d30fb3012a91",
+    "1.6": "2accf71b89f8c367817f5cda849833602c582ba74edfa4af931b5ba73bf94275",
+}
+
+
+def _breakable(g, edge):
+    try:
+        fail_link(g, edge)
+    except WouldDisconnect:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("scheduler", ["lockstep", "adversarial"])
+@pytest.mark.parametrize("at", sorted(LINK_DOWN_FAN_OUT_PINS))
+def test_link_down_in_flight_still_reaches_send_time_receivers(at, scheduler):
+    # the link fails between a round's sends and their delivery; the copies
+    # already in flight on it still land
+    g = make_topology("random_connected", 14, {"p": 0.35}, seed=4)
+    u, v = next(e for e in sorted(g.edges) if _breakable(g, e))
+    values = [(7 * i + 3) % 41 for i in range(14)]
+    sim = Simulation(FloodingProtocol(), g, values, fn=MaxFunction(64),
+                     timing=TIMING, scheduler=scheduler, seed=4)
+    down = float(at) * TIMING.d
+    sim.schedule_link_down(u, v, at=down)
+    trace = sim.run()
+    across = [e for e in trace.events if e.kind == "deliver" and e.t > down
+              and {e.node, e.msg.src} == {u, v}]
+    assert across and all(e.t < down + TIMING.d for e in across)
+    assert full_digest([trace]) == LINK_DOWN_FAN_OUT_PINS[at]
