@@ -31,16 +31,15 @@ RandomAsync           delivery delays drawn uniformly from (0, d] per
 A broadcast is charged once regardless of receiver count and delivered to
 every neighbor it had when its transmission started.  Messages carrying a
 `dst` tag are delivered everywhere but only the tagged recipient's automaton
-reacts.  Under the random scheduler each copy is its own heap entry with its
-own delay draw; under the quantized schedulers all copies land at the same
-boundary, so one heap entry per send stands in for them and records the
-same per-neighbor deliveries, refs and order.
+reacts.
 
-Round-driven protocols run under lockstep only, so every broadcast made at a
-round boundary lands exactly at the next one.  The engine charges those
-broadcasts at the boundary and delivers each round's batch at the next
-boundary, without a heap entry per message; the send, deliver and transition
-records, their refs and their order are the ones per-message events give.
+Deliveries land in batches of (message, ref, receivers, reactors), and
+every reaction runs in one loop over such a batch.  Under the quantized
+schedulers a batch holds every copy of a send, or of a round-driven
+protocol's round of broadcasts (lockstep only); under the random scheduler
+each copy draws its own delay and latency and is a batch of one.  A batch
+takes the sequence numbers of the entries it stands for, so records, refs,
+order and the event cap's count are those per-message events give.
 """
 
 from __future__ import annotations
@@ -275,6 +274,9 @@ class Protocol:
 # event priorities at equal timestamps: transmissions start, deliveries land,
 # links fail, transitions fire, flush transitions run, round hooks close out
 _KICK, _TX, _DELIVER, _LINKDOWN, _FIRE, _FLUSH, _ROUND = 0, 1, 2, 3, 4, 5, 9
+# a heap entry is (t, prio, seq, kind, *args); the batch entries ("fan",
+# count, batch, reactions) and ("react", count, batch) carry their event count
+_BATCHES = ("react", "fan")
 
 
 class Simulation:
@@ -346,10 +348,12 @@ class Simulation:
 
     # -- scheduling -----------------------------------------------------
 
-    def _push(self, t, prio, payload):
-        self._seq += 1
-        heapq.heappush(self._heap, (t, prio, self._seq, payload))
-        return self._seq
+    def _push(self, t, prio, *entry, span=1):
+        """Push (t, prio, seq, *entry).  A batch takes the `span` numbers of
+        the entries it stands for, seq being the first."""
+        seq = self._seq + 1
+        self._seq += span
+        heapq.heappush(self._heap, (t, prio, seq, *entry))
 
     def _snap(self, t: float) -> float:
         if self._quantized:
@@ -357,24 +361,26 @@ class Simulation:
         return t
 
     def schedule_link_down(self, u, v, at: float):
-        self._push(at, _LINKDOWN, ("linkdown", u, v))
+        self._push(at, _LINKDOWN, "linkdown", u, v)
 
     def schedule_kick(self, uid, method: str, args=(), at=None):
         """Driver hook: invoke a named automaton method as a transition."""
         self._push(self.start_time if at is None else at, _KICK,
-                   ("kick", uid, method, tuple(args)))
+                   "kick", uid, method, tuple(args))
 
-    def _schedule_fire(self, uid, t, method, args=(), msg=None, ref=None):
+    def _schedule_fire(self, uid, t, *entry):
+        """Push a transition of `uid` enabled at t: it fires after the
+        scheduler's latency, and not before the node's previous one."""
         lat = self.scheduler.latency(self.timing, self.rng)
         ft = self._snap(max(t + lat, self._last_fire[uid]))
         self._last_fire[uid] = ft
-        self._push(ft, _FIRE, ("fire", uid, method, args, msg, ref))
+        self._push(ft, _FIRE, *entry)
 
     def _transmit(self, uid, msgs, emit_t):
         for msg in msgs:
             start = self._snap(max(emit_t, self._tx_free[uid]))
             self._tx_free[uid] = start + self.timing.d
-            self._push(start, _TX, ("tx", uid, msg))
+            self._push(start, _TX, "tx", uid, msg)
 
     def _post_transition(self, uid, t):
         auto = self.automata[uid]
@@ -386,7 +392,7 @@ class Simulation:
             ctx._flush_requested = False
             if uid not in self._flush_pending:
                 self._flush_pending.add(uid)
-                self._push(t, _FLUSH, ("flush", uid))
+                self._push(t, _FLUSH, "flush", uid)
 
     # -- the loop ---------------------------------------------------------
 
@@ -396,42 +402,35 @@ class Simulation:
                 self.schedule_kick(uid, "on_start")
         if self.protocol.round_driven:
             r0 = round(self.start_time / self.timing.d)
-            self._push(self.start_time, _ROUND, ("round", r0))
+            self._push(self.start_time, _ROUND, "round", r0)
 
         processed = 0
         while self._heap:
-            t, prio, seq, payload = heapq.heappop(self._heap)
-            processed += 1
+            e = heapq.heappop(self._heap)
+            t, kind = e[0], e[3]
+            # a batch counts once per copy or transition it stands for
+            processed += e[4] if kind in _BATCHES else 1
             if processed > self.event_cap:
-                self._cap_exceeded(t)
+                raise NonTermination(
+                    f"event cap {self.event_cap} exceeded at t={t:.6g}")
             self.now = t
-            kind = payload[0]
-            if kind == "kick":
-                self._schedule_fire(payload[1], t, payload[2], payload[3])
-            elif kind == "tx":
-                self._do_tx(t, seq, payload[1], payload[2])
+            if kind == "react":
+                self._react(t, e[2], e[5])
             elif kind == "fan":
-                processed += len(payload[1]) - 1  # the cap counts per copy
-                if processed > self.event_cap:
-                    self._cap_exceeded(t)
-                self._do_fan(t, payload[1], payload[2], payload[3])
-            elif kind == "deliver":
-                self._do_deliver(t, payload)
-            elif kind == "linkdown":
-                self._do_linkdown(t, payload[1], payload[2])
+                self._land(t, e[5], e[6])
+            elif kind == "tx":
+                self._do_tx(t, e[2], e[4], e[5])
             elif kind == "fire":
-                self._fire(t, *payload[1:])
+                self._fire(t, e[4], e[5], e[6])
             elif kind == "flush":
-                self._flush_pending.discard(payload[1])
-                self._fire(t, payload[1], "on_flush")
+                self._flush_pending.discard(e[4])
+                self._fire(t, e[4], "on_flush")
             elif kind == "round":
-                self._do_round(t, payload[1])
-            elif kind == "land":
-                self._land_round(t, payload[1], payload[2])
-                processed += payload[3] - 1  # the event cap counts per message
-            elif kind == "react":
-                self._react_round(t, payload[1])
-                processed += payload[2] - 1
+                self._do_round(t, e[4])
+            elif kind == "kick":
+                self._schedule_fire(e[4], t, "fire", *e[4:])
+            elif kind == "linkdown":
+                self._do_linkdown(t, e[4], e[5])
 
         missing = [u for u in self.automata if u not in self.outputs]
         if self.require_outputs and missing:
@@ -439,89 +438,127 @@ class Simulation:
                 f"execution went quiescent but nodes {missing} never output")
         return self._trace()
 
-    def _cap_exceeded(self, t):
-        raise NonTermination(
-            f"event cap {self.event_cap} exceeded at t={t:.6g}")
+    def _charge(self, t, sends, ref):
+        """Charge and record (uid, msg) sends starting at t, numbered from
+        `ref`; returns their batch of (msg, ref, live neighbors, reactors)
+        items and its copy and reaction counts."""
+        batch, copies, reactions = [], 0, 0
+        for uid, msg in sends:
+            adj = self.adj[uid]
+            receivers = sorted(adj)
+            dst = msg.dst
+            reactors = (receivers if dst is None
+                        else (dst,) if dst in adj else ())
+            self._messages_total += 1
+            self._bits_total += msg.size_bits
+            if self._record:
+                self._events.append(Event("send", t, uid, msg, ref))
+                self._send_fanout[ref] = len(receivers)
+            batch.append((msg, ref, receivers, reactors))
+            copies += len(receivers)
+            reactions += len(reactors)
+            ref += 1
+        return batch, copies, reactions
 
     def _do_tx(self, t, seq, uid, msg):
-        """A transmission starts.  Under a quantized scheduler every copy
-        lands at the same boundary, so one heap entry carries them all; it
-        takes the sequence numbers of the per-copy entries it stands in for,
-        which were consecutive at one (time, priority), so nothing else could
-        pop between them.  The per-link FIFO clock is not kept on that path:
-        one sender's transmissions start on distinct multiples of d, so its
-        earlier copies always land at earlier boundaries, and the boundary
-        is already a multiple of d, so snapping it changes nothing."""
-        receivers = sorted(self.adj[uid])
-        self._messages_total += 1
-        self._bits_total += msg.size_bits
-        if self._record:
-            self._events.append(Event("send", t, uid, msg=msg, ref=seq))
-            self._send_fanout[seq] = len(receivers)
+        """A transmission starts.  Under a quantized scheduler its copies
+        land at one boundary as one entry, numbered as the per-copy entries
+        it stands for; the per-link FIFO clock cannot bind there, as one
+        sender's transmissions start on distinct multiples of d.  Under the
+        random scheduler each copy is an entry of its own."""
+        batch, copies, reactions = self._charge(t, ((uid, msg),), seq)
         if self._quantized:
-            if receivers:
+            if copies:
                 dt = self.scheduler.delivery_time(t, self.timing, self.rng)
-                heapq.heappush(self._heap, (dt, _DELIVER,
-                                            self._reserve(len(receivers)),
-                                            ("fan", receivers, msg, seq)))
+                self._push(dt, _DELIVER, "fan", copies, batch, reactions,
+                           span=copies)
             return
-        for nb in receivers:
+        for nb in batch[0][2]:
             dt = self.scheduler.delivery_time(t, self.timing, self.rng)
             dt = max(dt, self._link_clock.get((uid, nb), 0.0))
             self._link_clock[(uid, nb)] = dt
-            self._push(dt, _DELIVER, ("deliver", nb, msg, seq))
+            copy = (nb,)
+            reacts = msg.dst is None or msg.dst == nb
+            self._push(dt, _DELIVER, "fan", 1,
+                       ((msg, seq, copy, copy if reacts else ()),), reacts)
 
-    def _do_deliver(self, t, payload):
-        _, dst, msg, send_seq = payload
-        if self._record:
-            self._events.append(Event("deliver", t, dst, msg=msg, ref=send_seq))
-        if msg.dst is None or msg.dst == dst:
-            self._schedule_fire(dst, t, "on_message", msg=msg, ref=send_seq)
-
-    def _do_fan(self, t, receivers, msg, ref):
-        """All copies of one quantized send land, in receiver order; the
-        receivers a `dst` tag leaves out drop theirs unread."""
+    def _land(self, t, batch, reactions):
+        """A delivery entry lands, in batch and receiver order.  Under a
+        quantized scheduler its reactions follow as one batch at (t, _FIRE):
+        with no latency, and a node's earlier transitions all fired by t,
+        the per-node fire clock never holds them back and is not kept."""
         if self._record:
             self._events.extend([Event("deliver", t, nb, msg, ref)
+                                 for msg, ref, receivers, _ in batch
                                  for nb in receivers])
-        if msg.dst is None:
-            for nb in receivers:
-                self._schedule_fire(nb, t, "on_message", msg=msg, ref=ref)
-        elif msg.dst in receivers:
-            self._schedule_fire(msg.dst, t, "on_message", msg=msg, ref=ref)
+        if not reactions:
+            return
+        if self._quantized:
+            self._push(t, _FIRE, "react", reactions, batch, span=reactions)
+        else:  # one copy, one reactor
+            self._schedule_fire(batch[0][3][0], t, "react", 1, batch)
+
+    def _react(self, t, seq, batch):
+        """The message transitions of a batch standing for fire entries
+        numbered seq, seq+1, ... at (t, _FIRE): one per reactor of each
+        item, in order.  Every on_message call runs here."""
+        automata = self.automata
+        events = self._events if self._record else None
+        items = iter(batch)
+        for item in items:
+            msg, ref, _, reactors = item
+            src = msg.src
+            for uid in reactors:
+                auto = automata[uid]
+                if events is not None:
+                    events.append(Event("transition", t, uid, msg, ref))
+                msgs = auto.on_message(msg, src)
+                if msgs:
+                    return self._answer(t, seq, batch, item, uid, msgs, items)
+                elif auto.output is not None or auto.ctx._flush_requested:
+                    self._post_transition(uid, t)  # else it would do nothing
+
+    def _answer(self, t, seq, batch, item, uid, msgs, items):
+        """A reaction in a batch transmits, maybe starting at t, before the
+        next reaction; so the rest of the batch, the reactors after `uid`
+        and the `items` left, goes back on the heap under that reaction's
+        number, counted already."""
+        if self.protocol.round_driven:
+            raise InvariantViolation(
+                f"node {uid} answered a round delivery with messages;"
+                f" a round-driven protocol sends only at boundaries")
+        self._transmit(uid, msgs, t)
+        self._post_transition(uid, t)
+        msg, ref, receivers, reactors = item
+        later = reactors[reactors.index(uid) + 1:]
+        rest = [(msg, ref, receivers, later)] if later else []
+        rest += items
+        if rest:
+            done = sum(len(x[3]) for x in batch) - sum(len(x[3]) for x in rest)
+            heapq.heappush(self._heap, (t, _FIRE, seq + done, "react", 0,
+                                        rest))
 
     def _do_linkdown(self, t, u, v):
         if v in self.adj[u]:
             self.adj[u].discard(v)
             self.adj[v].discard(u)
             for uid, peer in ((u, v), (v, u)) if u < v else ((v, u), (u, v)):
-                self._schedule_fire(uid, t, "on_link_down", (peer,))
+                self._schedule_fire(uid, t, "fire", uid, "on_link_down",
+                                    (peer,))
 
-    def _fire(self, t, uid, method, args=(), msg=None, ref=None):
-        """One transition: invoke the automaton's `method` and transmit what
-        it returns.  A delivery calls on_message directly, the hot path."""
+    def _fire(self, t, uid, method, args=()):
+        """A transition other than a reaction to a message: invoke the
+        automaton's `method` and transmit what it returns."""
         auto = self.automata[uid]
         if self._record:
-            self._events.append(Event("transition", t, uid, msg=msg, ref=ref))
-        if msg is not None:
-            msgs = auto.on_message(msg, msg.src)
-        else:
-            msgs = getattr(auto, method)(*args)
-        self._transmit(uid, msgs or [], t)
+            self._events.append(Event("transition", t, uid))
+        self._transmit(uid, getattr(auto, method)(*args) or [], t)
         self._post_transition(uid, t)
 
-    def _reserve(self, count):
-        """Take the sequence numbers of `count` per-message heap entries that
-        a round batch stands in for; returns the first."""
-        first = self._seq + 1
-        self._seq += count
-        return first
-
     def _do_round(self, t, r):
-        """Round boundary r.  The protocol's broadcasts start now and land at
-        (r+1)*d as one batch entry.  Each send takes the sequence number its
-        transmission entry would have had (its ref), and its receivers come
-        from the live adjacency, as that entry would have taken them."""
+        """Round boundary r.  The protocol's broadcasts start now, numbered
+        as their transmission entries would have been, and land at (r+1)*d
+        as one delivery entry that the event cap counts per send and copy."""
         halted, sends = self.protocol.on_round_boundary(self.automata, r, self)
         d = self.timing.d
         start = self._snap(t)
@@ -532,57 +569,17 @@ class Simulation:
                     f"node {uid}'s round-{r} send would start inside its "
                     f"earlier transmission window")
             self._tx_free[uid] = start + d
-        first_ref = self._reserve(len(sends))
+        first_ref = self._seq + 1
+        self._seq += len(sends)
         for uid in sorted(self.automata):
             self._post_transition(uid, t)
         if not halted:
-            self._push((r + 1) * d, _ROUND, ("round", r + 1))
+            self._push((r + 1) * d, _ROUND, "round", r + 1)
         if not sends:
             return
-        batch, fanout, reactions = [], 0, 0
-        for ref, (uid, msg) in enumerate(sends, first_ref):
-            receivers = sorted(self.adj[uid])
-            targets = (receivers if msg.dst is None
-                       else [nb for nb in receivers if nb == msg.dst])
-            self._messages_total += 1
-            self._bits_total += msg.size_bits
-            if self._record:
-                self._events.append(Event("send", start, uid, msg=msg, ref=ref))
-                self._send_fanout[ref] = len(receivers)
-            batch.append((msg, ref, receivers, targets))
-            fanout += len(receivers)
-            reactions += len(targets)
-        heapq.heappush(self._heap, ((r + 1) * d, _DELIVER, self._reserve(fanout),
-                                    ("land", batch, reactions,
-                                     len(sends) + fanout)))
-
-    def _land_round(self, t, batch, reactions):
-        """A round's broadcasts reach every receiver.  The receivers react at
-        _FIRE priority, after any link-down transition scheduled earlier.
-        Lockstep has no transition latency and one send per node and round,
-        so the per-link FIFO clock and per-node fire clock never hold these
-        back and are not kept for them."""
-        if self._record:
-            self._events.extend(Event("deliver", t, nb, msg=msg, ref=ref)
-                                for msg, ref, receivers, _ in batch
-                                for nb in receivers)
-        if reactions:
-            heapq.heappush(self._heap, (t, _FIRE, self._reserve(reactions),
-                                        ("react", batch, reactions)))
-
-    def _react_round(self, t, batch):
-        for msg, ref, _, targets in batch:
-            for uid in targets:
-                auto = self.automata[uid]
-                if self._record:
-                    self._events.append(
-                        Event("transition", t, uid, msg=msg, ref=ref))
-                if auto.on_message(msg, msg.src):
-                    raise InvariantViolation(
-                        f"node {uid} answered a round delivery with messages;"
-                        f" a round-driven protocol sends only at boundaries")
-                if auto.output is not None or auto.ctx._flush_requested:
-                    self._post_transition(uid, t)  # else it would do nothing
+        batch, copies, reactions = self._charge(start, sends, first_ref)
+        self._push((r + 1) * d, _DELIVER, "fan", len(sends) + copies, batch,
+                   reactions, span=copies)
 
     def _trace(self) -> ExecutionTrace:
         config = {
@@ -640,11 +637,12 @@ def validate_trace(trace: ExecutionTrace):
             if not 0 < delay <= d + tol:
                 raise AssertionError(f"delivery delay {delay} outside (0, d]")
             deliver_counts[e.ref] += 1
-            node_deliver_t[(e.node, e.ref)] = e.t
+            if e.msg.dst is None or e.msg.dst == e.node:  # it may react
+                node_deliver_t[(e.node, e.ref)] = e.t
         elif e.kind == "transition" and e.ref is not None:
             if (e.node, e.ref) not in node_deliver_t:
                 raise AssertionError(f"node {e.node} reacted to send {e.ref} "
-                                     f"it never got")
+                                     f"it never got as a recipient")
             dt = e.t - node_deliver_t[(e.node, e.ref)]
             if not -tol <= dt <= l + tol:
                 raise AssertionError(f"transition latency {dt} exceeds l")

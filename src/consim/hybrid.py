@@ -800,25 +800,24 @@ def cluster_map(automata) -> dict[int, set]:
     return clusters
 
 
-def _depth(automata, uid):
-    d, cur, seen = 0, uid, set()
-    while automata[cur].parent is not None:
-        if cur in seen:
-            raise InvariantViolation("parent pointers form a cycle")
-        seen.add(cur)
-        cur = automata[cur].parent
-        d += 1
-    return d
-
-
 def branch_sizes(automata) -> dict[int, int]:
-    """Within-cluster branch (node plus descendants) size per node."""
+    """Within-cluster branch (node plus descendants) size per node, summed
+    from the leaves up: a node passes its size on once its children have."""
     sizes = {uid: 1 for uid in automata}
-    for uid in sorted(automata, key=lambda u: _depth(automata, u),
-                      reverse=True):
+    waiting = dict.fromkeys(automata, 0)  # children yet to pass theirs on
+    for a in automata.values():
+        if a.parent is not None:
+            waiting[a.parent] += 1
+    done = [uid for uid, k in waiting.items() if not k]
+    for uid in done:  # grows as parents become ready
         p = automata[uid].parent
         if p is not None:
             sizes[p] += sizes[uid]
+            waiting[p] -= 1
+            if not waiting[p]:
+                done.append(p)
+    if len(done) < len(automata):
+        raise InvariantViolation("parent pointers form a cycle")
     return sizes
 
 

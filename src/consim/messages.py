@@ -62,7 +62,7 @@ class SizeModel:
                 + n_values * self.value_bits + extra_bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """One protocol payload.
 

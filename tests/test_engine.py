@@ -308,17 +308,17 @@ PATH2 = make_topology("path", 2, seed=0)
 
 
 def _hand_trace(sends):
-    """sends: (send time, delivery delay or None[, transition latency])
-    from one node of a 2-node path; each send expects one delivery, and a
-    latency adds the receiver's transition on it."""
+    """sends: (send time, delivery delay or None[, transition latency[,
+    dst tag]]) from one node of a 2-node path; each send expects one
+    delivery, and a latency adds the receiver's transition on it."""
     a, b = PATH2.uids
     events = []
-    for ref, (t, delay, *latency) in enumerate(sends):
-        msg = Message("x.msg", a, 8)
+    for ref, (t, delay, *rest) in enumerate(sends):
+        msg = Message("x.msg", a, 8, dst=rest[1] if len(rest) > 1 else None)
         events.append(Event("send", t, a, msg=msg, ref=ref))
         if delay is not None:
             events.append(Event("deliver", t + delay, b, msg=msg, ref=ref))
-        for lat in latency:
+        for lat in rest[:1]:
             events.append(Event("transition", t + (delay or 0.0) + lat, b,
                                 msg=msg, ref=ref))
     events.sort(key=lambda e: e.t)
@@ -340,6 +340,8 @@ def test_validate_trace_accepts_tiny_random_delay():
     ([(0.0, 0.004), (0.005, 0.004)], "inside an earlier window"),
     ([(0.0, None)], "delivered 0/1 times"),
     ([(0.0, 0.004, 0.0), (0.01, None, 0.0005)], "it never got"),
+    # the copy reached the receiver, but the send is tagged for its sender
+    ([(0.0, 0.004, 0.0, PATH2.uids[0])], "it never got as a recipient"),
 ])
 def test_validate_trace_rejects(sends, text):
     with pytest.raises(AssertionError, match=re.escape(text)):

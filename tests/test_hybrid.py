@@ -237,3 +237,26 @@ def test_small_half_rejoins_a_neighbor_cluster():
     assert set(rerun.outputs.values()) == {11}
     problems = check_cluster_discipline(exp.automata, 12, 4)
     assert not problems, problems
+
+
+class _Node:
+    def __init__(self, parent):
+        self.parent = parent
+
+
+def test_branch_sizes_of_a_hand_built_forest():
+    # two trees, 1 <- {2, 3}, 3 <- {4, 5}, 5 <- 6 and 7 <- 8, plus a lone 9,
+    # listed children before parents so no order of the input helps
+    parents = {6: 5, 4: 3, 5: 3, 2: 1, 3: 1, 8: 7, 1: None, 7: None, 9: None}
+    sizes = branch_sizes({u: _Node(p) for u, p in parents.items()})
+    assert sizes == {1: 6, 2: 1, 3: 4, 4: 1, 5: 2, 6: 1, 7: 2, 8: 1, 9: 1}
+
+
+@pytest.mark.parametrize("parents", [
+    {1: 2, 2: 3, 3: 1, 4: None},  # a 3-cycle beside a root
+    {1: None, 2: 1, 3: 4, 4: 3, 5: 4},  # a branch hanging off a 2-cycle
+    {1: 1},  # a node that is its own parent
+])
+def test_branch_sizes_rejects_parent_pointer_cycles(parents):
+    with pytest.raises(InvariantViolation, match="form a cycle"):
+        branch_sizes({u: _Node(p) for u, p in parents.items()})

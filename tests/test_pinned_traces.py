@@ -248,6 +248,66 @@ def test_event_cap_counts_every_copy_of_a_fan_out(cap):
                               f"{EVENT_CAP_PINS[cap]}")
 
 
+class Echo(Automaton):
+    """Outputs at start and asks once; answers every ask it gets, so the
+    reactions to an ask transmit while the rest of their batch waits."""
+
+    def on_start(self):
+        self.output = self.ctx.value
+        return [self.ctx.message("echo.ask", uids=1)]
+
+    def on_message(self, msg, src):
+        if msg.mtype == "echo.ask":
+            return [self.ctx.message("echo.answer", uids=1)]
+        return []
+
+
+class EchoProtocol(Protocol):
+    name = "echo"
+
+    def automaton(self, ctx):
+        return Echo(ctx)
+
+
+# on K4 the loop takes 12 entries at t=0, then at d the 12 copies of the
+# asks, their 12 reactions and the 4 answers that start at d; caps 24-39
+# fall inside those reactions, so a reaction counted twice or not at all
+# moves one of these to another time
+ECHO_CAP_PINS = {23: "t=0.01", 24: "t=0.01", 25: "t=0.01", 27: "t=0.01",
+                 30: "t=0.01", 33: "t=0.01", 36: "t=0.01", 39: "t=0.01",
+                 40: "t=0.02", 67: "t=0.02", 68: "t=0.03", 119: "t=0.04"}
+
+ECHO_PINS = {
+    "lockstep":
+        "f4158ee8913a6c108437fa3b2fd7f5366ef93eba37e7cc1f4b9b323a7ac40551",
+    "random":
+        "45954d712cbb2a7790fa2d960cd5f5436a6136770e024f8ebb64bcc38f437b17",
+    "adversarial":
+        "f4158ee8913a6c108437fa3b2fd7f5366ef93eba37e7cc1f4b9b323a7ac40551",
+}
+
+
+def _echo(scheduler, cap=10_000):
+    g = make_topology("complete", 4, seed=0)
+    return run(EchoProtocol(), g, [1, 2, 3, 4], fn=MaxFunction(32),
+               timing=TIMING, scheduler=scheduler, seed=2, event_cap=cap)
+
+
+@pytest.mark.parametrize("cap", sorted(ECHO_CAP_PINS))
+def test_event_cap_counts_every_reaction_that_transmits(cap):
+    with pytest.raises(NonTermination) as err:
+        _echo("lockstep", cap)
+    assert str(err.value) == (f"event cap {cap} exceeded at "
+                              f"{ECHO_CAP_PINS[cap]}")
+
+
+@pytest.mark.parametrize("scheduler", sorted(ECHO_PINS))
+def test_reactions_that_transmit_are_pinned(scheduler):
+    # every reaction to an ask starts an answer, whose send record sits
+    # between the transitions of one fan-out's receivers
+    assert full_digest([_echo(scheduler)]) == ECHO_PINS[scheduler]
+
+
 LINK_DOWN_FAN_OUT_PINS = {
     "0.6": "613e0322ef1af981d5681ead3acbf1021dfa6efb01463f4beba7d30fb3012a91",
     "1.6": "2accf71b89f8c367817f5cda849833602c582ba74edfa4af931b5ba73bf94275",
