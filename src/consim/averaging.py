@@ -43,7 +43,6 @@ class AverageAutomaton(Automaton):
         self.frac = frac_bits
         self.estimate = round(Fraction(ctx.value) * (1 << frac_bits))
         self.inbox: list[int] = []
-        self.rounds_run = 0
 
     def on_message(self, msg, src):
         self.inbox.append(msg.payload)
@@ -57,7 +56,6 @@ class AverageAutomaton(Automaton):
         total = self.estimate + sum(self.inbox)
         self.estimate = div_round_half_even(total, len(self.inbox) + 1)
         self.inbox = []
-        self.rounds_run += 1
 
     def estimate_value(self) -> float:
         return self.estimate / (1 << self.frac)

@@ -13,7 +13,10 @@ seconds of the start of its transmission, and every enabled transition fires
 within `l` seconds.  A transmission occupies its sender for a full window of
 `d` seconds, so a node sending several messages transmits them back to back;
 this keeps per-node transmission windows disjoint, which the bandwidth
-metric relies on.  Deliveries on a directed link are FIFO.
+metric relies on.  Deliveries on a directed link are FIFO without a
+per-link clock: a copy lands by its send's start + d, which is no later than
+the sender's next start, and every delay is positive (float addition and
+multiplication round monotonically, so this holds exactly).
 
 Schedulers
 ----------
@@ -66,6 +69,9 @@ class TimingParams:
     def __post_init__(self):
         if self.d <= 0 or self.l <= 0:
             raise ConfigError("timing parameters must be positive")
+
+
+REL_TOL = 1e-9  # of d: rounding allowed between times that should coincide
 
 
 class SynchronousLockstep:
@@ -206,17 +212,17 @@ class NodeContext:
     the neighborhood (links may fail mid-execution)."""
 
     def __init__(self, sim, uid):
-        self._sim = sim
         self.uid = uid
         self.value = sim.values[uid]
         self.n = sim.graph.n
         self.fn = sim.fn
         self.size_model = sim.size_model
         self.neighbors = tuple(sorted(sim.adj[uid]))
+        self._adj = sim.adj[uid]  # not the Simulation: no reference cycle
         self._flush_requested = False
 
     def live_neighbors(self) -> tuple:
-        return tuple(sorted(self._sim.adj[self.uid]))
+        return tuple(sorted(self._adj))
 
     def message(self, mtype, dst=None, payload=None, uids=0, values=0,
                 extra=0) -> Message:
@@ -287,7 +293,7 @@ class Simulation:
     def __init__(self, protocol, graph, values, *, fn=None, timing=None,
                  scheduler="lockstep", seed=0, size_model=None,
                  event_cap=10_000_000, automata=None, start_time=0.0,
-                 require_outputs=True, record_events=True):
+                 record_events=True):
         if graph.n > 1 and not graph.is_connected():
             raise DisconnectedGraph("refusing to simulate a disconnected graph")
         self.protocol = protocol
@@ -301,7 +307,6 @@ class Simulation:
         self.size_model = size_model or SizeModel.for_network(
             graph.n, getattr(fn, "bits", 32), pool_size=graph.pool_size)
         self.event_cap = event_cap
-        self.require_outputs = require_outputs
         self.start_time = start_time
 
         if protocol.round_driven and self.scheduler.name != "lockstep":
@@ -319,8 +324,8 @@ class Simulation:
                              for u in sorted(graph.uids)}
         else:
             self.automata = automata
-            for a in automata.values():
-                a.ctx._sim = self  # re-home live-neighbor views
+            for u, a in automata.items():
+                a.ctx._adj = self.adj[u]  # re-home live-neighbor views
 
         self._heap: list = []
         self._seq = 0
@@ -332,7 +337,6 @@ class Simulation:
         self._send_fanout: dict[int, int] = {}
         self._tx_free = {u: start_time for u in graph.uids}
         self._last_fire = {u: start_time for u in graph.uids}
-        self._link_clock: dict[tuple, float] = {}
         self._flush_pending: set = set()
         self._quantized = getattr(self.scheduler, "quantized", False)
         self.now = start_time
@@ -432,8 +436,8 @@ class Simulation:
             elif kind == "linkdown":
                 self._do_linkdown(t, e[4], e[5])
 
-        missing = [u for u in self.automata if u not in self.outputs]
-        if self.require_outputs and missing:
+        missing = [u for u, a in self.automata.items() if a.output is None]
+        if missing:
             raise NonTermination(
                 f"execution went quiescent but nodes {missing} never output")
         return self._trace()
@@ -463,9 +467,8 @@ class Simulation:
     def _do_tx(self, t, seq, uid, msg):
         """A transmission starts.  Under a quantized scheduler its copies
         land at one boundary as one entry, numbered as the per-copy entries
-        it stands for; the per-link FIFO clock cannot bind there, as one
-        sender's transmissions start on distinct multiples of d.  Under the
-        random scheduler each copy is an entry of its own."""
+        it stands for.  Under the random scheduler each copy is an entry of
+        its own."""
         batch, copies, reactions = self._charge(t, ((uid, msg),), seq)
         if self._quantized:
             if copies:
@@ -475,8 +478,6 @@ class Simulation:
             return
         for nb in batch[0][2]:
             dt = self.scheduler.delivery_time(t, self.timing, self.rng)
-            dt = max(dt, self._link_clock.get((uid, nb), 0.0))
-            self._link_clock[(uid, nb)] = dt
             copy = (nb,)
             reacts = msg.dst is None or msg.dst == nb
             self._push(dt, _DELIVER, "fan", 1,
@@ -499,9 +500,9 @@ class Simulation:
             self._schedule_fire(batch[0][3][0], t, "react", 1, batch)
 
     def _react(self, t, seq, batch):
-        """The message transitions of a batch standing for fire entries
-        numbered seq, seq+1, ... at (t, _FIRE): one per reactor of each
-        item, in order.  Every on_message call runs here."""
+        """The message transitions of a batch, the fire entry numbered seq
+        at (t, _FIRE): one per reactor of each item, in order.  Every
+        on_message call runs here."""
         automata = self.automata
         events = self._events if self._record else None
         items = iter(batch)
@@ -514,15 +515,16 @@ class Simulation:
                     events.append(Event("transition", t, uid, msg, ref))
                 msgs = auto.on_message(msg, src)
                 if msgs:
-                    return self._answer(t, seq, batch, item, uid, msgs, items)
+                    return self._answer(t, seq, item, uid, msgs, items)
                 elif auto.output is not None or auto.ctx._flush_requested:
                     self._post_transition(uid, t)  # else it would do nothing
 
-    def _answer(self, t, seq, batch, item, uid, msgs, items):
+    def _answer(self, t, seq, item, uid, msgs, items):
         """A reaction in a batch transmits, maybe starting at t, before the
         next reaction; so the rest of the batch, the reactors after `uid`
-        and the `items` left, goes back on the heap under that reaction's
-        number, counted already."""
+        and the `items` left, goes back on the heap, counted already, under
+        the batch's number seq: no other entry holds a number in the span
+        the batch reserved, so it keeps its place."""
         if self.protocol.round_driven:
             raise InvariantViolation(
                 f"node {uid} answered a round delivery with messages;"
@@ -534,9 +536,7 @@ class Simulation:
         rest = [(msg, ref, receivers, later)] if later else []
         rest += items
         if rest:
-            done = sum(len(x[3]) for x in batch) - sum(len(x[3]) for x in rest)
-            heapq.heappush(self._heap, (t, _FIRE, seq + done, "react", 0,
-                                        rest))
+            heapq.heappush(self._heap, (t, _FIRE, seq, "react", 0, rest))
 
     def _do_linkdown(self, t, u, v):
         if v in self.adj[u]:
@@ -606,12 +606,13 @@ def validate_trace(trace: ExecutionTrace):
     """Check the structural invariants every fair execution must satisfy:
     chronological order, complete per-neighbor fan-out with every delivery
     delay in (0, d], transition latency within l, disjoint per-node
-    transmission windows and at most one output per node.  `tol` absorbs
-    float rounding at the upper ends and in the ordering checks; any
-    positive delay is a valid draw.  Raises AssertionError on the first
-    violation, explicitly, so the checks also run under `python -O`."""
+    transmission windows and at most one output per node.  `tol`, d *
+    REL_TOL, absorbs float rounding at the upper ends and in the ordering
+    checks; any positive delay is a valid draw.  Raises AssertionError on
+    the first violation, explicitly, so the checks also run under
+    `python -O`."""
     d, l = trace.timing.d, trace.timing.l
-    tol = 1e-9  # seconds
+    tol = d * REL_TOL
     last_t = float("-inf")
     sends: dict[int, Event] = {}
     deliver_counts: dict[int, int] = {}

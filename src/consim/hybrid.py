@@ -64,7 +64,6 @@ class HybridAutomaton(GhsAutomaton):
     def __init__(self, ctx, m):
         super().__init__(ctx, mode=None)
         n = ctx.n
-        self.m = m
         self.threshold = math.ceil(n / m)
         self.cap = max(1, n // m)          # cut when a branch exceeds this
         self.floor_size = math.ceil(n / (2 * m))
@@ -77,8 +76,7 @@ class HybridAutomaton(GhsAutomaton):
         self.p2_reported = False
         self.child_counts: dict[int, int] = {}
         self.cut_children: dict[int, int] = {}
-        self.latest_cut: tuple | None = None  # (arrival seq, uid, size)
-        self._cut_seq = 0
+        self.latest_cut: tuple | None = None  # (uid, size) of the last cut
         self.awaiting_release = False
         self.old_parent: int | None = None
         self.undo_exception: int | None = None
@@ -227,7 +225,7 @@ class HybridAutomaton(GhsAutomaton):
         if self.is_root:
             self.cluster_size = count
             if count < self.floor_size and self.latest_cut is not None:
-                _, cut_uid, cut_size = self.latest_cut
+                cut_uid, cut_size = self.latest_cut
                 self.cluster_size += cut_size
                 self.undo_exception = cut_uid
                 self._begin_announce(cut_uid, out)
@@ -240,8 +238,7 @@ class HybridAutomaton(GhsAutomaton):
             out.append(self.ctx.message("p2.cut", dst=self.old_parent,
                                         payload=(count,), uids=2))
             return
-        cut_uid, cut_size = (self.latest_cut[1], self.latest_cut[2]) \
-            if self.latest_cut else (None, 0)
+        cut_uid, cut_size = self.latest_cut or (None, 0)
         out.append(self.ctx.message("p2.count", dst=self.parent,
                                     payload=(count, cut_uid, cut_size), uids=4))
 
@@ -260,18 +257,14 @@ class HybridAutomaton(GhsAutomaton):
             count, cut_uid, cut_size = msg.payload
             self.child_counts[src] = count
             if cut_uid is not None:
-                self._note_cut(cut_uid, cut_size)
+                self.latest_cut = (cut_uid, cut_size)
         elif tag == "cut":
             self.child_counts[src] = 0
             self.cut_children[src] = msg.payload[0]
-            self._note_cut(src, msg.payload[0])
+            self.latest_cut = (src, msg.payload[0])
         else:
             raise InvariantViolation(f"unknown p2 tag {tag}")
         self._maybe_count(out)
-
-    def _note_cut(self, uid, size):
-        self._cut_seq += 1
-        self.latest_cut = (self._cut_seq, uid, size)
 
     # ------------------------------------------------------------------
     # phase 3: announce, discovery, in-cluster aggregation
@@ -628,7 +621,7 @@ class HybridAutomaton(GhsAutomaton):
         self.cluster_size = count
         if count < self.floor_size and self.latest_cut is not None:
             # a cut from this very pass shrank us too far: take it back
-            _, cut_uid, cut_size = self.latest_cut
+            cut_uid, cut_size = self.latest_cut
             self.cluster_size = count + cut_size
             self.pf_undo = cut_uid
             self.undo_exception = cut_uid
@@ -675,7 +668,7 @@ class HybridAutomaton(GhsAutomaton):
                 return
             self.child_counts[src] = 0
             self.cut_children[src] = count
-            self._note_cut(src, count)
+            self.latest_cut = (src, count)
             self.pf_pending.discard(src)
             self._pf_maybe_report(out)
         elif tag == "branch_lost":
@@ -881,7 +874,7 @@ class FailureExperiment:
         failed_graph = fail_link(self.graph, edge)  # raises if it disconnects
         if at is None:
             at = self.initial_trace.last_output_time() + self.sim.timing.d
-        repair = self._continue(at, require_outputs=False)
+        repair = self._continue(at)
         repair.schedule_link_down(u, v, at)
         self.repair_trace = repair.run()
         self.graph = failed_graph
@@ -906,12 +899,11 @@ class FailureExperiment:
         self.sim = rerun
         return self.rerun_trace
 
-    def _continue(self, start, require_outputs=True):
+    def _continue(self, start):
         """A follow-on execution over the current automata and graph."""
         return Simulation(self.sim.protocol, self.graph, self.sim.values,
                           fn=self.fn, timing=self.sim.timing,
                           scheduler=self.sim.scheduler.name,
                           seed=self.sim.seed + 1,
                           size_model=self.sim.size_model,
-                          automata=self.sim.automata, start_time=start,
-                          require_outputs=require_outputs)
+                          automata=self.sim.automata, start_time=start)

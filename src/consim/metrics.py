@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .engine import REL_TOL
 from .errors import IncompleteTrace
 
 
@@ -31,9 +32,8 @@ def _sweep(sends, d: float) -> float:
         endpoints.append((e.t, rate))
         endpoints.append((e.t + d, -rate))
     endpoints.sort(key=lambda p: p[0])
-    # endpoint times that should coincide can drift by an ulp (t + d versus a
-    # later send computed as (k+1)*d), so coalesce within a relative hair
-    tol = d * 1e-9
+    # coalesce endpoint times that should coincide but drift by an ulp
+    tol = d * REL_TOL
     level = peak = 0.0
     i = 0
     while i < len(endpoints):

@@ -59,6 +59,16 @@ def test_sweep_over_m_appends_bound_columns(capsys):
     assert ms == ["1", "2", "4"]
 
 
+def test_sweep_worker_pool_gives_the_serial_csv(capsys):
+    args = ("sweep", "--axis", "m", "--values", "1,2,3", "--algo", "hybrid",
+            "--topo", "cycle", "--n", "9", "--fn", "max", "--sched", "random")
+    _, serial, _ = run_cli(capsys, *args, "--workers", "1")
+    code, pooled, _ = run_cli(capsys, *args, "--workers", "2")
+    assert code == 0
+    assert len(serial.splitlines()) == 4
+    assert pooled == serial
+
+
 def test_sweep_axis_b_scales_flooding_peak_linearly(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--axis", "b", "--values",
                            "64,768,4096", "--algo", "flooding", "--topo",

@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -307,7 +309,7 @@ def test_trace_jsonl_schema_field_order():
 PATH2 = make_topology("path", 2, seed=0)
 
 
-def _hand_trace(sends):
+def _hand_trace(sends, d=0.01):
     """sends: (send time, delivery delay or None[, transition latency[,
     dst tag]]) from one node of a 2-node path; each send expects one
     delivery, and a latency adds the receiver's transition on it."""
@@ -323,7 +325,7 @@ def _hand_trace(sends):
                                 msg=msg, ref=ref))
     events.sort(key=lambda e: e.t)
     return ExecutionTrace(events=events, outputs={}, config={},
-                          timing=TimingParams(d=0.01, l=0.001),
+                          timing=TimingParams(d=d, l=d / 10),
                           size_model=SizeModel(uid_bits=2, value_bits=8),
                           graph=PATH2,
                           send_fanout={ref: 1 for ref in range(len(sends))})
@@ -346,6 +348,13 @@ def test_validate_trace_accepts_tiny_random_delay():
 def test_validate_trace_rejects(sends, text):
     with pytest.raises(AssertionError, match=re.escape(text)):
         validate_trace(_hand_trace(sends))
+
+
+def test_validate_trace_rejects_late_delivery_at_small_d():
+    # the tolerance scales with d: an absolute 1e-9 s would let this
+    # delivery, 1.5 d after its send, pass
+    with pytest.raises(AssertionError, match=re.escape("outside (0, d]")):
+        validate_trace(_hand_trace([(0.0, 1.5e-10)], d=1e-10))
 
 
 def test_checks_survive_python_O():
@@ -447,3 +456,45 @@ def test_cli_trace_file_equals_to_jsonl(tmp_path, capsys, fail):
     capsys.readouterr()
     assert path.read_text() == trace.to_jsonl() == _reference_jsonl(
         trace.events)
+
+
+# -- a finished execution is freed by reference counting alone ---------------
+
+@pytest.fixture
+def no_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+@pytest.mark.parametrize("algo, scheduler", _algorithm_scheduler_cases())
+def test_finished_simulation_is_not_a_reference_cycle(algo, scheduler,
+                                                      no_cycle_collector):
+    g = make_topology("random_connected", 9, {"p": 0.4}, seed=3)
+    fn = MeanFunction(128) if algo == "average" else MaxFunction(64)
+    sim = Simulation(ALGORITHMS[algo].protocol(2, 1e-3), g, list(range(9)),
+                     fn=fn, scheduler=scheduler, seed=3)
+    trace = sim.run()
+    ref = weakref.ref(sim)
+    del sim
+    assert ref() is None
+    assert len(trace.outputs) == 9  # the trace outlives its execution
+
+
+@pytest.mark.parametrize("scheduler", ["lockstep", "random"])
+def test_failure_experiment_executions_are_not_reference_cycles(
+        scheduler, no_cycle_collector):
+    g = make_topology("complete", 8, seed=2)
+    exp = FailureExperiment(g, list(range(8)), MaxFunction(64), 2, seed=2,
+                            scheduler=scheduler)
+    refs = [weakref.ref(exp.sim)]
+    child = next(u for u, a in sorted(exp.automata.items())
+                 if a.parent is not None)
+    exp.fail_link((child, exp.automata[child].parent))
+    refs.append(weakref.ref(exp.sim))
+    exp.reconsensus()
+    refs.append(weakref.ref(exp.sim))
+    del exp
+    assert [r() for r in refs] == [None, None, None]

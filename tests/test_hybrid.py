@@ -204,6 +204,68 @@ def test_recovery_after_non_tree_edge_failure_keeps_clusters():
     assert set(rerun.outputs.values()) == {8}
 
 
+def _edge_kind(automata, u, v):
+    """How the link {u, v} relates to the final clusters: the boundary of a
+    cut (a cut root and the old parent it left), a tree edge, or a non-tree
+    edge inside one cluster or between two."""
+    a, b = automata[u], automata[v]
+    if v == a.old_parent or u == b.old_parent:
+        return "cut-boundary"
+    if v == a.parent or u == b.parent:
+        return "tree"
+    return "intra-cluster" if a.cluster_id == b.cluster_id else "cross-cluster"
+
+
+def _recovery_case(g, m, scheduler, seed):
+    """A finished hybrid run on g, ready for one link failure."""
+    values = [(5 * i + 2) % 37 for i in range(g.n)]
+    return FailureExperiment(g, values, MaxFunction(64), m, timing=TIMING,
+                             seed=seed, scheduler=scheduler)
+
+
+def _fail_and_recover(exp, edge):
+    """Fail `edge` and recompute: every trace must be valid, the outputs
+    exact and the clusters disciplined."""
+    exp.fail_link(edge)
+    rerun = exp.reconsensus()
+    for trace in (exp.initial_trace, exp.repair_trace, rerun):
+        validate_trace(trace)
+    want = oracle(exp.fn, exp.sim.values.values())
+    assert rerun.outputs == dict.fromkeys(exp.graph.uids, want)
+    assert not check_cluster_discipline(exp.automata, exp.graph.n, exp.m)
+
+
+# (seed, p, m) of random_connected n=10 graphs on which every edge kind
+# occurs; their first edges of each kind run every branch of on_link_down
+# and of _route_repair, and the pf.route_dead relay
+KIND_GRAPHS = [(0, 0.3, 2), (2, 0.3, 3)]
+
+
+@pytest.mark.parametrize("scheduler", ["lockstep", "random"])
+@pytest.mark.parametrize("kind", ["cut-boundary", "cross-cluster",
+                                  "intra-cluster"])
+def test_recovery_after_non_tree_edge_failure_of_every_kind(kind, scheduler):
+    for seed, p, m in KIND_GRAPHS:
+        g = make_topology("random_connected", 10, {"p": p}, seed=seed)
+        automata = _recovery_case(g, m, scheduler, seed).automata
+        edges = [e for e in sorted(g.edges)
+                 if _edge_kind(automata, *e) == kind and _still_connected(g, e)]
+        assert edges, (seed, kind)
+        for edge in edges[:2]:
+            _fail_and_recover(_recovery_case(g, m, scheduler, seed), edge)
+
+
+@pytest.mark.parametrize("scheduler", ["lockstep", "random"])
+def test_small_half_joins_through_the_child_that_found_the_candidate(scheduler):
+    # the half below the failed tree edge is under ceil(n/2m), and its best
+    # foreign edge lies below its new root: the join goes down to it
+    g = make_topology("random_connected", 14, {"p": 0.3}, seed=1)
+    exp = _recovery_case(g, 2, scheduler, seed=1)
+    assert _edge_kind(exp.automata, 1, 11) == "tree"
+    _fail_and_recover(exp, (1, 11))
+    assert any(e.msg.mtype == "pf.join" for e in exp.repair_trace.sends())
+
+
 def test_link_down_before_output_is_rejected_promptly():
     # recovery starts only once consensus has completed; a failure during
     # phase 1 must end in a typed error, not loop until the event cap

@@ -1,0 +1,120 @@
+"""Print one replay digest per fixed execution, to compare two versions.
+
+Run it at two commits and diff the outputs; identical output means the
+executions it covers replay byte for byte:
+
+    PYTHONPATH=src python3 tools/replay_digests.py > after.txt
+
+Each line is `case sha256`, the digest covering every trace of the case:
+its JSONL export, every event's ref, the per-send fan-out, the message and
+bit totals, the outputs, the per-phase peaks and, for a trace in which every
+node outputs, its CSV row.  A case that raises prints the error instead.
+
+Cases: every registry algorithm on every topology kind under every
+scheduler at n = 9 and 17, averaging both recorded and lean, and hybrid
+failure experiments that fail, one at a time, every breakable edge of a few
+graphs (tree edges, cut boundaries, intra- and cross-cluster edges).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+from consim.algorithms import ALGORITHMS
+from consim.engine import SCHEDULERS, Simulation, TimingParams
+from consim.errors import ConsimError, WouldDisconnect
+from consim.functions import MaxFunction, get_function
+from consim.hybrid import FailureExperiment
+from consim.metrics import peak_bandwidth_by_phase, report_from_trace
+from consim.topology import TOPOLOGY_KINDS, fail_link, make_topology
+
+TIMING = TimingParams(d=0.01, l=0.001)
+FUNCTIONS = {"flooding": "median", "average": "mean", "ghs-parallel": "vote:3",
+             "ghs-token": "min", "hybrid": "max"}
+# (kind, n, p, seed, m); the first three hold every edge kind, and failing
+# (1, 11) of the third forwards a join request down the lower half
+FAILURE_GRAPHS = (("random_connected", 10, 0.3, 0, 2),
+                  ("random_connected", 10, 0.3, 2, 3),
+                  ("random_connected", 14, 0.3, 1, 2),
+                  ("cycle", 12, None, 13, 4),
+                  ("complete", 9, None, 3, 3))
+
+
+def _digest(traces, m=None) -> str:
+    h = hashlib.sha256()
+    for trace in traces:
+        h.update(trace.to_jsonl().encode())
+        h.update(repr([e.ref for e in trace.events]).encode())
+        h.update(repr(sorted(trace.send_fanout.items())).encode())
+        h.update(f"{trace.messages_total} {trace.bits_total}".encode())
+        h.update(repr(sorted(trace.outputs.items())).encode())
+        h.update(repr(peak_bandwidth_by_phase(trace)).encode())
+        outputs = sum(e.kind == "output" for e in trace.events)
+        if outputs == trace.graph.n:
+            h.update(report_from_trace(trace, m=m).csv_row().encode())
+    return h.hexdigest()
+
+
+def _line(name, execute, *args):
+    try:
+        return f"{name} {execute(*args)}"
+    except ConsimError as err:
+        return f"{name} error {type(err).__name__}: {err}"
+
+
+def _single(algo, g, values, fn, sched, mode):
+    sim = Simulation(ALGORITHMS[algo].protocol(3, 1e-3), g, values, fn=fn,
+                     timing=TIMING, scheduler=sched, seed=g.n,
+                     record_events=mode == "recorded")
+    return _digest([sim.run()], 3 if algo == "hybrid" else None)
+
+
+def _failure(g, values, m, seed, sched, edge):
+    exp = FailureExperiment(g, values, MaxFunction(64), m, timing=TIMING,
+                            seed=seed, scheduler=sched)
+    exp.fail_link(edge)
+    exp.reconsensus()
+    return _digest([exp.initial_trace, exp.repair_trace, exp.rerun_trace], m)
+
+
+def single_cases():
+    for algo in sorted(ALGORITHMS):
+        fn = get_function(FUNCTIONS[algo], 128)
+        modes = ("recorded", "lean") if algo == "average" else ("recorded",)
+        for kind in TOPOLOGY_KINDS:
+            for n in (9, 17):
+                g = make_topology(kind, n, {"p": 0.35}, seed=n)
+                values = [(7 * i + 3) % (3 if fn.name == "vote" else 41)
+                          for i in range(n)]
+                for sched in sorted(SCHEDULERS):
+                    for mode in modes:
+                        yield _line(f"{algo}/{kind}/{n}/{sched}/{mode}",
+                                    _single, algo, g, values, fn, sched, mode)
+
+
+def failure_cases():
+    for kind, n, p, seed, m in FAILURE_GRAPHS:
+        g = make_topology(kind, n, {"p": p} if p else {}, seed=seed)
+        values = [(5 * i + 2) % 37 for i in range(n)]
+        for edge in sorted(g.edges):
+            try:
+                fail_link(g, edge)
+            except WouldDisconnect:
+                continue
+            for sched in sorted(SCHEDULERS):
+                yield _line(f"hybrid-fail/{kind}/{n}/{edge[0]}-{edge[1]}/"
+                            f"{sched}", _failure, g, values, m, seed, sched,
+                            edge)
+
+
+def main() -> int:
+    for line in single_cases():
+        print(line)
+    for line in failure_cases():
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
