@@ -19,6 +19,7 @@ estimate, once every estimate is within eps * range(x) of the fixed point.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import attrgetter
 
@@ -72,8 +73,8 @@ class AverageProtocol(Protocol):
     round_driven = True
 
     def __init__(self, eps: float = 1e-3):
-        if eps <= 0:
-            raise ConfigError("eps must be positive")
+        if not 0 < eps < math.inf:
+            raise ConfigError("eps must be positive and finite")
         self.eps = eps
         self._values = None  # initial values the monitor was set up for
 

@@ -78,8 +78,8 @@ def hybrid_bandwidth(n, b, d, m, mode="ceil_log2"):
 def eval_bounds(n: int, b: int, d: float, m: int | None = None,
                 mode: str = "ceil_log2") -> dict:
     """Full table of ceilings for one (n, b, d, m) point."""
-    if n < 1 or b < 1 or d <= 0:
-        raise InvalidParams("need n >= 1, b >= 1, d > 0")
+    if n < 1 or b < 1 or not 0 < d < math.inf:
+        raise InvalidParams("need n >= 1, b >= 1, 0 < d < inf")
     if m is not None and not 1 <= m <= n:
         raise InvalidParams("need 1 <= m <= n")
     out = {

@@ -67,39 +67,50 @@ def _build(args):
     return graph, fn, timing
 
 
-def _single_report(args) -> tuple[list[ComplexityReport], object]:
+def _execution_report(args) -> tuple[list[ComplexityReport], object]:
+    """One execution and its report row; a sweep runs one per point."""
     graph, fn, timing = _build(args)
     values = _values(args, graph, fn)
     protocol = _algorithm(args).protocol(args.m, args.eps)
     m = args.m if args.algo == "hybrid" else None
-    if args.fail:
-        if args.algo != "hybrid":
-            raise ConfigError("--fail is only meaningful for the hybrid algorithm")
-        try:
-            u, v = (int(x) for x in args.fail.split(","))
-        except ValueError:
-            raise ConfigError(f"--fail expects U,V, got {args.fail!r}") from None
-        exp = FailureExperiment(graph, values, fn, args.m, timing=timing,
-                                seed=args.seed, scheduler=args.sched)
-        exp.fail_link((u, v), at=args.fail_at)
-        rerun = exp.reconsensus()
-        rows = [report_from_trace(exp.initial_trace, algo="hybrid", m=m)]
-        repair = exp.repair_trace
-        start = repair.config.get("start_time", 0.0)
-        rows.append(ComplexityReport(
-            algo="hybrid-repair", topology=args.topo, n=args.n,
-            b_bits=args.bits, d_s=args.d, m=m, seed=args.seed,
-            time_s=(repair.events[-1].t - start) if repair.events else 0.0,
-            messages=message_complexity(repair),
-            bits=byte_complexity(repair),
-            peak_bps=peak_bandwidth(repair)))
-        rows.append(report_from_trace(rerun, algo="hybrid-rerun", m=m))
-        return rows, exp.rerun_trace
     sim = Simulation(protocol, graph, values, fn=fn, timing=timing,
                      scheduler=args.sched, seed=args.seed,
                      event_cap=args.event_cap)
     trace = sim.run()
     return [report_from_trace(trace, m=m)], trace
+
+
+def _single_report(args) -> tuple[list[ComplexityReport], object]:
+    """The rows and trace of `run`: one execution or, with --fail, the
+    hybrid execution, the repair after the link failure and the renewed
+    consensus, one row each."""
+    if not args.fail:
+        return _execution_report(args)
+    if args.algo != "hybrid":
+        raise ConfigError("--fail is only meaningful for the hybrid algorithm")
+    graph, fn, timing = _build(args)
+    values = _values(args, graph, fn)
+    try:
+        u, v = (int(x) for x in args.fail.split(","))
+    except ValueError:
+        raise ConfigError(f"--fail expects U,V, got {args.fail!r}") from None
+    exp = FailureExperiment(graph, values, fn, args.m, timing=timing,
+                            seed=args.seed, scheduler=args.sched)
+    exp.fail_link((u, v), at=args.fail_at)
+    rerun = exp.reconsensus()
+    m = args.m
+    rows = [report_from_trace(exp.initial_trace, algo="hybrid", m=m)]
+    repair = exp.repair_trace
+    start = repair.config.get("start_time", 0.0)
+    rows.append(ComplexityReport(
+        algo="hybrid-repair", topology=args.topo, n=args.n,
+        b_bits=args.bits, d_s=args.d, m=m, seed=args.seed,
+        time_s=(repair.events[-1].t - start) if repair.events else 0.0,
+        messages=message_complexity(repair),
+        bits=byte_complexity(repair),
+        peak_bps=peak_bandwidth(repair)))
+    rows.append(report_from_trace(rerun, algo="hybrid-rerun", m=m))
+    return rows, exp.rerun_trace
 
 
 def _emit(text: str, path: str | None):
@@ -136,7 +147,7 @@ def _sweep_one(payload):
     args_dict, axis, value = payload
     args = argparse.Namespace(**args_dict)
     setattr(args, axis, value)
-    rows, _trace = _single_report(args)
+    rows, _trace = _execution_report(args)
     bound = _algorithm(args).bound
     ceil, exact = (bound(args.n, args.bits, args.d, args.m, mode)
                    for mode in bnd.MODES)
@@ -252,9 +263,6 @@ def build_parser(default_seed: int, config=None) -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", dest="values", required=True,
                          help="comma list or lo:hi range")
     p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument("--fail", default=None, help=argparse.SUPPRESS)
-    p_sweep.add_argument("--fail-at", type=float, default=None,
-                         help=argparse.SUPPRESS)
     for sub, func in ((p_run, cmd_run), (p_sweep, cmd_sweep)):
         # after every add_argument, so that each entry reaches its flag
         sub.set_defaults(**(config or {}))

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -67,8 +68,8 @@ class TimingParams:
     l: float = 0.001
 
     def __post_init__(self):
-        if self.d <= 0 or self.l <= 0:
-            raise ConfigError("timing parameters must be positive")
+        if not (0 < self.d < math.inf and 0 < self.l < math.inf):
+            raise ConfigError("timing parameters must be positive and finite")
 
 
 REL_TOL = 1e-9  # of d: rounding allowed between times that should coincide

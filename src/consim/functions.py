@@ -216,7 +216,12 @@ def get_function(spec: str, bits: int) -> ConsensusFunction:
     if spec == "mean":
         return MeanFunction(bits)
     if spec.startswith("vote:"):
-        return VoteFunction(bits, int(spec.split(":", 1)[1]))
+        try:
+            candidates = int(spec[len("vote:"):])
+        except ValueError:
+            raise InvalidParams(
+                f"vote:k needs an integer k, got {spec!r}") from None
+        return VoteFunction(bits, candidates)
     if spec == "median":
         return MedianFunction(bits)
     raise InvalidParams(f"unknown consensus function {spec!r}")

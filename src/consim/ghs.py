@@ -6,8 +6,12 @@ a level and a fragment name, probe their cheapest basic edges with
 test/accept/reject exchanges, report the best outgoing edge toward the
 fragment core, and merge or absorb across it.  Edge weights are the
 lexicographic UID pairs supplied by the topology layer, so the MST is
-unique.  Messages carry only identifiers, one edge weight and booleans;
-every MST-phase message fits in flag_bits + 3 * uid_bits.
+unique.  Seen from one node u, edge_weight(u, v) grows with v, so the
+sorted neighbour tuple is already in weight order: a node's cheapest edge,
+or cheapest basic edge, is its first such neighbour, and weights are only
+compared when they come from other nodes.  Messages carry only
+identifiers, one edge weight and booleans; every MST-phase message fits in
+flag_bits + 3 * uid_bits.
 
 The fragment name is the smaller endpoint UID of the core edge.  Fragments
 are disjoint, and the core endpoints belong to the fragment, so coexisting
@@ -207,16 +211,17 @@ class GhsAutomaton(Automaton):
     def _wakeup(self, out):
         self.state = FOUND
         if not self.ctx.neighbors:
-            self._solo_finish(out)
+            self._finish_as_root(out)
             return
-        best = min(self.ctx.neighbors, key=self._w)
+        best = self.ctx.neighbors[0]  # the cheapest edge
         self.edge_state[best] = BRANCH
         # the level-0 connect every node opens with rides in its own compact
         # tag (level implicit), so the synchronized wakeup burst costs one
         # recipient UID per node
         out.append(self._m("connect0", dst=best, payload=(0,), uids=1))
 
-    def _solo_finish(self, out):
+    def _finish_as_root(self, out):
+        """The MST is final and this node is its root."""
         self.halted = True
         self.is_root = True
         self.root_uid = self.ctx.uid
@@ -312,14 +317,13 @@ class GhsAutomaton(Automaton):
             self._test(out)
 
     def _test(self, out):
-        basics = [p for p, s in self.edge_state.items() if s == BASIC]
-        if basics:
-            self.test_peer = min(basics, key=self._w)
+        self.test_peer = next((p for p in self.ctx.neighbors
+                               if self.edge_state[p] == BASIC), None)
+        if self.test_peer is None:
+            self._report(out)
+        else:
             out.append(self._m("test", dst=self.test_peer,
                                payload=(self.level, self.fname), uids=3))
-        else:
-            self.test_peer = None
-            self._report(out)
 
     def _on_test(self, msg, src, out):
         level, fname = msg.payload
@@ -390,11 +394,9 @@ class GhsAutomaton(Automaton):
 
     def _halt(self, core_peer, out):
         self.halted = True
-        self.is_root = self.ctx.uid > core_peer
-        if self.is_root:
+        if self.ctx.uid > core_peer:  # the higher core endpoint is the root
             self.in_branch = None  # the core peer becomes a child of the root
-            self.root_uid = self.ctx.uid
-            self._after_halt(out)
+            self._finish_as_root(out)
         # the non-root core endpoint learns the root from the flood / token
 
     # -- post-MST: rooting and aggregation ---------------------------------

@@ -48,8 +48,8 @@ from functools import reduce
 
 from .engine import Protocol, Simulation
 from .errors import ConfigError, InvariantViolation, StaleRoutingEntry
-from .ghs import BRANCH, FOUND, INF_W, GhsAutomaton, TokenPass
-from .topology import edge_weight, fail_link
+from .ghs import BASIC, BRANCH, INF_W, GhsAutomaton, TokenPass
+from .topology import fail_link
 
 EPOCH_BITS = 8  # phase-3/4 and recovery messages carry an epoch byte
 # in-cluster token pass: compute/reply fold the cluster value in phase 3,
@@ -74,7 +74,7 @@ class HybridAutomaton(GhsAutomaton):
         # phase 2
         self.started_p2 = False
         self.p2_reported = False
-        self.child_counts: dict[int, int] = {}
+        self.child_counts: dict[int, int] = {}  # read until p2_reported
         self.cut_children: dict[int, int] = {}
         self.latest_cut: tuple | None = None  # (uid, size) of the last cut
         self.awaiting_release = False
@@ -88,8 +88,7 @@ class HybridAutomaton(GhsAutomaton):
         self.disc_candidates: dict[int, set] = {}
         self.disc_pending: set = set()
         self.disc_sent = False
-        self.routing: dict[int, int] = {}
-        self.neighbor_clusters: set = set()
+        self.routing: dict[int, int] = {}  # neighbour cluster -> next hop
         self.token: TokenPass | None = None
         self.cluster_value = None
         self.value_dirty = True
@@ -115,20 +114,19 @@ class HybridAutomaton(GhsAutomaton):
     # ------------------------------------------------------------------
 
     def _wakeup(self, out):
-        self.state = FOUND
-        if self.threshold <= 1 or not self.ctx.neighbors:
-            self._finalize_p1(self.ctx.uid, None, out)
-            return
-        best = min(self.ctx.neighbors, key=self._w)
-        self.edge_state[best] = BRANCH
-        out.append(self._m("connect0", dst=best, payload=(0,), uids=1))
+        if self.threshold > 1:
+            super()._wakeup(out)
+        else:
+            self._finish_as_root(out)
+
+    def _finish_as_root(self, out):
+        self._finalize_p1(self.ctx.uid, None, out)
 
     def _report_payload(self):
         return (self.best_wt, 1 + self.count_acc)
 
     def _core_decide(self, peer_w, peer_count, src, out):
-        my_count = 1 + self.count_acc
-        frag_size = my_count + peer_count
+        frag_size = 1 + self.count_acc + peer_count
         exhausted = peer_w == INF_W and self.best_wt == INF_W
         if frag_size >= self.threshold or exhausted:
             root = max(self.ctx.uid, src)
@@ -142,7 +140,6 @@ class HybridAutomaton(GhsAutomaton):
         (parent None) or hangs below `parent` in it."""
         self.halted = True
         self.is_root = parent is None
-        self.root_uid = root_uid
         self.cluster_id = root_uid
         self.parent = parent
         if self.ctx.neighbors:
@@ -153,9 +150,8 @@ class HybridAutomaton(GhsAutomaton):
     def children(self):
         # a cut root keeps the severed edge in branch state (an undo may
         # restore it), but its old parent is never a child
-        kids = [p for p, s in self.edge_state.items()
-                if s == BRANCH and p != self.parent and p != self.old_parent]
-        return tuple(sorted(kids))
+        return tuple(sorted(p for p in self._branch_peers()
+                            if p not in (self.parent, self.old_parent)))
 
     def _members(self):
         """Children that still belong to this cluster."""
@@ -209,8 +205,7 @@ class HybridAutomaton(GhsAutomaton):
 
     def _maybe_start_p2(self, out):
         if (not self.halted or self.started_p2
-                or any(nb not in self.neighbor_done
-                       for nb in self.ctx.neighbors)):
+                or len(self.neighbor_done) < len(self.ctx.neighbors)):
             return
         self.started_p2 = True
         self._maybe_count(out)
@@ -223,34 +218,48 @@ class HybridAutomaton(GhsAutomaton):
         self.p2_reported = True
         count = 1 + sum(self.child_counts.values())
         if self.is_root:
-            self.cluster_size = count
-            if count < self.floor_size and self.latest_cut is not None:
-                cut_uid, cut_size = self.latest_cut
-                self.cluster_size += cut_size
-                self.undo_exception = cut_uid
-                self._begin_announce(cut_uid, out)
-            else:
-                self._begin_announce(None, out)
-            return
-        if count > self.cap:
-            # too many descendants: start a new cluster and cut loose
-            self._become_cut_root(count)
-            out.append(self.ctx.message("p2.cut", dst=self.old_parent,
-                                        payload=(count,), uids=2))
-            return
-        cut_uid, cut_size = self.latest_cut or (None, 0)
-        out.append(self.ctx.message("p2.count", dst=self.parent,
-                                    payload=(count, cut_uid, cut_size), uids=4))
+            self._begin_announce(self._take_back(count), out)
+        elif not self._cut_loose(count, "p2.cut", (count,), 2, 0, out):
+            cut_uid, cut_size = self.latest_cut or (None, 0)
+            out.append(self.ctx.message("p2.count", dst=self.parent,
+                                        payload=(count, cut_uid, cut_size),
+                                        uids=4))
 
-    def _become_cut_root(self, count):
+    # the splitting rule, shared by phase 2 and recovery
+
+    def _cut_loose(self, count, mtype, payload, uids, extra, out) -> bool:
+        """A branch of more than `cap` nodes starts a cluster of its own
+        and tells its old parent (`mtype`); returns whether it did."""
+        if count <= self.cap:
+            return False
         self.awaiting_release = True
         self.old_parent = self.parent
         self.parent = None
         self.is_root = True
         self.cluster_id = self.ctx.uid
-        self.root_uid = self.ctx.uid
         self.cluster_size = count
         self.value_dirty = True
+        out.append(self.ctx.message(mtype, dst=self.old_parent,
+                                    payload=payload, uids=uids, extra=extra))
+        return True
+
+    def _on_cut(self, child, size):
+        """The old parent's side of a cut: `child` left with `size` nodes."""
+        self.child_counts[child] = 0
+        self.cut_children[child] = size
+        self.latest_cut = (child, size)
+
+    def _take_back(self, count):
+        """A root whose own count is below the floor takes back the latest
+        cut; sets the cluster size and returns the cut root taken back, or
+        None."""
+        self.cluster_size = count
+        if count >= self.floor_size or self.latest_cut is None:
+            return None
+        cut_uid, cut_size = self.latest_cut
+        self.cluster_size += cut_size
+        self.undo_exception = cut_uid
+        return cut_uid
 
     def _on_p2(self, tag, msg, src, out):
         if tag == "count":
@@ -259,9 +268,7 @@ class HybridAutomaton(GhsAutomaton):
             if cut_uid is not None:
                 self.latest_cut = (cut_uid, cut_size)
         elif tag == "cut":
-            self.child_counts[src] = 0
-            self.cut_children[src] = msg.payload[0]
-            self.latest_cut = (src, msg.payload[0])
+            self._on_cut(src, msg.payload[0])
         else:
             raise InvariantViolation(f"unknown p2 tag {tag}")
         self._maybe_count(out)
@@ -271,24 +278,19 @@ class HybridAutomaton(GhsAutomaton):
     # ------------------------------------------------------------------
 
     def _begin_announce(self, undo_uid, out):
-        if undo_uid is not None and undo_uid in self.cut_children:
-            del self.cut_children[undo_uid]  # that branch rejoins us
+        self.cut_children.pop(undo_uid, None)  # that branch rejoins us
         self.announced_epoch = self.epoch
         self.token = None
         self.p4_ready = False
-        self._reset_discovery()
+        self.disc_candidates = {}
+        self.disc_pending = set(self._members())
+        self.disc_sent = False
+        self.routing = {}
         if self.ctx.live_neighbors():
             out.append(self.ctx.message(
                 "p3.announce", payload=(self.cluster_id, undo_uid, self.epoch),
                 uids=2, extra=EPOCH_BITS))
         self._maybe_report_discovery(out)
-
-    def _reset_discovery(self):
-        self.disc_candidates = {}
-        self.disc_pending = set(self._members())
-        self.disc_sent = False
-        self.routing = {}
-        self.neighbor_clusters = set()
 
     def _on_announce(self, msg, src, out):
         cid, undo_uid, epoch = msg.payload
@@ -297,7 +299,6 @@ class HybridAutomaton(GhsAutomaton):
             # our own cluster's flood, moving from the root toward leaves
             self.epoch = epoch
             self.cluster_id = cid
-            self.root_uid = cid
             self._begin_announce(undo_uid, out)
         elif (self.awaiting_release and src == self.old_parent
               and epoch >= self.epoch):
@@ -309,7 +310,6 @@ class HybridAutomaton(GhsAutomaton):
                 self.parent = self.old_parent
                 self.old_parent = None
                 self.cluster_id = cid
-                self.root_uid = cid
             self._begin_announce(None, out)
         else:
             self._maybe_report_discovery(out)
@@ -335,11 +335,10 @@ class HybridAutomaton(GhsAutomaton):
                 self.disc_candidates.setdefault(cid, set()).add(nb)
         self.routing = {cid: min(cands)
                         for cid, cands in self.disc_candidates.items()}
-        self.neighbor_clusters = set(self.routing)
         if self.is_root:
             self._start_cluster_value(out)
         else:
-            ids = tuple(sorted(self.neighbor_clusters))
+            ids = tuple(sorted(self.routing))
             out.append(self.ctx.message("p3.clusters", dst=self.parent,
                                         payload=(ids, self.epoch),
                                         uids=1 + len(ids), extra=EPOCH_BITS))
@@ -358,21 +357,29 @@ class HybridAutomaton(GhsAutomaton):
         if not self.value_dirty and self.cluster_value is not None:
             self._enter_p4(out)
             return
-        self.token = TokenPass(self.ctx, None, self._members(),
-                               TOKEN_TYPES)
-        msgs, event = self.token.start_compute(
+        msgs, event = self._token().start_compute(
             self.ctx.fn.initial(self.ctx.value))
         out.extend(msgs)
-        self._root_token_event(event, out)
+        self._token_event(event, out)
 
-    def _root_token_event(self, event, out):
+    def _token(self) -> TokenPass:
+        """This epoch's in-cluster token pass, built on first use."""
+        if self.token is None:
+            self.token = TokenPass(self.ctx, self.parent, self._members(),
+                                   TOKEN_TYPES)
+        return self.token
+
+    def _token_event(self, event, out):
+        """A finished fold (only a root has one) is the cluster value; a
+        finished relay carries the global value (a root output it already)."""
         if event is None:
             return
         if event[0] == "computed":
             self.cluster_value = event[1]
             self.value_dirty = False
             self._enter_p4(out)
-        # "terminated" at the root: dissemination finished, nothing left to do
+        else:
+            self.output = self.ctx.fn.decode(event[1])
 
     # ------------------------------------------------------------------
     # phase 4: flooding across clusters
@@ -390,7 +397,7 @@ class HybridAutomaton(GhsAutomaton):
         self._flush_pairs(out)
 
     def _all_routes_direct_to_roots(self) -> bool:
-        return all(self.routing.get(c) == c for c in self.neighbor_clusters)
+        return all(hop == c for c, hop in self.routing.items())
 
     def _pair_batch(self, cids):
         return tuple((c,) + self.value_table[c] for c in sorted(cids))
@@ -400,7 +407,7 @@ class HybridAutomaton(GhsAutomaton):
             return  # keep the backlog until discovery has built the routes
         cids = [c for c in self.pending_pairs if c in self.value_table]
         self.pending_pairs = []
-        if not cids or not self.neighbor_clusters:
+        if not cids or not self.routing:
             return
         if self._all_routes_direct_to_roots():
             batch = self._pair_batch(cids)
@@ -408,7 +415,7 @@ class HybridAutomaton(GhsAutomaton):
                 "p4.share", payload=(self.cluster_id, batch, self.epoch),
                 uids=1 + 2 * len(batch), values=len(batch), extra=EPOCH_BITS))
             return
-        for dest in sorted(self.neighbor_clusters):
+        for dest in sorted(self.routing):
             send = [c for c in cids if c != dest and self.pair_from[c] != dest]
             if send:
                 out.append(self._values_msg(self._hop(dest), (
@@ -453,10 +460,8 @@ class HybridAutomaton(GhsAutomaton):
         self.global_final = fn.finalize(reduce(
             fn.combine, [self.value_table[c][1] for c in sorted(self.value_table)]))
         self.output = fn.decode(self.global_final)
-        if self.token is None:  # cluster value was reused, no compute pass ran
-            self.token = TokenPass(self.ctx, None, self._members(),
-                                   TOKEN_TYPES)
-        msgs, _event = self.token.start_relay(self.global_final)
+        # built here when the cluster value was reused and no compute ran
+        msgs, _event = self._token().start_relay(self.global_final)
         out.extend(msgs)
 
     def on_flush(self):
@@ -471,17 +476,9 @@ class HybridAutomaton(GhsAutomaton):
         elif mtype == "p3.clusters":
             self._on_clusters(msg, src, out)
         elif mtype in TOKEN_TYPES:
-            if self.token is None:
-                self.token = TokenPass(self.ctx, self.parent, self._members(),
-                                       TOKEN_TYPES)
-            msgs, event = self.token.handle(msg, src)
+            msgs, event = self._token().handle(msg, src)
             out.extend(msgs)
-            if event is None:
-                return
-            if self.is_root:
-                self._root_token_event(event, out)
-            elif event[0] == "terminated":
-                self.output = self.ctx.fn.decode(event[1])
+            self._token_event(event, out)
         elif mtype == "p4.share":
             src_cluster, batch, epoch = msg.payload
             if self.is_root and epoch == self.epoch and \
@@ -519,32 +516,25 @@ class HybridAutomaton(GhsAutomaton):
                    if peer in cands]
         for cid in touched:
             self.disc_candidates[cid].discard(peer)
-        if peer == self.old_parent:
-            # the cut boundary is gone for good; the cut stands
-            self.awaiting_release = False
-            self.old_parent = None
-            self.edge_state.pop(peer, None)
-            self._route_repair(peer, touched, out)
-        elif peer == self.parent:
+        if peer == self.parent:
             # child side of a broken tree edge: we lead the lower half
-            self.edge_state[peer] = "basic"
+            self.edge_state[peer] = BASIC
             self.parent = None
             self.is_root = True
             self.pf_initiator = True
             self.value_dirty = True
             self._pf_start_count(out)
-        elif peer in self.cut_children:
-            # boundary toward a branch that already cut loose: no members lost
-            self.cut_children.pop(peer, None)
-            self.child_counts.pop(peer, None)
-            self.edge_state.pop(peer, None)
-            self._route_repair(peer, touched, out)
-        elif self.edge_state.get(peer) == BRANCH:
+        elif peer in self._members():
             # parent side: drop the branch and have the root recount
-            self.edge_state[peer] = "basic"
-            self.child_counts.pop(peer, None)
+            self.edge_state[peer] = BASIC
             self._recount("pf.branch_lost", (self.epoch,), 1, out)
         else:
+            # a non-tree edge or a cut boundary, on either side: no members
+            # lost, and a cut across it stands
+            if peer == self.old_parent:
+                self.awaiting_release = False
+                self.old_parent = None
+            self.cut_children.pop(peer, None)
             self.edge_state.pop(peer, None)
             self._route_repair(peer, touched, out)
         return out
@@ -559,8 +549,7 @@ class HybridAutomaton(GhsAutomaton):
                     self.routing[cid] = min(cands)
                 else:
                     self.routing.pop(cid, None)
-                    self.neighbor_clusters.discard(cid)
-                    if not self.is_root and self.parent is not None:
+                    if self.parent is not None:
                         out.append(self.ctx.message(
                             "pf.route_dead", dst=self.parent,
                             payload=(cid, self.epoch), uids=2,
@@ -585,14 +574,13 @@ class HybridAutomaton(GhsAutomaton):
         self._pf_maybe_report(out)
 
     def _pf_own_candidate(self):
-        best = None
+        """(weight, self, peer) of the cheapest edge to a foreign cluster:
+        the first foreign neighbour, as neighbour order is weight order."""
         for nb in self.ctx.live_neighbors():
             got = self.neighbor_cluster.get(nb)
             if got and got[0] != self.cluster_id:
-                w = edge_weight(self.ctx.uid, nb)
-                if best is None or w < best[0]:
-                    best = (w, self.ctx.uid, nb)
-        return best
+                return self._w(nb), self.ctx.uid, nb
+        return None
 
     def _pf_maybe_report(self, out):
         if not self.pf_active or self.pf_pending:
@@ -603,28 +591,21 @@ class HybridAutomaton(GhsAutomaton):
         if self.pf_cand is not None and (cand is None or self.pf_cand < cand):
             cand = self.pf_cand
         if not self.pf_initiator:
-            if count > self.cap:
-                # splitting rule, re-applied during recovery
-                self._become_cut_root(count)
+            # the splitting rule, re-applied during recovery
+            if not self._cut_loose(count, "pf.cut",
+                                   (count, self.pf_token, self.epoch), 4,
+                                   EPOCH_BITS, out):
                 out.append(self.ctx.message(
-                    "pf.cut", dst=self.old_parent,
-                    payload=(count, self.pf_token, self.epoch),
-                    uids=4, extra=EPOCH_BITS))
-                return
-            out.append(self.ctx.message("pf.count", dst=self.parent,
-                                        payload=(count, cand, self.pf_token,
-                                                 self.epoch),
-                                        uids=6, extra=EPOCH_BITS))
+                    "pf.count", dst=self.parent,
+                    payload=(count, cand, self.pf_token, self.epoch),
+                    uids=6, extra=EPOCH_BITS))
             return
-        # initiating root: decide what this part becomes
+        # initiating root: decide what this part becomes; only a cut from
+        # this very pass can be taken back
         self.pf_initiator = False
-        self.cluster_size = count
-        if count < self.floor_size and self.latest_cut is not None:
-            # a cut from this very pass shrank us too far: take it back
-            cut_uid, cut_size = self.latest_cut
-            self.cluster_size = count + cut_size
-            self.pf_undo = cut_uid
-            self.undo_exception = cut_uid
+        undo = self._take_back(count)
+        if undo is not None:
+            self.pf_undo = undo
         elif count < self.floor_size and cand is not None:
             self.pf_joining = True
             self._pf_forward_join(cand, count, out)
@@ -666,9 +647,7 @@ class HybridAutomaton(GhsAutomaton):
             count, token, _epoch = msg.payload
             if token != self.pf_token:
                 return
-            self.child_counts[src] = 0
-            self.cut_children[src] = count
-            self.latest_cut = (src, count)
+            self._on_cut(src, count)
             self.pf_pending.discard(src)
             self._pf_maybe_report(out)
         elif tag == "branch_lost":
@@ -680,7 +659,6 @@ class HybridAutomaton(GhsAutomaton):
         elif tag == "join_req":
             size, epoch = msg.payload
             self._attach(src)
-            self.child_counts.pop(src, None)
             out.append(self.ctx.message("pf.join_ack", dst=src,
                                         payload=(self.cluster_id, epoch),
                                         uids=2, extra=EPOCH_BITS))
@@ -742,7 +720,6 @@ class HybridAutomaton(GhsAutomaton):
         """Join cluster `cid` and pass the news (`mtype`) to the members
         below."""
         self.cluster_id = cid
-        self.root_uid = cid
         if self._members():
             out.append(self.ctx.message(mtype, payload=(cid, epoch), uids=1,
                                         extra=EPOCH_BITS))
@@ -758,7 +735,6 @@ class HybridAutomaton(GhsAutomaton):
         self.value_table = {}
         self.pair_from = {}
         self.pending_pairs = []
-        self.p4_ready = False
         undo, self.pf_undo = self.pf_undo, None
         self._begin_announce(undo, out)
         return out

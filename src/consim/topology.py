@@ -163,13 +163,17 @@ def dump_adjacency(graph: Graph) -> str:
 
 def load_adjacency(text: str, kind: str = "imported") -> Graph:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    n = int(lines[0])
     edges = set()
     uids = set()
-    for ln in lines[1:]:
-        a, b = (int(x) for x in ln.split())
-        edges.add(edge_weight(a, b))
-        uids.update((a, b))
+    try:
+        n = int(lines[0])
+        for ln in lines[1:]:
+            a, b = (int(x) for x in ln.split())
+            edges.add(edge_weight(a, b))
+            uids.update((a, b))
+    except (IndexError, ValueError):
+        raise InvalidParams("adjacency text must be a node count, then one "
+                            "'u v' pair of integers per line") from None
     if len(uids) < n:
         # isolated nodes are only legal for n == 1
         if n == 1 and not edges:

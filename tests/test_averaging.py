@@ -114,6 +114,12 @@ def test_irregular_graph_converges_to_degree_weighted_fixed_point():
         assert v == pytest.approx(target, abs=1e-7)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_eps_must_be_finite(eps):
+    with pytest.raises(ConfigError):
+        AverageProtocol(eps=eps)
+
+
 def test_rejects_non_mean_functions_and_non_lockstep():
     g = make_topology("cycle", 4, seed=0)
     with pytest.raises(ConfigError):

@@ -77,6 +77,9 @@ def test_param_validation():
         eval_bounds(10, 768, 0.01, m=11)
     with pytest.raises(InvalidParams):
         eval_bounds(10, 768, -1.0)
+    for d in (math.nan, math.inf):
+        with pytest.raises(InvalidParams):
+            eval_bounds(10, 768, d)
 
 
 def test_curve_rows_shape():

@@ -103,7 +103,9 @@ def test_bounds_rejects_m_outside_one_to_n(capsys, m_flags):
 
 
 @pytest.mark.parametrize("flags", [("--n", "0"), ("--n", "10", "--bits", "0"),
-                                   ("--n", "10", "--d", "0")])
+                                   ("--n", "10", "--d", "0"),
+                                   ("--n", "10", "--d", "nan"),
+                                   ("--n", "10", "--d", "inf")])
 def test_bounds_rejects_n_b_d_out_of_range(capsys, flags):
     # also without --m: the fixed algorithms' rows are checked too
     code, out, err = run_cli(capsys, "bounds", *flags)
@@ -219,8 +221,54 @@ def test_config_file_values_are_converted_like_flags(tmp_path, capsys):
      "--topo", "cycle", "--n", "6"),
     ("run", "--topo", "path", "--n", "3", "--init-values", "1,a,3"),
     ("run", "--topo", "path", "--n", "3", "--bits", "1"),
+    ("run", "--topo", "path", "--n", "3", "--fn", "vote:x"),
+    ("run", "--topo", "path", "--n", "3", "--fn", "vote:"),
 ])
 def test_malformed_input_is_a_configuration_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--topo", "path", "--n", "3", "--d", "nan"),
+    ("run", "--topo", "path", "--n", "3", "--d", "inf"),
+    ("run", "--topo", "path", "--n", "3", "--l", "nan"),
+    ("run", "--topo", "path", "--n", "3", "--l", "inf"),
+    # the cap keeps a run that would never converge short
+    ("run", "--algo", "average", "--fn", "mean", "--topo", "path", "--n", "4",
+     "--eps", "nan", "--event-cap", "2000"),
+])
+def test_non_finite_parameters_are_configuration_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("configuration error:") and not out
+
+
+SWEEP = ("sweep", "--axis", "m", "--values", "2,3", "--algo", "hybrid",
+         "--topo", "cycle", "--n", "8", "--seed", "0")
+
+
+@pytest.mark.parametrize("flag", [("--fail", "1,5"), ("--fail-at", "0.5")])
+def test_sweep_has_no_failure_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*SWEEP, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sweep_ignores_a_config_fail_entry(tmp_path, capsys, monkeypatch):
+    from consim import cli
+    from consim.topology import make_topology
+    u, v = sorted(make_topology("cycle", 8, seed=0).edges)[0]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"fail = {u},{v}\nfail-at = 0.5\n")
+    _, plain, _ = run_cli(capsys, *SWEEP)
+
+    def no_failure_experiment(*args, **kwargs):
+        raise AssertionError("a sweep ran a failure experiment")
+
+    monkeypatch.setattr(cli, "FailureExperiment", no_failure_experiment)
+    code, out, _ = run_cli(capsys, *SWEEP, "--config", str(cfg))
+    assert code == 0
+    assert out == plain

@@ -56,6 +56,13 @@ def _sim(graph, scheduler="lockstep", seed=0, **kw):
                       timing=TimingParams(d=0.01, l=0.001), **kw)
 
 
+@pytest.mark.parametrize("d, l", [(float("nan"), 0.001), (0.01, float("nan")),
+                                  (float("inf"), 0.001), (0.01, float("inf"))])
+def test_timing_params_must_be_finite(d, l):
+    with pytest.raises(ConfigError):
+        TimingParams(d=d, l=l)
+
+
 def test_lockstep_delivers_at_round_boundary():
     g = make_topology("path", 3, seed=0)
     trace = _sim(g).run()

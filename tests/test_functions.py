@@ -144,3 +144,6 @@ def test_get_function_parsing():
     assert get_function("median", 32).name == "median"
     with pytest.raises(InvalidParams):
         get_function("sum", 32)
+    for spec in ("vote:x", "vote:", "vote:2.5"):
+        with pytest.raises(InvalidParams):
+            get_function(spec, 64)

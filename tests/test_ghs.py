@@ -2,6 +2,8 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consim.engine import Simulation, TimingParams, run, validate_trace
 from consim.errors import InvariantViolation, NotHierarchical
@@ -12,7 +14,7 @@ from consim.ghs import (GhsMstProtocol, GhsParallelProtocol, GhsTokenProtocol,
 from consim.messages import Message, SizeModel
 from consim.metrics import (byte_complexity, message_complexity,
                             peak_bandwidth, time_complexity)
-from consim.topology import Graph, kruskal_mst, make_topology
+from consim.topology import Graph, edge_weight, kruskal_mst, make_topology
 
 D = 0.01
 TIMING = TimingParams(d=D, l=D / 10)
@@ -248,3 +250,28 @@ def test_pipeline_single_node():
         trace = run(proto, g, [42], fn=fn, timing=TIMING)
         assert trace.outputs[g.uids[0]] == 42
         assert message_complexity(trace) == 0
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph on a random UID set: a random spanning tree plus
+    random extra edges."""
+    uids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=24,
+                         unique=True))
+    edges = {edge_weight(u, uids[draw(st.integers(0, i - 1))])
+             for i, u in enumerate(uids) if i}
+    if len(uids) > 1:
+        pairs = st.tuples(st.sampled_from(uids), st.sampled_from(uids))
+        edges |= {edge_weight(a, b)
+                  for a, b in draw(st.lists(pairs, max_size=40)) if a != b}
+    return Graph(uids=tuple(uids), edges=frozenset(edges))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(g=connected_graphs())
+def test_neighbour_order_is_edge_weight_order(g):
+    # GHS picks a node's cheapest (basic) edge as its first such neighbour
+    sim = Simulation(GhsMstProtocol(), g, [0] * g.n, fn=None, timing=TIMING)
+    for uid, auto in sim.automata.items():
+        assert auto.ctx.neighbors == tuple(
+            sorted(g.adj[uid], key=lambda v: edge_weight(uid, v)))

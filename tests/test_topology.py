@@ -115,6 +115,13 @@ def test_imported_uids_are_charged_their_full_width():
     assert uid_bits_for_pool(g.pool_size) == 5  # UID 30 needs five bits
 
 
+@pytest.mark.parametrize("text", ["", "3\n1 2 3\n", "x\n", "2\n1\n",
+                                  "2\n1 y\n"])
+def test_malformed_adjacency_text_is_invalid_params(text):
+    with pytest.raises(InvalidParams):
+        load_adjacency(text)
+
+
 def test_adjacency_round_trip():
     g = make_topology("random_connected", 12, {"p": 0.4}, seed=9)
     text = dump_adjacency(g)

@@ -10,10 +10,12 @@ its JSONL export, every event's ref, the per-send fan-out, the message and
 bit totals, the outputs, the per-phase peaks and, for a trace in which every
 node outputs, its CSV row.  A case that raises prints the error instead.
 
-Cases: every registry algorithm on every topology kind under every
-scheduler at n = 9 and 17, averaging both recorded and lean, and hybrid
-failure experiments that fail, one at a time, every breakable edge of a few
-graphs (tree edges, cut boundaries, intra- and cross-cluster edges).
+Cases: every registry algorithm, and MST construction alone (`ghs-mst`,
+whose digest also covers the rooted tree it leaves), on every topology kind
+under every scheduler at n = 9 and 17, averaging both recorded and lean,
+and hybrid failure experiments that fail, one at a time, every breakable
+edge of a few graphs (tree edges, cut boundaries, intra- and cross-cluster
+edges).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from consim.algorithms import ALGORITHMS
 from consim.engine import SCHEDULERS, Simulation, TimingParams
 from consim.errors import ConsimError, WouldDisconnect
 from consim.functions import MaxFunction, get_function
+from consim.ghs import GhsMstProtocol, tree_from_automata
 from consim.hybrid import FailureExperiment
 from consim.metrics import peak_bandwidth_by_phase, report_from_trace
 from consim.topology import TOPOLOGY_KINDS, fail_link, make_topology
@@ -41,8 +44,10 @@ FAILURE_GRAPHS = (("random_connected", 10, 0.3, 0, 2),
                   ("complete", 9, None, 3, 3))
 
 
-def _digest(traces, m=None) -> str:
+def _digest(traces, m=None, extra=None) -> str:
     h = hashlib.sha256()
+    if extra is not None:
+        h.update(repr(extra).encode())
     for trace in traces:
         h.update(trace.to_jsonl().encode())
         h.update(repr([e.ref for e in trace.events]).encode())
@@ -70,6 +75,14 @@ def _single(algo, g, values, fn, sched, mode):
     return _digest([sim.run()], 3 if algo == "hybrid" else None)
 
 
+def _mst(g, sched):
+    sim = Simulation(GhsMstProtocol(), g, [0] * g.n, fn=None, timing=TIMING,
+                     scheduler=sched, seed=g.n)
+    trace = sim.run()
+    return _digest([trace], extra=sorted(tree_from_automata(sim.automata)
+                                         .items()))
+
+
 def _failure(g, values, m, seed, sched, edge):
     exp = FailureExperiment(g, values, MaxFunction(64), m, timing=TIMING,
                             seed=seed, scheduler=sched)
@@ -93,6 +106,14 @@ def single_cases():
                                     _single, algo, g, values, fn, sched, mode)
 
 
+def mst_cases():
+    for kind in TOPOLOGY_KINDS:
+        for n in (9, 17):
+            g = make_topology(kind, n, {"p": 0.35}, seed=n)
+            for sched in sorted(SCHEDULERS):
+                yield _line(f"ghs-mst/{kind}/{n}/{sched}", _mst, g, sched)
+
+
 def failure_cases():
     for kind, n, p, seed, m in FAILURE_GRAPHS:
         g = make_topology(kind, n, {"p": p} if p else {}, seed=seed)
@@ -110,6 +131,8 @@ def failure_cases():
 
 def main() -> int:
     for line in single_cases():
+        print(line)
+    for line in mst_cases():
         print(line)
     for line in failure_cases():
         print(line)
