@@ -101,11 +101,11 @@ def _single_report(args) -> tuple[list[ComplexityReport], object]:
     m = args.m
     rows = [report_from_trace(exp.initial_trace, algo="hybrid", m=m)]
     repair = exp.repair_trace
-    start = repair.config.get("start_time", 0.0)
+    start, end = repair.config.get("start_time", 0.0), repair.last_time()
     rows.append(ComplexityReport(
         algo="hybrid-repair", topology=args.topo, n=args.n,
         b_bits=args.bits, d_s=args.d, m=m, seed=args.seed,
-        time_s=(repair.events[-1].t - start) if repair.events else 0.0,
+        time_s=0.0 if end is None else end - start,
         messages=message_complexity(repair),
         bits=byte_complexity(repair),
         peak_bps=peak_bandwidth(repair)))
@@ -244,7 +244,9 @@ def _add_experiment_flags(sub, default_seed):
 def build_parser(default_seed: int, config=None) -> argparse.ArgumentParser:
     """The command-line parser.  `config` holds the --config file's entries;
     they become defaults of run and sweep, which argparse converts like
-    flag values and explicit flags override."""
+    flag values and explicit flags override.  An entry that names no option
+    of either is a ConfigError; one that only the other subcommand has is
+    ignored."""
     parser = argparse.ArgumentParser(
         prog="consim",
         description="consensus protocol simulator and bandwidth harness")
@@ -263,6 +265,11 @@ def build_parser(default_seed: int, config=None) -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", dest="values", required=True,
                          help="comma list or lo:hi range")
     p_sweep.add_argument("--workers", type=int, default=1)
+    options = {a.dest for sub in (p_run, p_sweep) for a in sub._actions}
+    unknown = sorted(set(config or {}) - (options - {"help"}))
+    if unknown:
+        raise ConfigError(f"--config names no option of run or sweep: "
+                          f"{', '.join(unknown)}")
     for sub, func in ((p_run, cmd_run), (p_sweep, cmd_sweep)):
         # after every add_argument, so that each entry reaches its flag
         sub.set_defaults(**(config or {}))

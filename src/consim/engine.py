@@ -43,6 +43,17 @@ protocol's round of broadcasts (lockstep only); under the random scheduler
 each copy draws its own delay and latency and is a batch of one.  A batch
 takes the sequence numbers of the entries it stands for, so records, refs,
 order and the event cap's count are those per-message events give.
+
+Traces
+------
+The records are stored as columns (TraceRows): one row per send,
+transition and output, and one per landing item.  Under the quantized
+schedulers every copy of a send lands at one time, in receiver order, so a
+landing row stands for all of them and its receivers are kept once, with
+the send; under the random scheduler each copy is a row of its own.
+ExecutionTrace.events is a read-only sequence that expands rows into
+Events on demand; the JSONL export, validate_trace and the metrics read the
+columns directly.
 """
 
 from __future__ import annotations
@@ -51,8 +62,12 @@ import heapq
 import json
 import math
 import random
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from itertools import islice
+from typing import Any
 
 from .errors import (ConfigError, DisconnectedGraph, InvariantViolation,
                      NonTermination, NotHierarchical)
@@ -148,26 +163,170 @@ class Event:
 
 _JSONL_CHUNK = 65536  # records per piece of a streamed export
 
+# row kinds of a trace; a landing row stands for one deliver record per
+# receiver of its send, in receiver order, all at the row's time
+_ROW_SEND, _ROW_DELIVER, _ROW_TRANSITION, _ROW_OUTPUT, _ROW_LAND = range(5)
+_KINDS = ("send", "deliver", "transition", "output")
+_NO_REF = -(1 << 63)  # the ref column's None
 
-def _record_format(e: Event) -> str:
-    """%-format string of `e`'s JSONL record, taking (kind, t, node); the
-    rest is json.dumps of the record's message fields, which depend only on
-    the message."""
-    rec = e.to_record()
+
+class TraceRows(Sequence):
+    """The records of a trace, stored as columns with one row per record or
+    landing, and read as a sequence of Events built on demand: indexing and
+    slicing expand only the rows they reach.
+
+    Row i is (kind[i], t[i], node[i], ref[i], mid[i]); rows() yields these
+    tuples.  For an output, mid indexes `values`.  For any other row it is
+    the message id, the key in `sends` of its (message, sorted receivers),
+    or -1 for a transition without a message.  A recorded execution keys
+    each send by its ref, so there mid equals ref; a trace built from
+    Events keys each Message object from 0, with no receivers.  A landing
+    row's node is unused: its receivers are its send's.  The columns hold
+    no objects, so the garbage collector walks only `sends` and `values`.
+    """
+
+    def __init__(self):
+        self.kind = bytearray()
+        self.t = array("d")
+        self.node = array("q")
+        self.ref = array("q")
+        self.mid = array("q")
+        self.sends: dict[int, tuple] = {}
+        self.values: list = []
+        self._starts = None  # per row, the index of its first record
+
+    def add(self, kind, t, node, ref, mid):
+        self.kind.append(kind)
+        self.t.append(t)
+        self.node.append(node)
+        self.ref.append(ref)
+        self.mid.append(mid)
+
+    def send(self, t, node, ref, msg, receivers):
+        self.sends[ref] = (msg, receivers)
+        self.add(_ROW_SEND, t, node, ref, ref)
+
+    def output(self, t, node, value):
+        self.add(_ROW_OUTPUT, t, node, _NO_REF, len(self.values))
+        self.values.append(value)
+
+    @classmethod
+    def from_events(cls, events) -> "TraceRows":
+        """One row per Event; records sharing a Message object share its
+        entry of `sends`.  An output keeps its value, not a message."""
+        rows = cls()
+        mids: dict[int, int] = {}
+        for e in events:
+            if e.kind == "output":
+                rows.output(e.t, e.node, e.value)
+                continue
+            mid = mids.get(id(e.msg))
+            if mid is None:
+                mid = mids[id(e.msg)] = len(rows.sends)
+                rows.sends[mid] = (e.msg, ())
+            rows.add(_KINDS.index(e.kind), e.t, e.node,
+                     _NO_REF if e.ref is None else e.ref, mid)
+        return rows
+
+    def rows(self):
+        return zip(self.kind, self.t, self.node, self.ref, self.mid)
+
+    def starts(self) -> array:
+        """Per row the index of its first record, then the record count."""
+        if self._starts is None:
+            starts, n, sends = array("q"), 0, self.sends
+            for k, mid in zip(self.kind, self.mid):
+                starts.append(n)
+                n += len(sends[mid][1]) if k == _ROW_LAND else 1
+            starts.append(n)
+            self._starts = starts
+        return self._starts
+
+    def __len__(self):
+        return self.starts()[-1]
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            start, stop, step = i.indices(n)
+            if step != 1:
+                return [self[j] for j in range(start, stop, step)]
+            return list(islice(self._expand(start), max(stop - start, 0)))
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace index out of range")
+        return next(self._expand(i))
+
+    def __iter__(self):
+        return self._expand(0)
+
+    def _expand(self, start):
+        """The records from index `start` on, as Events."""
+        starts = self.starts()
+        row = bisect_right(starts, start) - 1
+        skip = start - starts[row]
+        for i in range(row, len(self.kind)):
+            if self.kind[i] == _ROW_LAND:
+                msg, receivers = self.sends[self.mid[i]]
+                t, ref = self.t[i], self.ref[i]
+                for nb in receivers[skip:]:
+                    yield Event("deliver", t, nb, msg, ref)
+                skip = 0
+            else:
+                yield self.record(i)
+
+    def record(self, i) -> Event:
+        """The Event of row i, which is not a landing."""
+        k, t, node, ref, mid = (self.kind[i], self.t[i], self.node[i],
+                                self.ref[i], self.mid[i])
+        if k == _ROW_OUTPUT:
+            return Event("output", t, node, value=self.values[mid])
+        return Event(_KINDS[k], t, node,
+                     None if mid < 0 else self.sends[mid][0],
+                     None if ref == _NO_REF else ref)
+
+    def indices_of(self, kind) -> list:
+        """The indices of the rows of `kind`, found by a scan in C."""
+        find, out = self.kind.find, []
+        i = find(kind)
+        while i >= 0:
+            out.append(i)
+            i = find(kind, i + 1)
+        return out
+
+    def sent(self) -> list:
+        """(t, message) of every send, in order."""
+        t, mid, sends = self.t, self.mid, self.sends
+        return [(t[i], sends[mid[i]][0]) for i in self.indices_of(_ROW_SEND)]
+
+    def output_times(self) -> list:
+        t = self.t
+        return [t[i] for i in self.indices_of(_ROW_OUTPUT)]
+
+
+def _record_formats(msg) -> tuple[str, str]:
+    """The JSONL record of a record carrying `msg` (None: no message): a
+    %-format string taking (kind, t, node), and the json.dumps tail after
+    the node, which depends only on the message."""
+    rec = Event("", 0.0, 0, msg).to_record()
     del rec["kind"], rec["t"], rec["node"]
     tail = ", " + json.dumps(rec)[1:]
-    return '{"kind": "%s", "t": %r, "node": %d' + tail.replace("%", "%%")
+    return ('{"kind": "%s", "t": %r, "node": %d' + tail.replace("%", "%%"),
+            tail)
 
 
 @dataclass
 class ExecutionTrace:
     """Time-ordered event log of one fair execution plus its configuration.
 
-    Runs started with record_events=False log outputs only; the aggregate
-    message and bit counters are still filled in.
+    `events` holds the records as TraceRows; a list of Events given to the
+    constructor or assigned to `events` is converted once.  Runs started
+    with record_events=False log outputs only; the aggregate message and
+    bit counters are still filled in.
     """
 
-    events: list
+    events: TraceRows
     outputs: dict
     config: dict
     timing: TimingParams
@@ -177,27 +336,51 @@ class ExecutionTrace:
     messages_total: int = 0
     bits_total: int = 0
 
-    def sends(self):
-        return [e for e in self.events if e.kind == "send"]
+    def __setattr__(self, name, value):
+        if name == "events" and not isinstance(value, TraceRows):
+            value = TraceRows.from_events(value)
+        super().__setattr__(name, value)
+
+    def sends(self) -> list:
+        rows = self.events
+        return [rows.record(i) for i in rows.indices_of(_ROW_SEND)]
 
     def jsonl_chunks(self):
-        """The JSONL export in pieces of _JSONL_CHUNK records, each piece
-        ending in a newline.  A record is its kind, time and node formatted
-        into a tail prebuilt, with json.dumps, once per distinct message."""
-        formats = {}
-        events, chunk = self.events, _JSONL_CHUNK
-        if not events:
+        """The JSONL export in pieces of about _JSONL_CHUNK records, each
+        ending in a newline; a piece ends after the landing that fills it,
+        so it holds fewer than _JSONL_CHUNK plus one fan-out records.  Each
+        distinct message's record format is built once, and a landing is
+        one join over its receivers."""
+        rows, chunk = self.events, _JSONL_CHUNK
+        by_fields: dict[tuple, tuple] = {}
+        by_mid = {-1: _record_formats(None)}  # outputs too
+        if not rows.kind:
             yield "\n"
-        for i in range(0, len(events), chunk):
-            lines = []
-            for e in events[i:i + chunk]:
-                m = e.msg
+        lines, count = [], 0
+        for k, t, node, _, mid in rows.rows():
+            fmts = by_mid.get(-1 if k == _ROW_OUTPUT else mid)
+            if fmts is None:
+                m = rows.sends[mid][0]
                 key = None if m is None else (m.mtype, m.size_bits, m.src,
                                               m.dst)
-                fmt = formats.get(key)
-                if fmt is None:
-                    fmt = formats[key] = _record_format(e)
-                lines.append(fmt % (e.kind, e.t, e.node))
+                fmts = by_fields.get(key)
+                if fmts is None:
+                    fmts = by_fields[key] = _record_formats(m)
+                by_mid[mid] = fmts
+            if k == _ROW_LAND:
+                receivers, tail = rows.sends[mid][1], fmts[1]
+                head = '{"kind": "deliver", "t": %r, "node": ' % t
+                lines.append(head + (tail + "\n" + head).join(
+                    map(str, receivers)) + tail)
+                count += len(receivers)
+            else:
+                lines.append(fmts[0] % (_KINDS[k], t, node))
+                count += 1
+            if count >= chunk:
+                lines.append("")
+                yield "\n".join(lines)
+                lines, count = [], 0
+        if lines:
             lines.append("")
             yield "\n".join(lines)
 
@@ -205,7 +388,12 @@ class ExecutionTrace:
         return "".join(self.jsonl_chunks())
 
     def last_output_time(self) -> float:
-        return max(e.t for e in self.events if e.kind == "output")
+        return max(self.events.output_times())
+
+    def last_time(self) -> float | None:
+        """Time of the last record; None for an empty trace."""
+        t = self.events.t
+        return t[-1] if t else None
 
 
 class NodeContext:
@@ -219,11 +407,13 @@ class NodeContext:
         self.fn = sim.fn
         self.size_model = sim.size_model
         self.neighbors = tuple(sorted(sim.adj[uid]))
-        self._adj = sim.adj[uid]  # not the Simulation: no reference cycle
+        # the live neighbor set, which the engine updates; automata only
+        # read it.  Not the Simulation: no reference cycle
+        self.live = sim.adj[uid]
         self._flush_requested = False
 
     def live_neighbors(self) -> tuple:
-        return tuple(sorted(self._adj))
+        return tuple(sorted(self.live))
 
     def message(self, mtype, dst=None, payload=None, uids=0, values=0,
                 extra=0) -> Message:
@@ -326,12 +516,12 @@ class Simulation:
         else:
             self.automata = automata
             for u, a in automata.items():
-                a.ctx._adj = self.adj[u]  # re-home live-neighbor views
+                a.ctx.live = self.adj[u]  # re-home live-neighbor views
 
         self._heap: list = []
         self._seq = 0
         self._record = record_events
-        self._events: list[Event] = []
+        self._rows = TraceRows()
         self._messages_total = 0
         self._bits_total = 0
         self.outputs: dict[int, Any] = {}
@@ -391,7 +581,7 @@ class Simulation:
         auto = self.automata[uid]
         if auto.output is not None and uid not in self.outputs:
             self.outputs[uid] = auto.output
-            self._events.append(Event("output", t, uid, value=auto.output))
+            self._rows.output(t, uid, auto.output)
         ctx = auto.ctx
         if ctx._flush_requested:
             ctx._flush_requested = False
@@ -457,7 +647,7 @@ class Simulation:
             self._messages_total += 1
             self._bits_total += msg.size_bits
             if self._record:
-                self._events.append(Event("send", t, uid, msg, ref))
+                self._rows.send(t, uid, ref, msg, receivers)
                 self._send_fanout[ref] = len(receivers)
             batch.append((msg, ref, receivers, reactors))
             copies += len(receivers)
@@ -485,35 +675,42 @@ class Simulation:
                        ((msg, seq, copy, copy if reacts else ()),), reacts)
 
     def _land(self, t, batch, reactions):
-        """A delivery entry lands, in batch and receiver order.  Under a
-        quantized scheduler its reactions follow as one batch at (t, _FIRE):
-        with no latency, and a node's earlier transitions all fired by t,
-        the per-node fire clock never holds them back and is not kept."""
-        if self._record:
-            self._events.extend([Event("deliver", t, nb, msg, ref)
-                                 for msg, ref, receivers, _ in batch
-                                 for nb in receivers])
-        if not reactions:
-            return
+        """A delivery entry lands, in batch and receiver order, recorded as
+        one landing row per item that has receivers (a copy of its own
+        under the random scheduler).  Under a quantized scheduler its
+        reactions follow as one batch at (t, _FIRE): with no latency, and a
+        node's earlier transitions all fired by t, the per-node fire clock
+        never holds them back and is not kept."""
         if self._quantized:
-            self._push(t, _FIRE, "react", reactions, batch, span=reactions)
-        else:  # one copy, one reactor
-            self._schedule_fire(batch[0][3][0], t, "react", 1, batch)
+            if self._record:
+                rows = self._rows
+                for _, ref, receivers, _ in batch:
+                    if receivers:
+                        rows.add(_ROW_LAND, t, -1, ref, ref)
+            if reactions:
+                self._push(t, _FIRE, "react", reactions, batch,
+                           span=reactions)
+            return
+        _, ref, (nb,), _ = batch[0]
+        if self._record:
+            self._rows.add(_ROW_DELIVER, t, nb, ref, ref)
+        if reactions:
+            self._schedule_fire(nb, t, "react", 1, batch)
 
     def _react(self, t, seq, batch):
         """The message transitions of a batch, the fire entry numbered seq
         at (t, _FIRE): one per reactor of each item, in order.  Every
         on_message call runs here."""
         automata = self.automata
-        events = self._events if self._record else None
+        rows = self._rows if self._record else None
         items = iter(batch)
         for item in items:
             msg, ref, _, reactors = item
             src = msg.src
             for uid in reactors:
                 auto = automata[uid]
-                if events is not None:
-                    events.append(Event("transition", t, uid, msg, ref))
+                if rows is not None:
+                    rows.add(_ROW_TRANSITION, t, uid, ref, ref)
                 msgs = auto.on_message(msg, src)
                 if msgs:
                     return self._answer(t, seq, item, uid, msgs, items)
@@ -552,7 +749,7 @@ class Simulation:
         automaton's `method` and transmit what it returns."""
         auto = self.automata[uid]
         if self._record:
-            self._events.append(Event("transition", t, uid))
+            self._rows.add(_ROW_TRANSITION, t, uid, _NO_REF, -1)
         self._transmit(uid, getattr(auto, method)(*args) or [], t)
         self._post_transition(uid, t)
 
@@ -590,7 +787,7 @@ class Simulation:
             "start_time": self.start_time,
             "fn": getattr(self.fn, "name", None),
         }
-        return ExecutionTrace(events=self._events, outputs=dict(self.outputs),
+        return ExecutionTrace(events=self._rows, outputs=dict(self.outputs),
                               config=config, timing=self.timing,
                               size_model=self.size_model, graph=self.graph,
                               send_fanout=dict(self._send_fanout),
@@ -614,44 +811,53 @@ def validate_trace(trace: ExecutionTrace):
     `python -O`."""
     d, l = trace.timing.d, trace.timing.l
     tol = d * REL_TOL
+    table = trace.events.sends
     last_t = float("-inf")
-    sends: dict[int, Event] = {}
+    send_t: dict[int, float] = {}
     deliver_counts: dict[int, int] = {}
     node_send_end: dict[int, float] = {}
-    node_deliver_t: dict[tuple, float] = {}
+    react_t: dict[tuple, float] = {}  # copies that may react, by (node, ref)
     outputs_seen = set()
-    for e in trace.events:
-        if e.t < last_t - tol:
+    for k, t, node, ref, mid in trace.events.rows():
+        if t < last_t - tol:
             raise AssertionError("events out of chronological order")
-        last_t = max(last_t, e.t)
-        if e.kind == "send":
-            sends[e.ref] = e
-            deliver_counts[e.ref] = 0
-            prev_end = node_send_end.get(e.node, float("-inf"))
-            if e.t < prev_end - tol:
+        if t > last_t:
+            last_t = t
+        if k == _ROW_SEND:
+            send_t[ref] = t
+            deliver_counts[ref] = 0
+            prev_end = node_send_end.get(node, float("-inf"))
+            if t < prev_end - tol:
                 raise AssertionError(
-                    f"node {e.node} started a send inside an earlier window")
-            node_send_end[e.node] = e.t + d
-        elif e.kind == "deliver":
-            if e.ref not in sends:
+                    f"node {node} started a send inside an earlier window")
+            node_send_end[node] = t + d
+        elif k == _ROW_DELIVER or k == _ROW_LAND:
+            if ref not in send_t:
                 raise AssertionError("deliver references an unknown send")
-            delay = e.t - sends[e.ref].t
+            delay = t - send_t[ref]
             if not 0 < delay <= d + tol:
                 raise AssertionError(f"delivery delay {delay} outside (0, d]")
-            deliver_counts[e.ref] += 1
-            if e.msg.dst is None or e.msg.dst == e.node:  # it may react
-                node_deliver_t[(e.node, e.ref)] = e.t
-        elif e.kind == "transition" and e.ref is not None:
-            if (e.node, e.ref) not in node_deliver_t:
-                raise AssertionError(f"node {e.node} reacted to send {e.ref} "
+            msg, receivers = table[mid]
+            if k == _ROW_DELIVER:
+                receivers = (node,)
+            deliver_counts[ref] += len(receivers)
+            if msg.dst is None:
+                for nb in receivers:
+                    react_t[(nb, ref)] = t
+            elif msg.dst in receivers:
+                react_t[(msg.dst, ref)] = t
+        elif k == _ROW_TRANSITION and ref != _NO_REF:
+            got = react_t.get((node, ref))
+            if got is None:
+                raise AssertionError(f"node {node} reacted to send {ref} "
                                      f"it never got as a recipient")
-            dt = e.t - node_deliver_t[(e.node, e.ref)]
+            dt = t - got
             if not -tol <= dt <= l + tol:
                 raise AssertionError(f"transition latency {dt} exceeds l")
-        elif e.kind == "output":
-            if e.node in outputs_seen:
-                raise AssertionError(f"node {e.node} output twice")
-            outputs_seen.add(e.node)
+        elif k == _ROW_OUTPUT:
+            if node in outputs_seen:
+                raise AssertionError(f"node {node} output twice")
+            outputs_seen.add(node)
     for ref, expected in trace.send_fanout.items():
         if deliver_counts.get(ref, 0) != expected:
             raise AssertionError(f"send {ref} delivered "

@@ -319,9 +319,10 @@ class HybridAutomaton(GhsAutomaton):
             return False
         if self.disc_pending:
             return False
-        for nb in self.ctx.live_neighbors():
-            got = self.neighbor_cluster.get(nb)
-            if got is None or got[1] < self.epoch:
+        neighbor_cluster, epoch = self.neighbor_cluster, self.epoch
+        for nb in self.ctx.live:  # every live neighbor: no order needed
+            got = neighbor_cluster.get(nb)
+            if got is None or got[1] < epoch:
                 return False
         return True
 
@@ -861,10 +862,9 @@ class FailureExperiment:
         epoch = 1 + max(a.epoch for a in self.sim.automata.values())
         for a in self.sim.automata.values():
             a.output = None
-        if self.repair_trace is not None and self.repair_trace.events:
-            start = self.repair_trace.events[-1].t + self.sim.timing.d
-        else:
-            start = self.sim.start_time
+        repair = self.repair_trace
+        end = None if repair is None else repair.last_time()
+        start = self.sim.start_time if end is None else end + self.sim.timing.d
         start = round(start / self.sim.timing.d) * self.sim.timing.d
         rerun = self._continue(start)
         for uid in sorted(self.sim.automata):

@@ -21,25 +21,31 @@ def peak_bandwidth(trace) -> float:
     Windows are half-open, so a window ending exactly where another begins
     does not stack with it.
     """
-    return _sweep(trace.sends(), trace.timing.d)
+    return _sweep(trace.events.sent(), trace.timing.d)
 
 
-def _sweep(sends, d: float) -> float:
-    """Peak of the summed constant-rate windows of `sends`."""
-    endpoints: list[tuple[float, float]] = []
-    for e in sends:
-        rate = e.msg.size_bits / d
-        endpoints.append((e.t, rate))
-        endpoints.append((e.t + d, -rate))
-    endpoints.sort(key=lambda p: p[0])
+def _sweep(sent, d: float) -> float:
+    """Peak of the summed constant-rate windows of `sent`'s (t, message)
+    sends."""
+    # endpoint times and rates in two lists, ordered by a stable index
+    # sort, so that endpoints at one time are summed in send order; floats
+    # and ints are not tracked by the garbage collector, tuples would be
+    times, rates = [], []
+    for t, msg in sent:
+        rate = msg.size_bits / d
+        times.append(t)
+        times.append(t + d)
+        rates.append(rate)
+        rates.append(-rate)
+    order = sorted(range(len(times)), key=times.__getitem__)
     # coalesce endpoint times that should coincide but drift by an ulp
     tol = d * REL_TOL
     level = peak = 0.0
     i = 0
-    while i < len(endpoints):
-        t0 = endpoints[i][0]
-        while i < len(endpoints) and endpoints[i][0] <= t0 + tol:
-            level += endpoints[i][1]
+    while i < len(order):
+        t0 = times[order[i]]
+        while i < len(order) and times[order[i]] <= t0 + tol:
+            level += rates[order[i]]
             i += 1
         peak = max(peak, level)
     return peak
@@ -48,14 +54,14 @@ def _sweep(sends, d: float) -> float:
 def peak_bandwidth_by_phase(trace) -> dict:
     """Peak per message-type prefix (the dotted phase tag)."""
     phases: dict[str, list] = {}
-    for e in trace.sends():
-        phases.setdefault(e.msg.mtype.split(".")[0], []).append(e)
+    for t, msg in trace.events.sent():
+        phases.setdefault(msg.mtype.split(".")[0], []).append((t, msg))
     return {p: _sweep(phases[p], trace.timing.d) for p in sorted(phases)}
 
 
 def time_complexity(trace) -> float:
     """Seconds from execution start to the last output."""
-    outs = [e.t for e in trace.events if e.kind == "output"]
+    outs = trace.events.output_times()
     if len(outs) < trace.graph.n:
         raise IncompleteTrace(
             f"only {len(outs)}/{trace.graph.n} nodes produced an output")
@@ -66,14 +72,14 @@ def time_complexity(trace) -> float:
 def message_complexity(trace) -> int:
     if trace.messages_total:
         return trace.messages_total  # the engine's counter, lean runs too
-    return len(trace.sends())
+    return len(trace.events.sent())
 
 
 def byte_complexity(trace) -> int:
     """Total traffic in bits (divide by 8 for bytes)."""
     if trace.bits_total:
         return trace.bits_total
-    return sum(e.msg.size_bits for e in trace.sends())
+    return sum(msg.size_bits for _, msg in trace.events.sent())
 
 
 CSV_HEADER = "algo,topology,n,b_bits,d_s,m,seed,time_s,messages,bytes,peak_bps"

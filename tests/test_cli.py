@@ -272,3 +272,14 @@ def test_sweep_ignores_a_config_fail_entry(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *SWEEP, "--config", str(cfg))
     assert code == 0
     assert out == plain
+
+
+@pytest.mark.parametrize("command", [("run",), SWEEP])
+def test_misspelt_config_key_is_a_configuration_error(tmp_path, capsys,
+                                                      command):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("topo = path\nn = 4\nseeds = 4\n")
+    code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("configuration error:") and "seeds" in err
+    assert not out

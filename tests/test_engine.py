@@ -465,6 +465,88 @@ def test_cli_trace_file_equals_to_jsonl(tmp_path, capsys, fail):
         trace.events)
 
 
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_export_pieces_are_bounded_by_records(scheduler, monkeypatch):
+    # a landing row stands for a whole fan-out: a piece may overrun the
+    # chunk by less than one fan-out, never by a whole chunk of rows
+    monkeypatch.setattr(engine, "_JSONL_CHUNK", 7)
+    g = make_topology("complete", 9, seed=1)
+    trace = run(ALGORITHMS["hybrid"].protocol(2, 1e-3), g, list(range(9)),
+                fn=MaxFunction(64), scheduler=scheduler, seed=1)
+    fanout = max(trace.send_fanout.values())
+    pieces = list(trace.jsonl_chunks())
+    sizes = [piece.count("\n") for piece in pieces]
+    assert all(piece.endswith("\n") for piece in pieces)
+    assert all(7 <= k < 7 + fanout for k in sizes[:-1])
+    assert 0 < sizes[-1] < 7 + fanout
+    assert "".join(pieces) == _reference_jsonl(trace.events)
+
+
+# -- the column store and its Event view --------------------------------------
+
+@pytest.mark.parametrize("algo, scheduler", _algorithm_scheduler_cases())
+def test_event_view_agrees_with_its_expansion(algo, scheduler):
+    g = make_topology("random_connected", 9, {"p": 0.4}, seed=4)
+    fn = MeanFunction(128) if algo == "average" else MaxFunction(64)
+    trace = run(ALGORITHMS[algo].protocol(2, 1e-3), g, list(range(9)),
+                fn=fn, scheduler=scheduler, seed=4,
+                timing=TimingParams(d=0.01, l=0.001))
+    view = trace.events
+    expanded = list(view)
+    n = len(expanded)
+    assert len(view) == n > 0
+    if scheduler != "random":  # every landing is one row
+        assert len(trace.events.kind) < n
+    assert [view[i] for i in range(n)] == expanded
+    assert [view[i] for i in range(-n, 0)] == expanded
+    assert view[-1] == expanded[-1]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+    # slices that start and stop inside landings and across their ends
+    starts = sorted(set(trace.events.starts()))
+    for a, b in zip(starts, starts[2:]):
+        for lo, hi in ((a, b), (a + 1, b - 1), (a - 1, b + 1), (b - 1, a)):
+            assert view[lo:hi] == expanded[lo:hi]
+    for s in (slice(None), slice(-5, None), slice(None, None, 3),
+              slice(None, None, -2), slice(n, None)):
+        assert view[s] == expanded[s]
+
+
+def test_hand_built_events_round_trip():
+    g = make_topology("complete", 6, seed=2)
+    trace = run(ALGORITHMS["hybrid"].protocol(2, 1e-3), g, list(range(6)),
+                fn=MaxFunction(64), seed=2)
+    events = list(trace.events)
+    built = ExecutionTrace(events=events, outputs=trace.outputs,
+                           config=trace.config, timing=trace.timing,
+                           size_model=trace.size_model, graph=g,
+                           send_fanout=trace.send_fanout)
+    assert list(built.events) == events
+    assert all(a.msg is b.msg and a.value is b.value
+               for a, b in zip(built.events, events))
+    assert built.to_jsonl() == trace.to_jsonl()
+    validate_trace(built)
+    built.events = events[3:40]
+    assert list(built.events) == events[3:40]
+    built.events = []
+    assert len(built.events) == 0 and list(built.events) == []
+
+
+def _live_events():
+    gc.collect()
+    return sum(type(o) is Event for o in gc.get_objects())
+
+
+def test_recorded_run_keeps_no_event_objects():
+    before = _live_events()
+    g = make_topology("complete", 20, seed=1)
+    trace = run(ALGORITHMS["hybrid"].protocol(2, 1e-3), g, list(range(20)),
+                fn=MaxFunction(64), scheduler="lockstep", seed=1)
+    assert _live_events() == before
+    assert len(trace.events) > 10_000  # the records are all there
+
+
 # -- a finished execution is freed by reference counting alone ---------------
 
 @pytest.fixture

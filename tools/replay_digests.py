@@ -6,9 +6,10 @@ executions it covers replay byte for byte:
     PYTHONPATH=src python3 tools/replay_digests.py > after.txt
 
 Each line is `case sha256`, the digest covering every trace of the case:
-its JSONL export, every event's ref, the per-send fan-out, the message and
-bit totals, the outputs, the per-phase peaks and, for a trace in which every
-node outputs, its CSV row.  A case that raises prints the error instead.
+its JSONL export, its event count and last event, every event's ref, the
+per-send fan-out, the message and bit totals, the outputs, the per-phase
+peaks and, for a trace in which every node outputs, its CSV row.  A case
+that raises prints the error instead.
 
 Cases: every registry algorithm, and MST construction alone (`ghs-mst`,
 whose digest also covers the rooted tree it leaves), on every topology kind
@@ -49,13 +50,15 @@ def _digest(traces, m=None, extra=None) -> str:
     if extra is not None:
         h.update(repr(extra).encode())
     for trace in traces:
+        events = trace.events
         h.update(trace.to_jsonl().encode())
-        h.update(repr([e.ref for e in trace.events]).encode())
+        h.update(f"{len(events)} {events[-1] if events else None!r}".encode())
+        h.update(repr([e.ref for e in events]).encode())
         h.update(repr(sorted(trace.send_fanout.items())).encode())
         h.update(f"{trace.messages_total} {trace.bits_total}".encode())
         h.update(repr(sorted(trace.outputs.items())).encode())
         h.update(repr(peak_bandwidth_by_phase(trace)).encode())
-        outputs = sum(e.kind == "output" for e in trace.events)
+        outputs = sum(e.kind == "output" for e in events)
         if outputs == trace.graph.n:
             h.update(report_from_trace(trace, m=m).csv_row().encode())
     return h.hexdigest()
