@@ -16,7 +16,8 @@ from .hybrid import (FailureExperiment, HybridProtocol, branch_sizes,
 from .errors import (ConsimError, DisconnectedGraph, WouldDisconnect,
                      InvalidParams, NonTermination, IncompleteTrace,
                      NotHierarchical, DomainOverflow, DuplicateUidConflict,
-                     StaleRoutingEntry, ConfigError, InvariantViolation)
+                     StaleRoutingEntry, ConfigError, InvariantViolation,
+                     TraceViolation)
 from .functions import (ConsensusFunction, MaxFunction, MinFunction,
                         MeanFunction, VoteFunction, MedianFunction,
                         get_function, oracle)

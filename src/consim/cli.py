@@ -1,5 +1,5 @@
-"""Experiment runner: single runs, parameter sweeps, bound tables and the
-acceptance suites.
+"""Experiment runner: single runs, parameter sweeps, bound tables, the
+acceptance suites and trace-file checks.
 
     consim run      --algo ghs-token --topo star --n 100 --bits 768 \\
                     --d 0.01 --fn max --sched lockstep --seed 1
@@ -7,10 +7,12 @@ acceptance suites.
                     --topo cycle --n 100
     consim bounds   --n 100 --bits 768 --d 0.01 --sweep-m 1:100
     consim validate all
+    consim analyze  trace.jsonl
 
 Flags can come from a flat key=value config file (--config FILE); explicit
 flags override file entries.  CONSIM_SEED supplies the default seed.  Exit
-codes: 0 ok, 1 validation failure, 2 configuration error.
+codes: 0 ok, 1 validation failure (for analyze, a failed check), 2
+configuration error (for analyze, a file that is not a schema-2 trace).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import sys
 
 from . import bounds as bnd
 from .algorithms import ALGORITHMS
+from .analyze import analyze
 from .engine import SCHEDULERS, Simulation, TimingParams
 from .errors import (ConfigError, ConsimError, InvalidParams, NotHierarchical,
                      WouldDisconnect)
@@ -109,7 +112,8 @@ def _single_report(args) -> tuple[list[ComplexityReport], object]:
         messages=message_complexity(repair),
         bits=byte_complexity(repair),
         peak_bps=peak_bandwidth(repair)))
-    rows.append(report_from_trace(rerun, algo="hybrid-rerun", m=m))
+    rerun.config["algo"] = "hybrid-rerun"  # its row's label, in its file too
+    rows.append(report_from_trace(rerun, m=m))
     return rows, exp.rerun_trace
 
 
@@ -128,6 +132,13 @@ def cmd_run(args) -> int:
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.writelines(trace.jsonl_chunks())
+    return 0
+
+
+def cmd_analyze(args) -> int:
+    with open(args.file) as fh:
+        report = analyze(fh)
+    sys.stdout.write(CSV_HEADER + "\n" + report.csv_row() + "\n")
     return 0
 
 
@@ -287,6 +298,11 @@ def build_parser(default_seed: int, config=None) -> argparse.ArgumentParser:
     p_val = subs.add_parser("validate", help="run acceptance suites")
     p_val.add_argument("suite", choices=tuple(SUITES) + ("all",))
     p_val.set_defaults(func=cmd_validate)
+
+    p_an = subs.add_parser(
+        "analyze", help="check a schema-2 trace file, print its report row")
+    p_an.add_argument("file")
+    p_an.set_defaults(func=cmd_analyze)
     return parser
 
 

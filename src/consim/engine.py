@@ -54,10 +54,16 @@ the send; under the random scheduler each copy is a row of its own.
 ExecutionTrace.events is a read-only sequence that expands rows into
 Events on demand; the JSONL export, validate_trace and the metrics read the
 columns directly.
+
+The export writes schema 2: a header record with the configuration, then
+the records, each send with its fan-out.  Of a tagged message's copies it
+writes only the one to dst, the only receiver that may react; the other
+copies stay in `events`.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -162,6 +168,7 @@ class Event:
 
 
 _JSONL_CHUNK = 65536  # records per piece of a streamed export
+TRACE_SCHEMA = 2  # the version the export writes in its header
 
 # row kinds of a trace; a landing row stands for one deliver record per
 # receiver of its send, in receiver order, all at the row's time
@@ -305,15 +312,28 @@ class TraceRows(Sequence):
         return [t[i] for i in self.indices_of(_ROW_OUTPUT)]
 
 
-def _record_formats(msg) -> tuple[str, str]:
-    """The JSONL record of a record carrying `msg` (None: no message): a
-    %-format string taking (kind, t, node), and the json.dumps tail after
-    the node, which depends only on the message."""
+@functools.lru_cache(maxsize=1024)
+def _record_formats(mtype, size_bits, src, dst) -> tuple:
+    """The JSONL formats of a record carrying the message (mtype,
+    size_bits, src, dst), or no message when mtype is None, and its dst:
+    a %-format string taking (kind, t, node); the json.dumps tail after
+    the node; a send's %-format taking (t, node, fanout); and dst.  Keyed
+    by the fields alone, so that the sends of a trace, and the traces of a
+    sweep, share them; 1,024 entries hold about 0.6 MB."""
+    msg = None if mtype is None else Message(mtype, src, size_bits, dst)
     rec = Event("", 0.0, 0, msg).to_record()
     del rec["kind"], rec["t"], rec["node"]
     tail = ", " + json.dumps(rec)[1:]
-    return ('{"kind": "%s", "t": %r, "node": %d' + tail.replace("%", "%%"),
-            tail)
+    escaped = tail.replace("%", "%%")
+    return ('{"kind": "%s", "t": %r, "node": %d' + escaped, tail,
+            '{"kind": "send", "t": %r, "node": %d' + escaped[:-1]
+            + ', "fanout": %s}', dst)
+
+
+def _message_formats(msg) -> tuple:
+    if msg is None:
+        return _record_formats(None, 0, None, None)
+    return _record_formats(msg.mtype, msg.size_bits, msg.src, msg.dst)
 
 
 @dataclass
@@ -345,36 +365,60 @@ class ExecutionTrace:
         rows = self.events
         return [rows.record(i) for i in rows.indices_of(_ROW_SEND)]
 
+    def _header(self) -> str:
+        """The first record of the export: the schema version and all that
+        the report row of the trace reads."""
+        cfg, sm = self.config, self.size_model
+        return json.dumps({
+            "kind": "header", "schema": TRACE_SCHEMA,
+            "protocol": cfg.get("protocol"),
+            "algo": cfg.get("algo", cfg.get("protocol")),
+            "scheduler": cfg.get("scheduler"), "seed": cfg.get("seed", 0),
+            "start_time": cfg.get("start_time", 0.0), "fn": cfg.get("fn"),
+            "m": cfg.get("m"), "topology": self.graph.kind,
+            "n": self.graph.n, "b": sm.value_bits, "d": self.timing.d,
+            "l": self.timing.l,
+            "size_model": {"uid_bits": sm.uid_bits,
+                           "value_bits": sm.value_bits,
+                           "flag_bits": sm.flag_bits},
+            "messages": self.messages_total, "bits": self.bits_total})
+
     def jsonl_chunks(self):
-        """The JSONL export in pieces of about _JSONL_CHUNK records, each
-        ending in a newline; a piece ends after the landing that fills it,
-        so it holds fewer than _JSONL_CHUNK plus one fan-out records.  Each
-        distinct message's record format is built once, and a landing is
-        one join over its receivers."""
-        rows, chunk = self.events, _JSONL_CHUNK
-        by_fields: dict[tuple, tuple] = {}
-        by_mid = {-1: _record_formats(None)}  # outputs too
-        if not rows.kind:
-            yield "\n"
-        lines, count = [], 0
-        for k, t, node, _, mid in rows.rows():
-            fmts = by_mid.get(-1 if k == _ROW_OUTPUT else mid)
+        """The schema-2 JSONL export in pieces of about _JSONL_CHUNK
+        records, each ending in a newline; a piece ends after the landing
+        that fills it, so it holds fewer than _JSONL_CHUNK plus one fan-out
+        records.  The header comes first; a send carries its fan-out; a
+        copy is recorded only if its receiver may react: every copy of an
+        untagged message, and of a tagged one only the copy to its dst.
+        Each distinct message's record formats are built once, and a
+        landing is one join over its receivers."""
+        rows, chunk, fanout = self.events, _JSONL_CHUNK, self.send_fanout
+        sends, kinds = rows.sends, _KINDS
+        land_row, send_row, deliver_row, output_row = (
+            _ROW_LAND, _ROW_SEND, _ROW_DELIVER, _ROW_OUTPUT)  # read per row
+        by_mid = {-1: _message_formats(None)}  # outputs too
+        lines, count = [self._header()], 1
+        for k, t, node, ref, mid in rows.rows():
+            fmts = by_mid.get(-1 if k == output_row else mid)
             if fmts is None:
-                m = rows.sends[mid][0]
-                key = None if m is None else (m.mtype, m.size_bits, m.src,
-                                              m.dst)
-                fmts = by_fields.get(key)
-                if fmts is None:
-                    fmts = by_fields[key] = _record_formats(m)
-                by_mid[mid] = fmts
-            if k == _ROW_LAND:
-                receivers, tail = rows.sends[mid][1], fmts[1]
-                head = '{"kind": "deliver", "t": %r, "node": ' % t
-                lines.append(head + (tail + "\n" + head).join(
-                    map(str, receivers)) + tail)
-                count += len(receivers)
-            else:
-                lines.append(fmts[0] % (_KINDS[k], t, node))
+                fmts = by_mid[mid] = _message_formats(sends[mid][0])
+            if k == land_row:
+                dst, receivers = fmts[3], sends[mid][1]
+                if dst is None:
+                    tail = fmts[1]
+                    head = '{"kind": "deliver", "t": %r, "node": ' % t
+                    lines.append(head + (tail + "\n" + head).join(
+                        map(str, receivers)) + tail)
+                    count += len(receivers)
+                elif dst in receivers:
+                    lines.append(fmts[0] % ("deliver", t, dst))
+                    count += 1
+            elif k == send_row:
+                f = fanout.get(ref)
+                lines.append(fmts[2] % (t, node, "null" if f is None else f))
+                count += 1
+            elif fmts[3] is None or k != deliver_row or fmts[3] == node:
+                lines.append(fmts[0] % (kinds[k], t, node))
                 count += 1
             if count >= chunk:
                 lines.append("")
@@ -526,6 +570,7 @@ class Simulation:
         self._bits_total = 0
         self.outputs: dict[int, Any] = {}
         self._send_fanout: dict[int, int] = {}
+        self._receivers: dict[int, tuple] = {}  # sorted live neighbors
         self._tx_free = {u: start_time for u in graph.uids}
         self._last_fire = {u: start_time for u in graph.uids}
         self._flush_pending: set = set()
@@ -565,9 +610,14 @@ class Simulation:
 
     def _schedule_fire(self, uid, t, *entry):
         """Push a transition of `uid` enabled at t: it fires after the
-        scheduler's latency, and not before the node's previous one."""
+        scheduler's latency, and not before the node's previous one.  A
+        quantized scheduler fires it at the first boundary not before it,
+        so that no transition precedes its cause."""
         lat = self.scheduler.latency(self.timing, self.rng)
-        ft = self._snap(max(t + lat, self._last_fire[uid]))
+        ft = max(t + lat, self._last_fire[uid])
+        if self._quantized:
+            d = self.timing.d
+            ft = math.ceil(ft / d - REL_TOL) * d
         self._last_fire[uid] = ft
         self._push(ft, _FIRE, *entry)
 
@@ -640,7 +690,9 @@ class Simulation:
         batch, copies, reactions = [], 0, 0
         for uid, msg in sends:
             adj = self.adj[uid]
-            receivers = sorted(adj)
+            receivers = self._receivers.get(uid)
+            if receivers is None:
+                receivers = self._receivers[uid] = tuple(sorted(adj))
             dst = msg.dst
             reactors = (receivers if dst is None
                         else (dst,) if dst in adj else ())
@@ -740,6 +792,8 @@ class Simulation:
         if v in self.adj[u]:
             self.adj[u].discard(v)
             self.adj[v].discard(u)
+            self._receivers.pop(u, None)
+            self._receivers.pop(v, None)
             for uid, peer in ((u, v), (v, u)) if u < v else ((v, u), (u, v)):
                 self._schedule_fire(uid, t, "fire", uid, "on_link_down",
                                     (peer,))
@@ -786,6 +840,7 @@ class Simulation:
             "seed": self.seed,
             "start_time": self.start_time,
             "fn": getattr(self.fn, "name", None),
+            "m": getattr(self.protocol, "m", None),
         }
         return ExecutionTrace(events=self._rows, outputs=dict(self.outputs),
                               config=config, timing=self.timing,

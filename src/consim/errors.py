@@ -46,6 +46,10 @@ class InvariantViolation(ConsimError):
     a link failure the protocol does not support at that point."""
 
 
+class TraceViolation(ConsimError):
+    """A trace file's records break an invariant of every fair execution."""
+
+
 class StaleRoutingEntry(ConsimError):
     """A routed message references a next hop that is no longer a neighbor."""
 

@@ -85,6 +85,9 @@ class HybridAutomaton(GhsAutomaton):
         self.epoch = 0
         self.announced_epoch = -1
         self.neighbor_cluster: dict[int, tuple[int, int]] = {}  # peer -> (cid, epoch)
+        # how many neighbor_cluster entries are of _fresh_epoch or later
+        self._fresh = 0
+        self._fresh_epoch = 0
         self.disc_candidates: dict[int, set] = {}
         self.disc_pending: set = set()
         self.disc_sent = False
@@ -294,7 +297,7 @@ class HybridAutomaton(GhsAutomaton):
 
     def _on_announce(self, msg, src, out):
         cid, undo_uid, epoch = msg.payload
-        self.neighbor_cluster[src] = (cid, epoch)
+        self._note_cluster(src, (cid, epoch))
         if src == self.parent and self.announced_epoch < epoch:
             # our own cluster's flood, moving from the root toward leaves
             self.epoch = epoch
@@ -314,12 +317,31 @@ class HybridAutomaton(GhsAutomaton):
         else:
             self._maybe_report_discovery(out)
 
+    def _note_cluster(self, peer, entry):
+        """Set peer's neighbor_cluster entry, or drop it if entry is None,
+        keeping the count of entries current at _fresh_epoch."""
+        old = self.neighbor_cluster.get(peer)
+        if old is not None and old[1] >= self._fresh_epoch:
+            self._fresh -= 1
+        if entry is None:
+            self.neighbor_cluster.pop(peer, None)
+        else:
+            self.neighbor_cluster[peer] = entry
+            self._fresh += entry[1] >= self._fresh_epoch
+
     def _discovery_gate(self) -> bool:
         if self.disc_sent or self.announced_epoch != self.epoch:
             return False
         if self.disc_pending:
             return False
         neighbor_cluster, epoch = self.neighbor_cluster, self.epoch
+        if self._fresh_epoch != epoch:  # recounted once per epoch
+            self._fresh_epoch = epoch
+            self._fresh = sum(e >= epoch for _, e in neighbor_cluster.values())
+        if self._fresh < len(self.ctx.live):
+            return False  # some live neighbor's entry is missing or stale
+        # an entry can outlive its link until on_link_down runs, so the
+        # count only rules the gate out; check the live set once it may open
         for nb in self.ctx.live:  # every live neighbor: no order needed
             got = neighbor_cluster.get(nb)
             if got is None or got[1] < epoch:
@@ -512,7 +534,7 @@ class HybridAutomaton(GhsAutomaton):
                 f"hybrid recovers only after consensus completes")
         out = []
         self.neighbor_done.pop(peer, None)
-        self.neighbor_cluster.pop(peer, None)
+        self._note_cluster(peer, None)
         touched = [cid for cid, cands in self.disc_candidates.items()
                    if peer in cands]
         for cid in touched:

@@ -21,18 +21,19 @@ def peak_bandwidth(trace) -> float:
     Windows are half-open, so a window ending exactly where another begins
     does not stack with it.
     """
-    return _sweep(trace.events.sent(), trace.timing.d)
+    return _sweep(((t, msg.size_bits) for t, msg in trace.events.sent()),
+                  trace.timing.d)
 
 
 def _sweep(sent, d: float) -> float:
-    """Peak of the summed constant-rate windows of `sent`'s (t, message)
+    """Peak of the summed constant-rate windows of `sent`'s (t, size_bits)
     sends."""
     # endpoint times and rates in two lists, ordered by a stable index
     # sort, so that endpoints at one time are summed in send order; floats
     # and ints are not tracked by the garbage collector, tuples would be
     times, rates = [], []
-    for t, msg in sent:
-        rate = msg.size_bits / d
+    for t, bits in sent:
+        rate = bits / d
         times.append(t)
         times.append(t + d)
         rates.append(rate)
@@ -55,7 +56,8 @@ def peak_bandwidth_by_phase(trace) -> dict:
     """Peak per message-type prefix (the dotted phase tag)."""
     phases: dict[str, list] = {}
     for t, msg in trace.events.sent():
-        phases.setdefault(msg.mtype.split(".")[0], []).append((t, msg))
+        phases.setdefault(msg.mtype.split(".")[0], []).append(
+            (t, msg.size_bits))
     return {p: _sweep(phases[p], trace.timing.d) for p in sorted(phases)}
 
 
@@ -115,7 +117,7 @@ class ComplexityReport:
 def report_from_trace(trace, algo: str | None = None,
                       m: int | None = None) -> ComplexityReport:
     return ComplexityReport(
-        algo=algo or trace.config["protocol"],
+        algo=algo or trace.config.get("algo") or trace.config["protocol"],
         topology=trace.graph.kind,
         n=trace.graph.n,
         b_bits=trace.size_model.value_bits,

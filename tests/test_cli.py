@@ -32,7 +32,9 @@ def test_run_writes_trace_jsonl(tmp_path, capsys):
                            "star", "--n", "6", "--fn", "max",
                            "--trace", str(trace_file))
     assert code == 0
-    records = [json.loads(ln) for ln in trace_file.read_text().splitlines()]
+    header, *records = [json.loads(ln)
+                        for ln in trace_file.read_text().splitlines()]
+    assert (header["kind"], header["schema"]) == ("header", 2)
     kinds = {r["kind"] for r in records}
     assert kinds == {"send", "deliver", "transition", "output"}
     first = list(records[0])
@@ -283,3 +285,149 @@ def test_misspelt_config_key_is_a_configuration_error(tmp_path, capsys,
     assert code == 2
     assert err.startswith("configuration error:") and "seeds" in err
     assert not out
+
+
+# -- consim analyze: a schema-2 trace file read back -------------------------
+
+def _algorithm_scheduler_cases():
+    from consim.algorithms import ALGORITHMS
+    from consim.engine import SCHEDULERS
+    for algo in sorted(ALGORITHMS):
+        # averaging is round-driven and runs under lockstep only
+        for sched in ["lockstep"] if algo == "average" else sorted(SCHEDULERS):
+            yield algo, sched
+
+
+@pytest.mark.parametrize("algo, sched", _algorithm_scheduler_cases())
+def test_analyze_reproduces_the_run_row(tmp_path, capsys, algo, sched):
+    path = tmp_path / "trace.jsonl"
+    code, out, _ = run_cli(capsys, "run", "--algo", algo, "--m", "3",
+                           "--topo", "random_connected", "--n", "10",
+                           "--fn", "mean" if algo == "average" else "max",
+                           "--sched", sched, "--seed", "5",
+                           "--trace", str(path))
+    assert code == 0
+    assert run_cli(capsys, "analyze", str(path)) == (0, out, "")
+
+
+@pytest.mark.parametrize("sched", ["lockstep", "random", "adversarial"])
+def test_analyze_reproduces_the_rerun_row_of_a_failure_run(tmp_path, capsys,
+                                                           sched):
+    from consim.topology import make_topology
+    u, v = sorted(make_topology("complete", 7, seed=2).uids)[:2]
+    path = tmp_path / "trace.jsonl"
+    code, out, _ = run_cli(capsys, "run", "--algo", "hybrid", "--m", "2",
+                           "--topo", "complete", "--n", "7", "--fn", "max",
+                           "--sched", sched, "--seed", "2",
+                           "--fail", f"{u},{v}", "--trace", str(path))
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert rows[-1].startswith("hybrid-rerun,")
+    assert run_cli(capsys, "analyze", str(path)) == (
+        0, f"{header}\n{rows[-1]}\n", "")
+
+
+def _hybrid_records(tmp_path, capsys):
+    """The header and records of a lockstep hybrid trace on K6, which holds
+    tagged messages."""
+    path = tmp_path / "trace.jsonl"
+    assert run_cli(capsys, "run", "--algo", "hybrid", "--m", "2", "--topo",
+                   "complete", "--n", "6", "--fn", "max", "--seed", "1",
+                   "--trace", str(path))[0] == 0
+    return [json.loads(ln) for ln in path.read_text().splitlines()]
+
+
+def _first(records, **match):
+    return next(i for i, r in enumerate(records)
+                if all(r.get(k) == v for k, v in match.items()))
+
+
+def _tagged_copy(records):
+    return next(i for i, r in enumerate(records)
+                if r["kind"] == "deliver" and r.get("dst") is not None)
+
+
+def _untagged_copy(records):
+    return next(i for i, r in enumerate(records)
+                if r["kind"] == "deliver" and r.get("dst") is None)
+
+
+def _mutate(records, how):
+    r = [dict(rec) for rec in records]
+    if how == "order":
+        r.insert(1, r.pop())
+    elif how == "window":
+        i = _first(r, kind="send")
+        r.insert(i + 1, dict(r[i]))
+    elif how == "missing copy":
+        del r[_untagged_copy(r)]
+    elif how == "copy twice":
+        i = _untagged_copy(r)
+        r.insert(i + 1, dict(r[i]))
+    elif how == "other message":
+        r[_untagged_copy(r)]["size_bits"] += 1
+    elif how == "foreign copy":
+        i = _tagged_copy(r)
+        r[i]["node"] = next(n for n in range(64)
+                            if n not in (r[i]["dst"], r[i]["src"]))
+    elif how == "fan-out":
+        send = r[_untagged_copy(r)]
+        i = _first(r, kind="send", src=send["src"], msg_type=send["msg_type"])
+        r[i]["fanout"] -= 1
+    elif how == "output twice":
+        r.append(dict(r[_first(r, kind="output")], t=r[-1]["t"]))
+    elif how == "header count":
+        r[0]["messages"] += 1
+    elif how == "no output":
+        del r[_first(r, kind="output")]
+    return r
+
+
+@pytest.mark.parametrize("how, text", [
+    ("order", "out of chronological order"),
+    ("window", "inside an earlier window"),
+    ("missing copy", "recorded copies for a fan-out"),
+    ("copy twice", "twice"),
+    ("other message", "with its message"),
+    ("foreign copy", "recorded at node"),
+    ("fan-out", "recorded copies for a fan-out"),
+    ("output twice", "output twice"),
+    ("header count", "the header counts"),
+    ("no output", "nodes produced an output"),
+])
+def test_analyze_fails_a_broken_check_with_exit_1(tmp_path, capsys, how,
+                                                  text):
+    records = _hybrid_records(tmp_path, capsys)
+    path = tmp_path / "broken.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run_cli(capsys, "analyze", str(path))[0] == 0
+    path.write_text("".join(json.dumps(r) + "\n"
+                            for r in _mutate(records, how)))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and text in err
+
+
+@pytest.mark.parametrize("how", ["schema 1", "empty", "old schema",
+                                 "not json", "no time", "unknown kind"])
+def test_analyze_refuses_other_files_with_exit_2(tmp_path, capsys, how):
+    records = _hybrid_records(tmp_path, capsys)
+    lines = [json.dumps(r) for r in records]
+    if how == "schema 1":
+        lines = lines[1:]
+    elif how == "empty":
+        lines = []
+    elif how == "old schema":
+        lines[0] = json.dumps(dict(records[0], schema=1))
+    elif how == "not json":
+        lines[3] = lines[3][:-1]
+    elif how == "no time":
+        lines[3] = json.dumps({k: v for k, v in records[3].items()
+                               if k != "t"})
+    elif how == "unknown kind":
+        lines[3] = json.dumps(dict(records[3], kind="drop"))
+    path = tmp_path / "other.jsonl"
+    path.write_text("".join(ln + "\n" for ln in lines))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: not a schema-2 trace")

@@ -23,6 +23,7 @@ from consim.functions import MaxFunction, MeanFunction, MedianFunction
 from consim.hybrid import FailureExperiment
 from consim.messages import Message, SizeModel
 from consim.topology import Graph, make_topology
+from consim.validation import same_records
 
 
 class PingOnce(Automaton):
@@ -118,6 +119,82 @@ def test_determinism_bit_identical_replay():
     assert t1.to_jsonl() == t2.to_jsonl()
     t3 = _sim(g, scheduler="random", seed=10).run()
     assert t1.to_jsonl() != t3.to_jsonl()
+
+
+def test_determinism_check_tells_apart_a_non_recipient_copy():
+    # the export drops the copies no receiver reads; the check compares
+    # every record, so a replay that moved or lost one still diverges
+    g = make_topology("complete", 6, seed=2)
+    trace = run(ALGORITHMS["hybrid"].protocol(2, 1e-3), g, list(range(6)),
+                fn=MaxFunction(64), seed=2)
+    events = list(trace.events)
+    i = next(i for i, e in enumerate(events)
+             if e.kind == "deliver" and e.msg.dst not in (None, e.node))
+
+    def with_events(evs):
+        return ExecutionTrace(
+            events=evs, outputs=trace.outputs, config=trace.config,
+            timing=trace.timing, size_model=trace.size_model, graph=g,
+            send_fanout=trace.send_fanout,
+            messages_total=trace.messages_total, bits_total=trace.bits_total)
+
+    e = events[i]
+    late = Event("deliver", e.t + 1e-3, e.node, e.msg, e.ref)
+    assert same_records(trace, with_events(events))
+    for mutant in (events[:i] + events[i + 1:],
+                   events[:i] + [late] + events[i + 1:]):
+        assert with_events(mutant).to_jsonl() == trace.to_jsonl()
+        assert not same_records(trace, with_events(mutant))
+
+
+class DownClock(Protocol):
+    """Outputs at start and pings once; notes the engine clock at every
+    link-down transition."""
+
+    name = "down-clock"
+
+    def __init__(self):
+        self.sim, self.downs = None, []
+
+    def automaton(self, ctx):
+        proto = self
+
+        class Node(Automaton):
+            def on_start(self):
+                self.output = self.ctx.value
+                return [self.ctx.message("x.ping", uids=1)]
+
+            def on_link_down(self, peer):
+                proto.downs.append((self.ctx.uid, peer, proto.sim.now))
+                return []
+
+        return Node(ctx)
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+@pytest.mark.parametrize("rounds", [0.4, 1.0, 1.4, 1.5, 1.6, 2.0, 2.999])
+def test_link_down_transitions_never_precede_the_failure(scheduler, rounds):
+    g = make_topology("cycle", 6, seed=1)
+    timing = TimingParams(d=0.01, l=0.001)
+    proto = DownClock()
+    proto.sim = sim = Simulation(proto, g, list(range(6)), fn=MaxFunction(32),
+                                 timing=timing, scheduler=scheduler, seed=3)
+    u, v = g.uids[0], g.uids[1]
+    at = rounds * timing.d
+    sim.schedule_link_down(u, v, at=at)
+    trace = sim.run()
+    assert sorted((a, b) for a, b, _ in proto.downs) == sorted([(u, v),
+                                                                (v, u)])
+    for _, _, t in proto.downs:
+        assert at <= t <= at + max(timing.d, timing.l)
+    # each node's first transition without a message is its start
+    started, fired = set(), []
+    for e in trace.events:
+        if e.kind == "transition" and e.msg is None:
+            if e.node in started:
+                fired.append(e.t)
+            started.add(e.node)
+    assert fired == [t for _, _, t in proto.downs]
 
 
 def test_single_node_runs_with_zero_messages():
@@ -302,13 +379,22 @@ def test_unknown_scheduler_rejected():
         get_scheduler("chaotic")
 
 
+def _keys(line):
+    return [part.split(":")[0].strip(' {"') for part in line.split(",")]
+
+
 def test_trace_jsonl_schema_field_order():
     g = make_topology("path", 2, seed=0)
     trace = _sim(g).run()
-    first_send = next(ln for ln in trace.to_jsonl().splitlines()
+    fields = ["kind", "t", "node", "msg_type", "size_bits", "src"]
+    first_send = next(ln for ln in _schema1(trace.events).splitlines()
                       if '"kind": "send"' in ln)
-    keys = [part.split(":")[0].strip(' {"') for part in first_send.split(",")]
-    assert keys == ["kind", "t", "node", "msg_type", "size_bits", "src"]
+    assert _keys(first_send) == fields
+    # schema 2 keeps that order and appends the fan-out to a send
+    lines = trace.to_jsonl().splitlines()
+    assert _keys(lines[0])[:2] == ["kind", "schema"]
+    first_send = next(ln for ln in lines if '"kind": "send"' in ln)
+    assert _keys(first_send) == fields + ["fanout"]
 
 
 # -- validate_trace on hand-built traces ---------------------------------------
@@ -378,12 +464,43 @@ def test_checks_survive_python_O():
 
 # -- the JSONL export against a plain json.dumps of every record ---------------
 
-def _reference_jsonl(events):
+def _schema1(events):
+    """The schema-1 rendering: every record, every copy included."""
     return "\n".join(json.dumps(e.to_record()) for e in events) + "\n"
 
 
+def _header(trace):
+    cfg, sm = trace.config, trace.size_model
+    return {"kind": "header", "schema": 2, "protocol": cfg.get("protocol"),
+            "algo": cfg.get("algo", cfg.get("protocol")),
+            "scheduler": cfg.get("scheduler"), "seed": cfg.get("seed", 0),
+            "start_time": cfg.get("start_time", 0.0), "fn": cfg.get("fn"),
+            "m": cfg.get("m"), "topology": trace.graph.kind,
+            "n": trace.graph.n, "b": sm.value_bits, "d": trace.timing.d,
+            "l": trace.timing.l,
+            "size_model": {"uid_bits": sm.uid_bits,
+                           "value_bits": sm.value_bits, "flag_bits": 8},
+            "messages": trace.messages_total, "bits": trace.bits_total}
+
+
+def _reference_jsonl(trace):
+    """Schema 2 from the schema-1 rendering: the header, then each schema-1
+    line except the copies of a tagged message to nodes other than its
+    dst, with each send's fan-out appended."""
+    events = list(trace.events)
+    lines = [json.dumps(_header(trace))]
+    for e, line in zip(events, _schema1(events).splitlines()):
+        if e.kind == "deliver" and e.msg.dst not in (None, e.node):
+            continue
+        if e.kind == "send":
+            line = line[:-1] + ', "fanout": %s}' % json.dumps(
+                trace.send_fanout.get(e.ref))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 def _assert_export_matches(trace):
-    expected = _reference_jsonl(trace.events)
+    expected = _reference_jsonl(trace)
     assert trace.to_jsonl() == expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_JSONL_CHUNK", 7)  # many chunk boundaries
@@ -421,6 +538,9 @@ def test_export_matches_json_dumps_on_failure_traces(scheduler):
     for trace in (exp.initial_trace, exp.repair_trace, exp.rerun_trace):
         assert trace.events
         _assert_export_matches(trace)
+    # the initial consensus has tagged messages, whose other copies go
+    assert exp.initial_trace.to_jsonl().count('"deliver"') < sum(
+        e.kind == "deliver" for e in exp.initial_trace.events)
 
 
 def test_export_of_lean_and_empty_traces():
@@ -429,7 +549,8 @@ def test_export_of_lean_and_empty_traces():
     assert {e.kind for e in lean.events} == {"output"}
     _assert_export_matches(lean)
     lean.events = []
-    assert lean.to_jsonl() == "\n"
+    assert _schema1(lean.events) == "\n"
+    assert lean.to_jsonl() == json.dumps(_header(lean)) + "\n"
     _assert_export_matches(lean)
 
 
@@ -461,8 +582,7 @@ def test_cli_trace_file_equals_to_jsonl(tmp_path, capsys, fail):
     path = tmp_path / "trace.jsonl"
     assert cli_main(argv + ["--trace", str(path)]) == 0
     capsys.readouterr()
-    assert path.read_text() == trace.to_jsonl() == _reference_jsonl(
-        trace.events)
+    assert path.read_text() == trace.to_jsonl() == _reference_jsonl(trace)
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
@@ -479,7 +599,7 @@ def test_export_pieces_are_bounded_by_records(scheduler, monkeypatch):
     assert all(piece.endswith("\n") for piece in pieces)
     assert all(7 <= k < 7 + fanout for k in sizes[:-1])
     assert 0 < sizes[-1] < 7 + fanout
-    assert "".join(pieces) == _reference_jsonl(trace.events)
+    assert "".join(pieces) == _reference_jsonl(trace)
 
 
 # -- the column store and its Event view --------------------------------------
@@ -521,7 +641,9 @@ def test_hand_built_events_round_trip():
     built = ExecutionTrace(events=events, outputs=trace.outputs,
                            config=trace.config, timing=trace.timing,
                            size_model=trace.size_model, graph=g,
-                           send_fanout=trace.send_fanout)
+                           send_fanout=trace.send_fanout,
+                           messages_total=trace.messages_total,
+                           bits_total=trace.bits_total)
     assert list(built.events) == events
     assert all(a.msg is b.msg and a.value is b.value
                for a, b in zip(built.events, events))

@@ -1,9 +1,11 @@
-"""Replay pins: SHA-256 of the JSONL export plus the outputs of a few fixed
+"""Replay pins: SHA-256 of the schema-1 rendering (one JSON line per event
+of `trace.events`, every copy included) plus the outputs of a few fixed
 executions.  A refactor that keeps these digests produces the same
 executions byte for byte; a change that alters them must say why and
 re-pin."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -21,16 +23,20 @@ from consim.topology import edge_weight, fail_link, make_topology
 TIMING = TimingParams(d=0.01, l=0.001)
 
 
+def schema1(trace):
+    return "\n".join(json.dumps(e.to_record()) for e in trace.events) + "\n"
+
+
 def digest(traces):
     h = hashlib.sha256()
     for trace in traces:
-        h.update(trace.to_jsonl().encode())
+        h.update(schema1(trace).encode())
         h.update(repr(sorted(trace.outputs.items())).encode())
     return h.hexdigest()
 
 
 def full_digest(traces):
-    """digest() plus what the JSONL export leaves out: every event's ref,
+    """digest() plus what the records leave out: every event's ref,
     the per-send fan-out and the message and bit totals."""
     h = hashlib.sha256(digest(traces).encode())
     for trace in traces:
@@ -161,7 +167,7 @@ AVERAGE_PINS = {
 # round it is raised at and full_digest of the records up to it
 AVERAGE_LINK_DOWN_PINS = {
     "2.3": ("lockstep round delivered an incomplete neighborhood", 4,
-            "c378dac804eed1d1bf9dd414b16c83b4e302f0fb77e6924aea6d4a58b8a51bde"),
+            "e2e7cd546664f862b6b733495253456e9b1aebc6fe0cef23e4b4213e32cf399d"),
     "2.7": ("lockstep round delivered an incomplete neighborhood", 4,
             "e2e7cd546664f862b6b733495253456e9b1aebc6fe0cef23e4b4213e32cf399d"),
     "3": ("lockstep round delivered an incomplete neighborhood", 4,
@@ -200,9 +206,10 @@ def test_average_topology_digest_is_pinned(kind, mode):
 
 @pytest.mark.parametrize("at", sorted(AVERAGE_LINK_DOWN_PINS))
 def test_average_link_down_is_pinned(at):
-    # 2.7 d is mid-round, and its link-down transitions snap to the next
-    # boundary, where they fall between that round's deliveries and its
-    # message transitions; 3 d is exactly on that boundary
+    # 2.3 d and 2.7 d are mid-round, and their link-down transitions fire at
+    # the next boundary, never before the failure, where they fall between
+    # that round's deliveries and its message transitions; 3 d is exactly on
+    # that boundary
     g = make_topology("path", 6, seed=1)
     sim = Simulation(AverageProtocol(eps=1e-9), g, list(range(6)),
                      fn=MeanFunction(128), timing=TIMING, seed=4)

@@ -6,7 +6,8 @@ executions it covers replay byte for byte:
     PYTHONPATH=src python3 tools/replay_digests.py > after.txt
 
 Each line is `case sha256`, the digest covering every trace of the case:
-its JSONL export, its event count and last event, every event's ref, the
+its schema-1 rendering (one `json.dumps(e.to_record())` line per event of
+`trace.events`, every copy included), its event count and last event, every event's ref, the
 per-send fan-out, the message and bit totals, the outputs, the per-phase
 peaks and, for a trace in which every node outputs, its CSV row.  A case
 that raises prints the error instead.
@@ -22,6 +23,7 @@ edges).
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 
 from consim.algorithms import ALGORITHMS
@@ -45,13 +47,18 @@ FAILURE_GRAPHS = (("random_connected", 10, 0.3, 0, 2),
                   ("complete", 9, None, 3, 3))
 
 
+def schema1(trace) -> str:
+    """Every record of the trace, one JSON object per line."""
+    return "\n".join(json.dumps(e.to_record()) for e in trace.events) + "\n"
+
+
 def _digest(traces, m=None, extra=None) -> str:
     h = hashlib.sha256()
     if extra is not None:
         h.update(repr(extra).encode())
     for trace in traces:
         events = trace.events
-        h.update(trace.to_jsonl().encode())
+        h.update(schema1(trace).encode())
         h.update(f"{len(events)} {events[-1] if events else None!r}".encode())
         h.update(repr([e.ref for e in events]).encode())
         h.update(repr(sorted(trace.send_fanout.items())).encode())
