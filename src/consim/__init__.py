@@ -3,9 +3,7 @@ protocols on broadcast networks."""
 
 from .averaging import AverageProtocol
 from .engine import (Automaton, Event, ExecutionTrace, Protocol, Simulation,
-                     TimingParams, run, validate_trace,
-                     SynchronousLockstep, RandomAsync, AdversarialMaxDelay,
-                     SCHEDULERS, get_scheduler)
+                     TimingParams, run, validate_trace, SCHEDULERS)
 from .flooding import FloodingProtocol
 from .ghs import (GhsMstProtocol, GhsParallelProtocol, GhsTokenProtocol,
                   ParallelConvergecastProtocol, TokenConvergecastProtocol,

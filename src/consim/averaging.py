@@ -78,7 +78,7 @@ class AverageProtocol(Protocol):
         self.eps = eps
         self._values = None  # initial values the monitor was set up for
 
-    def validate(self, graph, fn, scheduler):
+    def validate(self, graph, fn):
         if fn is None or fn.name != "mean":
             raise ConfigError("the averaging algorithm only computes the mean")
 

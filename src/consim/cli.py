@@ -26,8 +26,8 @@ from . import bounds as bnd
 from .algorithms import ALGORITHMS
 from .analyze import analyze
 from .engine import SCHEDULERS, Simulation, TimingParams
-from .errors import (ConfigError, ConsimError, InvalidParams, NotHierarchical,
-                     WouldDisconnect)
+from .errors import (ConfigError, ConsimError, DomainOverflow, InvalidParams,
+                     NotHierarchical, WouldDisconnect)
 from .functions import get_function
 from .hybrid import FailureExperiment
 from .metrics import (CSV_HEADER, ComplexityReport, byte_complexity,
@@ -52,6 +52,11 @@ def _values(args, graph, fn):
                               f"got {args.init_values!r}") from None
         if len(vals) != graph.n:
             raise ConfigError("--init-values must list exactly n integers")
+        for v in vals:
+            try:
+                fn.initial(v)
+            except DomainOverflow as exc:
+                raise ConfigError(f"--init-values: {exc}") from None
         return vals
     rng = random.Random(args.seed ^ 0xA5A5)
     if fn.name == "vote":

@@ -20,16 +20,20 @@ multiplication round monotonically, so this holds exactly).
 
 Schedulers
 ----------
-SynchronousLockstep   rounds of length d; everything sent during round r is
-                      delivered exactly at (r+1)*d and transitions fire
-                      immediately.  Special case of the asynchronous model.
-AdversarialMaxDelay   every delivery takes the full d and co-enabled
-                      transitions fire together, maximizing the traffic that
-                      shares a transmission window.  With zero transition
-                      latency every transmission starts on a multiple of d,
-                      so this replays exactly as SynchronousLockstep.
-RandomAsync           delivery delays drawn uniformly from (0, d] per
-                      receiver and transition latencies from (0, l].
+SCHEDULERS maps each scheduler's name to whether it is quantized, and the
+engine holds the one timing rule for each kind.  All grid arithmetic goes
+through Simulation._boundary, the first multiple of d not before a time.
+
+lockstep      quantized: rounds of length d; everything sent during round r
+              is delivered exactly at (r+1)*d and transitions fire at the
+              first boundary not before their cause.  Special case of the
+              asynchronous model.
+adversarial   quantized, an alias of lockstep: every delivery takes the full
+              d and co-enabled transitions fire together, which with zero
+              latency is exactly lockstep.
+random        delivery delays drawn uniformly from (0, d] per receiver and
+              transition latencies from (0, l], in event order from the
+              seeded generator.
 
 A broadcast is charged once regardless of receiver count and delivered to
 every neighbor it had when its transmission started.  Messages carrying a
@@ -95,50 +99,8 @@ class TimingParams:
 
 REL_TOL = 1e-9  # of d: rounding allowed between times that should coincide
 
-
-class SynchronousLockstep:
-    name = "lockstep"
-    quantized = True
-
-    def delivery_time(self, start: float, timing: TimingParams, rng) -> float:
-        return (round(start / timing.d) + 1) * timing.d
-
-    def latency(self, timing: TimingParams, rng) -> float:
-        return 0.0
-
-
-class AdversarialMaxDelay(SynchronousLockstep):
-    """Every delivery takes the full d.  Transitions have zero latency, so
-    every transmission starts on a multiple of d and start + d is exactly
-    the lockstep delivery time."""
-
-    name = "adversarial"
-
-
-class RandomAsync:
-    name = "random"
-    quantized = False
-
-    def delivery_time(self, start, timing, rng):
-        # 1 - random() lies in (0, 1], so the delay never degenerates to zero
-        return start + timing.d * (1.0 - rng.random())
-
-    def latency(self, timing, rng):
-        return timing.l * (1.0 - rng.random())
-
-
-SCHEDULERS = {
-    "lockstep": SynchronousLockstep,
-    "random": RandomAsync,
-    "adversarial": AdversarialMaxDelay,
-}
-
-
-def get_scheduler(name: str):
-    try:
-        return SCHEDULERS[name]()
-    except KeyError:
-        raise ConfigError(f"unknown scheduler {name!r}") from None
+# scheduler name -> whether it is quantized (see the module docstring)
+SCHEDULERS = {"lockstep": True, "random": False, "adversarial": True}
 
 
 @dataclass(slots=True)
@@ -508,7 +470,7 @@ class Protocol:
         """Round-driven protocols only: returns (halted, [(uid, Message)])."""
         raise NotImplementedError
 
-    def validate(self, graph, fn, scheduler):
+    def validate(self, graph, fn):
         """Hook for per-protocol configuration constraints."""
 
 
@@ -536,21 +498,25 @@ class Simulation:
         self.values = self._normalize_values(graph, values)
         self.fn = fn
         self.timing = timing or TimingParams()
-        self.scheduler = get_scheduler(scheduler)
+        if scheduler not in SCHEDULERS:
+            raise ConfigError(f"unknown scheduler {scheduler!r}")
+        self.scheduler = scheduler
         self.seed = seed
         self.rng = random.Random(seed)
         self.size_model = size_model or SizeModel.for_network(
             graph.n, getattr(fn, "bits", 32), pool_size=graph.pool_size)
+        if event_cap < 1:
+            raise ConfigError("the event cap must be at least 1")
         self.event_cap = event_cap
         self.start_time = start_time
 
-        if protocol.round_driven and self.scheduler.name != "lockstep":
+        if protocol.round_driven and scheduler != "lockstep":
             raise ConfigError(
                 f"protocol {protocol.name} only runs under the lockstep scheduler")
         if protocol.hierarchical_only and not getattr(fn, "hierarchical", False):
             raise NotHierarchical(
                 f"{protocol.name} needs a hierarchically computable function")
-        protocol.validate(graph, fn, self.scheduler)
+        protocol.validate(graph, fn)
 
         self.adj: dict[int, set] = {u: set(graph.adj[u]) for u in graph.uids}
         self._fresh_automata = automata is None
@@ -572,9 +538,9 @@ class Simulation:
         self._send_fanout: dict[int, int] = {}
         self._receivers: dict[int, tuple] = {}  # sorted live neighbors
         self._tx_free = {u: start_time for u in graph.uids}
-        self._last_fire = {u: start_time for u in graph.uids}
+        self._last_fire = {u: start_time for u in graph.uids}  # random only
         self._flush_pending: set = set()
-        self._quantized = getattr(self.scheduler, "quantized", False)
+        self._quantized = SCHEDULERS[scheduler]
         self.now = start_time
 
     @staticmethod
@@ -595,10 +561,10 @@ class Simulation:
         self._seq += span
         heapq.heappush(self._heap, (t, prio, seq, *entry))
 
-    def _snap(self, t: float) -> float:
-        if self._quantized:
-            return round(t / self.timing.d) * self.timing.d
-        return t
+    def _boundary(self, t: float) -> float:
+        """The first multiple of d not before t, up to REL_TOL."""
+        d = self.timing.d
+        return math.ceil(t / d - REL_TOL) * d
 
     def schedule_link_down(self, u, v, at: float):
         self._push(at, _LINKDOWN, "linkdown", u, v)
@@ -609,21 +575,23 @@ class Simulation:
                    "kick", uid, method, tuple(args))
 
     def _schedule_fire(self, uid, t, *entry):
-        """Push a transition of `uid` enabled at t: it fires after the
-        scheduler's latency, and not before the node's previous one.  A
-        quantized scheduler fires it at the first boundary not before it,
-        so that no transition precedes its cause."""
-        lat = self.scheduler.latency(self.timing, self.rng)
-        ft = max(t + lat, self._last_fire[uid])
+        """Push a transition of `uid` enabled at t.  A quantized scheduler
+        fires it at the first boundary not before t, so that no transition
+        precedes its cause; the random one after a latency drawn from
+        (0, l], and not before the node's previous transition."""
         if self._quantized:
-            d = self.timing.d
-            ft = math.ceil(ft / d - REL_TOL) * d
-        self._last_fire[uid] = ft
+            ft = self._boundary(t)
+        else:
+            ft = max(t + self.timing.l * (1.0 - self.rng.random()),
+                     self._last_fire[uid])
+            self._last_fire[uid] = ft
         self._push(ft, _FIRE, *entry)
 
     def _transmit(self, uid, msgs, emit_t):
         for msg in msgs:
-            start = self._snap(max(emit_t, self._tx_free[uid]))
+            start = max(emit_t, self._tx_free[uid])
+            if self._quantized:
+                start = self._boundary(start)
             self._tx_free[uid] = start + self.timing.d
             self._push(start, _TX, "tx", uid, msg)
 
@@ -709,18 +677,20 @@ class Simulation:
 
     def _do_tx(self, t, seq, uid, msg):
         """A transmission starts.  Under a quantized scheduler its copies
-        land at one boundary as one entry, numbered as the per-copy entries
-        it stands for.  Under the random scheduler each copy is an entry of
-        its own."""
+        land at the next boundary as one entry, numbered as the per-copy
+        entries it stands for.  Under the random scheduler each copy is an
+        entry of its own, with a delay drawn from (0, d]."""
         batch, copies, reactions = self._charge(t, ((uid, msg),), seq)
+        d = self.timing.d
         if self._quantized:
             if copies:
-                dt = self.scheduler.delivery_time(t, self.timing, self.rng)
-                self._push(dt, _DELIVER, "fan", copies, batch, reactions,
-                           span=copies)
+                self._push(self._boundary(t + d), _DELIVER, "fan", copies,
+                           batch, reactions, span=copies)
             return
+        rng = self.rng
         for nb in batch[0][2]:
-            dt = self.scheduler.delivery_time(t, self.timing, self.rng)
+            # 1 - random() lies in (0, 1], so no delay degenerates to zero
+            dt = t + d * (1.0 - rng.random())
             copy = (nb,)
             reacts = msg.dst is None or msg.dst == nb
             self._push(dt, _DELIVER, "fan", 1,
@@ -813,10 +783,10 @@ class Simulation:
         as one delivery entry that the event cap counts per send and copy."""
         halted, sends = self.protocol.on_round_boundary(self.automata, r, self)
         d = self.timing.d
-        start = self._snap(t)
+        start = self._boundary(t)
         for uid, _ in sends:
             free = self._tx_free[uid]
-            if free > t and self._snap(free) != start:
+            if free > t and self._boundary(free) != start:
                 raise InvariantViolation(
                     f"node {uid}'s round-{r} send would start inside its "
                     f"earlier transmission window")
@@ -836,7 +806,7 @@ class Simulation:
     def _trace(self) -> ExecutionTrace:
         config = {
             "protocol": self.protocol.name,
-            "scheduler": self.scheduler.name,
+            "scheduler": self.scheduler,
             "seed": self.seed,
             "start_time": self.start_time,
             "fn": getattr(self.fn, "name", None),

@@ -774,7 +774,7 @@ class HybridProtocol(Protocol):
             raise ConfigError("m must be at least 1")
         self.m = m
 
-    def validate(self, graph, fn, scheduler):
+    def validate(self, graph, fn):
         if self.m > graph.n:
             raise ConfigError("m cannot exceed the node count")
 
@@ -901,7 +901,7 @@ class FailureExperiment:
         """A follow-on execution over the current automata and graph."""
         return Simulation(self.sim.protocol, self.graph, self.sim.values,
                           fn=self.fn, timing=self.sim.timing,
-                          scheduler=self.sim.scheduler.name,
+                          scheduler=self.sim.scheduler,
                           seed=self.sim.seed + 1,
                           size_model=self.sim.size_model,
                           automata=self.sim.automata, start_time=start)

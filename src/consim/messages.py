@@ -62,7 +62,7 @@ class SizeModel:
                 + n_values * self.value_bits + extra_bits)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Message:
     """One protocol payload.
 
@@ -71,7 +71,8 @@ class Message:
     src       -- sender UID
     size_bits -- exact wire size, computed via a SizeModel at construction
     dst       -- recipient UID for one-to-one emulation, None for broadcast
-    payload   -- protocol data (tuples only, so messages stay hashable)
+    payload   -- protocol data, tuples only: every receiver of a broadcast
+                 reads the one object, so none may change it
     """
 
     mtype: str

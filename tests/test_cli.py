@@ -247,6 +247,28 @@ def test_non_finite_parameters_are_configuration_errors(capsys, argv):
     assert err.startswith("configuration error:") and not out
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("--fn", "vote:3", "--init-values", "0,1,5,1"), "ballot 5 out of range"),
+    (("--bits", "4", "--init-values", "1,2,3,99"), "99 does not fit in 4 bits"),
+])
+def test_out_of_domain_init_values_are_configuration_errors(capsys, argv,
+                                                           text):
+    code, out, err = run_cli(capsys, "run", "--n", "4", "--topo", "path",
+                             *argv)
+    assert code == 2
+    assert err.startswith("configuration error:") and text in err
+    assert not out
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_event_cap_below_one_is_a_configuration_error(capsys, cap):
+    code, out, err = run_cli(capsys, "run", "--topo", "path", "--n", "3",
+                             "--event-cap", cap)
+    assert code == 2
+    assert err.startswith("configuration error:") and "event cap" in err
+    assert not out
+
+
 SWEEP = ("sweep", "--axis", "m", "--values", "2,3", "--algo", "hybrid",
          "--topo", "cycle", "--n", "8", "--seed", "0")
 

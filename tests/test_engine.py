@@ -1,7 +1,6 @@
 import gc
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -13,16 +12,15 @@ from consim import engine
 from consim.algorithms import ALGORITHMS
 from consim.cli import _single_report, build_parser
 from consim.cli import main as cli_main
-from consim.engine import (SCHEDULERS, AdversarialMaxDelay, Automaton, Event,
-                           ExecutionTrace, Protocol, RandomAsync, Simulation,
-                           SynchronousLockstep, TimingParams, get_scheduler,
-                           run, validate_trace)
+from consim.engine import (SCHEDULERS, Automaton, Event, ExecutionTrace,
+                           Protocol, Simulation, TimingParams, run,
+                           validate_trace)
 from consim.errors import (ConfigError, DisconnectedGraph,
                            InvariantViolation, NonTermination, NotHierarchical)
 from consim.functions import MaxFunction, MeanFunction, MedianFunction
 from consim.hybrid import FailureExperiment
 from consim.messages import Message, SizeModel
-from consim.topology import Graph, make_topology
+from consim.topology import TOPOLOGY_KINDS, Graph, make_topology
 from consim.validation import same_records
 
 
@@ -86,11 +84,13 @@ def test_adversarial_delay_is_exactly_d():
 
 
 def test_random_async_delays_in_window_with_sane_mean():
-    # statistical check on the uniform delay sampler
-    rng = random.Random(42)
-    sched = RandomAsync()
-    timing = TimingParams(d=0.01, l=0.001)
-    delays = [sched.delivery_time(0.0, timing, rng) for _ in range(1000)]
+    # statistical check on the uniform delay sampler, through the deliveries
+    # of a real run: 40 * 39 copies, each with a delay of its own
+    g = make_topology("complete", 40, seed=42)
+    trace = _sim(g, scheduler="random", seed=42).run()
+    sends = {e.ref: e.t for e in trace.events if e.kind == "send"}
+    delays = [e.t - sends[e.ref] for e in trace.events if e.kind == "deliver"]
+    assert len(delays) >= 1000
     assert all(0.0 < t <= 0.01 for t in delays)
     assert 0.004 <= sum(delays) / len(delays) <= 0.006
 
@@ -305,7 +305,7 @@ def test_hierarchical_only_is_enforced_before_validate():
         name = "picky"
         hierarchical_only = True
 
-        def validate(self, graph, fn, scheduler):
+        def validate(self, graph, fn):
             raise AssertionError("validate ran before the engine's check")
 
     g = make_topology("path", 3, seed=0)
@@ -375,8 +375,57 @@ def test_round_send_inside_earlier_window_is_rejected():
 
 
 def test_unknown_scheduler_rejected():
-    with pytest.raises(ConfigError):
-        get_scheduler("chaotic")
+    g = make_topology("path", 3, seed=0)
+    with pytest.raises(ConfigError, match="unknown scheduler 'chaotic'"):
+        _sim(g, scheduler="chaotic")
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_event_cap_below_one_rejected(cap):
+    g = make_topology("path", 3, seed=0)
+    with pytest.raises(ConfigError, match="event cap"):
+        _sim(g, event_cap=cap)
+
+
+def _assert_on_grid(trace):
+    """Every record time is exactly k * d, the float product, for an
+    integer k: ticks convert to these seconds with one multiplication."""
+    d = trace.timing.d
+    times = trace.events.t
+    assert times
+    assert all(t == round(t / d) * d for t in times)
+
+
+@pytest.mark.parametrize("scheduler", ["lockstep", "adversarial"])
+@pytest.mark.parametrize("n", [9, 17])
+@pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+def test_quantized_record_times_are_multiples_of_d(kind, n, scheduler):
+    g = make_topology(kind, n, seed=n)
+    for algo in sorted(ALGORITHMS):
+        if algo == "average" and scheduler != "lockstep":
+            continue  # round-driven: lockstep only
+        fn = MeanFunction(128) if algo == "average" else MaxFunction(64)
+        _assert_on_grid(run(ALGORITHMS[algo].protocol(3, 1e-3), g,
+                            [(7 * i + 1) % 19 for i in range(n)], fn=fn,
+                            scheduler=scheduler, seed=n,
+                            timing=TimingParams(d=0.01, l=0.001)))
+
+
+@pytest.mark.parametrize("scheduler", ["lockstep", "adversarial"])
+@pytest.mark.parametrize("n", [9, 17])
+def test_quantized_failure_traces_are_multiples_of_d(n, scheduler):
+    g = make_topology("complete", n, seed=4)
+    exp = FailureExperiment(g, list(range(n)), MaxFunction(64), 3,
+                            timing=TimingParams(d=0.01, l=0.001), seed=4,
+                            scheduler=scheduler)
+    child = next(u for u, a in sorted(exp.automata.items())
+                 if a.parent is not None)
+    # a failure off the grid: the transitions it enables wait for a boundary
+    exp.fail_link((child, exp.automata[child].parent),
+                  at=exp.initial_trace.last_time() + 0.0137)
+    exp.reconsensus()
+    for trace in (exp.initial_trace, exp.repair_trace, exp.rerun_trace):
+        _assert_on_grid(trace)
 
 
 def _keys(line):
@@ -425,7 +474,8 @@ def _hand_trace(sends, d=0.01):
 
 
 def test_validate_trace_accepts_tiny_random_delay():
-    # RandomAsync draws delays from (0, d]; this one came from a real run
+    # the random scheduler draws delays from (0, d]; this one came from a
+    # real run
     validate_trace(_hand_trace([(0.0, 2.79e-10)]))
 
 
