@@ -76,7 +76,6 @@ class AverageProtocol(Protocol):
         if not 0 < eps < math.inf:
             raise ConfigError("eps must be positive and finite")
         self.eps = eps
-        self._values = None  # initial values the monitor was set up for
 
     def validate(self, graph, fn):
         if fn is None or fn.name != "mean":
@@ -93,13 +92,12 @@ class AverageProtocol(Protocol):
                 / sum(w.values()))
 
     def on_round_boundary(self, automata, r, sim):
-        if self._values is not sim.values:  # a new execution
-            self._values = sim.values
+        nodes = [automata[uid] for uid in sorted(automata)]
+        if r == 0:  # a new execution: set up its convergence monitor
             self._target = self._fixed_point(sim)
             vals = [sim.values[u] for u in sim.graph.uids]
             self._spread = max(vals) - min(vals)
-        nodes = [automata[uid] for uid in sorted(automata)]
-        if r > 0:
+        else:
             for a in nodes:
                 a.apply_update()
         # estimate_value is monotone in the estimate, so the two extreme

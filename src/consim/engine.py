@@ -21,11 +21,12 @@ multiplication round monotonically, so this holds exactly).
 Schedulers
 ----------
 SCHEDULERS maps each scheduler's name to whether it is quantized, and the
-engine holds the one timing rule for each kind.  All grid arithmetic goes
-through Simulation._boundary, the first multiple of d not before a time.
+engine holds the one timing rule for each kind.  Every layer puts a time on
+the grid through TimingParams.boundary, the first multiple of d not before it.
 
-lockstep      quantized: rounds of length d; everything sent during round r
-              is delivered exactly at (r+1)*d and transitions fire at the
+lockstep      quantized: rounds of length d, counted from each execution's
+              own first boundary; everything sent during a round lands
+              exactly at the next boundary and transitions fire at the
               first boundary not before their cause.  Special case of the
               asynchronous model.
 adversarial   quantized, an alias of lockstep: every delivery takes the full
@@ -80,7 +81,7 @@ from itertools import islice
 from typing import Any
 
 from .errors import (ConfigError, DisconnectedGraph, InvariantViolation,
-                     NonTermination, NotHierarchical)
+                     NonTermination, NotHierarchical, TraceViolation)
 from .messages import Message, SizeModel
 from .topology import Graph
 
@@ -95,6 +96,10 @@ class TimingParams:
     def __post_init__(self):
         if not (0 < self.d < math.inf and 0 < self.l < math.inf):
             raise ConfigError("timing parameters must be positive and finite")
+
+    def boundary(self, t: float) -> float:
+        """The first multiple of d not before t, up to REL_TOL."""
+        return math.ceil(t / self.d - REL_TOL) * self.d
 
 
 REL_TOL = 1e-9  # of d: rounding allowed between times that should coincide
@@ -508,6 +513,8 @@ class Simulation:
         if event_cap < 1:
             raise ConfigError("the event cap must be at least 1")
         self.event_cap = event_cap
+        if not math.isfinite(start_time):
+            raise ConfigError(f"start_time must be finite, got {start_time!r}")
         self.start_time = start_time
 
         if protocol.round_driven and scheduler != "lockstep":
@@ -546,6 +553,9 @@ class Simulation:
     @staticmethod
     def _normalize_values(graph, values):
         if isinstance(values, dict):
+            if values.keys() != set(graph.uids):
+                raise ConfigError("need exactly one initial value per node, "
+                                  "keyed by the graph's UIDs")
             return dict(values)
         vals = list(values)
         if len(vals) != graph.n:
@@ -561,11 +571,6 @@ class Simulation:
         self._seq += span
         heapq.heappush(self._heap, (t, prio, seq, *entry))
 
-    def _boundary(self, t: float) -> float:
-        """The first multiple of d not before t, up to REL_TOL."""
-        d = self.timing.d
-        return math.ceil(t / d - REL_TOL) * d
-
     def schedule_link_down(self, u, v, at: float):
         self._push(at, _LINKDOWN, "linkdown", u, v)
 
@@ -580,7 +585,7 @@ class Simulation:
         precedes its cause; the random one after a latency drawn from
         (0, l], and not before the node's previous transition."""
         if self._quantized:
-            ft = self._boundary(t)
+            ft = self.timing.boundary(t)
         else:
             ft = max(t + self.timing.l * (1.0 - self.rng.random()),
                      self._last_fire[uid])
@@ -591,7 +596,7 @@ class Simulation:
         for msg in msgs:
             start = max(emit_t, self._tx_free[uid])
             if self._quantized:
-                start = self._boundary(start)
+                start = self.timing.boundary(start)
             self._tx_free[uid] = start + self.timing.d
             self._push(start, _TX, "tx", uid, msg)
 
@@ -614,8 +619,8 @@ class Simulation:
             for uid in sorted(self.automata):
                 self.schedule_kick(uid, "on_start")
         if self.protocol.round_driven:
-            r0 = round(self.start_time / self.timing.d)
-            self._push(self.start_time, _ROUND, "round", r0)
+            self._push(self.timing.boundary(self.start_time), _ROUND,
+                       "round", 0)
 
         processed = 0
         while self._heap:
@@ -684,8 +689,8 @@ class Simulation:
         d = self.timing.d
         if self._quantized:
             if copies:
-                self._push(self._boundary(t + d), _DELIVER, "fan", copies,
-                           batch, reactions, span=copies)
+                self._push(self.timing.boundary(t + d), _DELIVER, "fan",
+                           copies, batch, reactions, span=copies)
             return
         rng = self.rng
         for nb in batch[0][2]:
@@ -778,29 +783,30 @@ class Simulation:
         self._post_transition(uid, t)
 
     def _do_round(self, t, r):
-        """Round boundary r.  The protocol's broadcasts start now, numbered
-        as their transmission entries would have been, and land at (r+1)*d
-        as one delivery entry that the event cap counts per send and copy."""
+        """Round r of this execution, at the boundary t.  The protocol's
+        broadcasts start now, numbered as their transmission entries would
+        have been, and land at the next boundary as one delivery entry that
+        the event cap counts per send and copy."""
         halted, sends = self.protocol.on_round_boundary(self.automata, r, self)
-        d = self.timing.d
-        start = self._boundary(t)
+        timing = self.timing
         for uid, _ in sends:
             free = self._tx_free[uid]
-            if free > t and self._boundary(free) != start:
+            if free > t and timing.boundary(free) != t:
                 raise InvariantViolation(
                     f"node {uid}'s round-{r} send would start inside its "
                     f"earlier transmission window")
-            self._tx_free[uid] = start + d
+            self._tx_free[uid] = t + timing.d
         first_ref = self._seq + 1
         self._seq += len(sends)
         for uid in sorted(self.automata):
             self._post_transition(uid, t)
+        nxt = timing.boundary(t + timing.d)
         if not halted:
-            self._push((r + 1) * d, _ROUND, "round", r + 1)
+            self._push(nxt, _ROUND, "round", r + 1)
         if not sends:
             return
-        batch, copies, reactions = self._charge(start, sends, first_ref)
-        self._push((r + 1) * d, _DELIVER, "fan", len(sends) + copies, batch,
+        batch, copies, reactions = self._charge(t, sends, first_ref)
+        self._push(nxt, _DELIVER, "fan", len(sends) + copies, batch,
                    reactions, span=copies)
 
     def _trace(self) -> ExecutionTrace:
@@ -828,12 +834,12 @@ def run(protocol, graph, values, **kwargs) -> ExecutionTrace:
 def validate_trace(trace: ExecutionTrace):
     """Check the structural invariants every fair execution must satisfy:
     chronological order, complete per-neighbor fan-out with every delivery
-    delay in (0, d], transition latency within l, disjoint per-node
-    transmission windows and at most one output per node.  `tol`, d *
-    REL_TOL, absorbs float rounding at the upper ends and in the ordering
-    checks; any positive delay is a valid draw.  Raises AssertionError on
-    the first violation, explicitly, so the checks also run under
-    `python -O`."""
+    delay in (0, d], at most one transition per delivered copy, each within
+    l of its delivery, disjoint per-node transmission windows and at most
+    one output per node.  `tol`, d * REL_TOL, absorbs float rounding at the
+    upper ends and in the ordering checks; any positive delay is a valid
+    draw.  Raises TraceViolation, an AssertionError, on the first
+    violation, explicitly, so the checks also run under `python -O`."""
     d, l = trace.timing.d, trace.timing.l
     tol = d * REL_TOL
     table = trace.events.sends
@@ -841,11 +847,11 @@ def validate_trace(trace: ExecutionTrace):
     send_t: dict[int, float] = {}
     deliver_counts: dict[int, int] = {}
     node_send_end: dict[int, float] = {}
-    react_t: dict[tuple, float] = {}  # copies that may react, by (node, ref)
+    react_t: dict[tuple, float] = {}  # copies yet to react, by (node, ref)
     outputs_seen = set()
     for k, t, node, ref, mid in trace.events.rows():
         if t < last_t - tol:
-            raise AssertionError("events out of chronological order")
+            raise TraceViolation("events out of chronological order")
         if t > last_t:
             last_t = t
         if k == _ROW_SEND:
@@ -853,15 +859,15 @@ def validate_trace(trace: ExecutionTrace):
             deliver_counts[ref] = 0
             prev_end = node_send_end.get(node, float("-inf"))
             if t < prev_end - tol:
-                raise AssertionError(
+                raise TraceViolation(
                     f"node {node} started a send inside an earlier window")
             node_send_end[node] = t + d
         elif k == _ROW_DELIVER or k == _ROW_LAND:
             if ref not in send_t:
-                raise AssertionError("deliver references an unknown send")
+                raise TraceViolation("deliver references an unknown send")
             delay = t - send_t[ref]
             if not 0 < delay <= d + tol:
-                raise AssertionError(f"delivery delay {delay} outside (0, d]")
+                raise TraceViolation(f"delivery delay {delay} outside (0, d]")
             msg, receivers = table[mid]
             if k == _ROW_DELIVER:
                 receivers = (node,)
@@ -872,18 +878,18 @@ def validate_trace(trace: ExecutionTrace):
             elif msg.dst in receivers:
                 react_t[(msg.dst, ref)] = t
         elif k == _ROW_TRANSITION and ref != _NO_REF:
-            got = react_t.get((node, ref))
+            got = react_t.pop((node, ref), None)  # one reaction per copy
             if got is None:
-                raise AssertionError(f"node {node} reacted to send {ref} "
-                                     f"it never got as a recipient")
+                raise TraceViolation(f"node {node} reacted to send {ref} "
+                                     f"it never got as a recipient, or twice")
             dt = t - got
             if not -tol <= dt <= l + tol:
-                raise AssertionError(f"transition latency {dt} exceeds l")
+                raise TraceViolation(f"transition latency {dt} exceeds l")
         elif k == _ROW_OUTPUT:
             if node in outputs_seen:
-                raise AssertionError(f"node {node} output twice")
+                raise TraceViolation(f"node {node} output twice")
             outputs_seen.add(node)
     for ref, expected in trace.send_fanout.items():
         if deliver_counts.get(ref, 0) != expected:
-            raise AssertionError(f"send {ref} delivered "
+            raise TraceViolation(f"send {ref} delivered "
                                  f"{deliver_counts.get(ref, 0)}/{expected} times")

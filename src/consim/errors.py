@@ -46,8 +46,9 @@ class InvariantViolation(ConsimError):
     a link failure the protocol does not support at that point."""
 
 
-class TraceViolation(ConsimError):
-    """A trace file's records break an invariant of every fair execution."""
+class TraceViolation(ConsimError, AssertionError):
+    """A trace, in memory or in a file, breaks an invariant of every fair
+    execution.  Also an AssertionError, which callers may catch."""
 
 
 class StaleRoutingEntry(ConsimError):

@@ -871,8 +871,12 @@ class FailureExperiment:
     def fail_link(self, edge, at=None):
         u, v = edge
         failed_graph = fail_link(self.graph, edge)  # raises if it disconnects
+        done = self.initial_trace.last_output_time()
         if at is None:
-            at = self.initial_trace.last_output_time() + self.sim.timing.d
+            at = done + self.sim.timing.d
+        elif not (done <= at < math.inf):
+            raise ConfigError(f"a link failure at t={at!r} must be finite and "
+                              f"not before the consensus ends at t={done!r}")
         repair = self._continue(at)
         repair.schedule_link_down(u, v, at)
         self.repair_trace = repair.run()
@@ -887,7 +891,7 @@ class FailureExperiment:
         repair = self.repair_trace
         end = None if repair is None else repair.last_time()
         start = self.sim.start_time if end is None else end + self.sim.timing.d
-        start = round(start / self.sim.timing.d) * self.sim.timing.d
+        start = self.sim.timing.boundary(start)  # a full window on, at least
         rerun = self._continue(start)
         for uid in sorted(self.sim.automata):
             a = self.sim.automata[uid]

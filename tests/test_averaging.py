@@ -141,6 +141,25 @@ def test_one_protocol_instance_serves_two_executions():
         assert set(trace.outputs.values()) == {want}
 
 
+@pytest.mark.parametrize("start", [0.014, 0.02, 1.0])
+def test_runs_alike_at_any_start_time(start):
+    # rounds count from the execution's own first boundary, so a run that
+    # starts off the grid, or on a later boundary, repeats the run at 0
+    g = make_topology("path", 6, seed=1)
+    values = [3, 1, 4, 1, 5, 9]
+    sm = SizeModel.for_network(g.n, 128, pool_size=g.pool_size)
+    base, trace = (run(AverageProtocol(eps=1e-3), g, values,
+                       fn=MeanFunction(128), timing=TIMING, size_model=sm,
+                       start_time=t) for t in (0.0, start))
+    validate_trace(trace)
+    assert trace.outputs == base.outputs
+    first = TIMING.boundary(start)
+    assert round((trace.last_output_time() - first) / D) == rounds_used(base)
+    assert rounds_used(base) > 1
+    assert (trace.messages_total, trace.bits_total) == (base.messages_total,
+                                                        base.bits_total)
+
+
 def test_link_down_mid_run_raises_typed_error():
     # a lost link leaves a round's neighborhood incomplete; averaging does
     # not support that and must say so with a typed error

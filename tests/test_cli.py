@@ -149,6 +149,18 @@ def test_failure_injection_happy_path(capsys):
     assert algos == ["hybrid", "hybrid-repair", "hybrid-rerun"]
 
 
+@pytest.mark.parametrize("at", ["0.001", "nan", "inf"])
+def test_failure_before_the_consensus_ends_is_a_configuration_error(capsys,
+                                                                    at):
+    from consim.topology import make_topology
+    u, v = sorted(make_topology("complete", 6, seed=2).uids)[:2]
+    code, _, err = run_cli(capsys, "run", "--algo", "hybrid", "--m", "2",
+                           "--topo", "complete", "--n", "6", "--seed", "2",
+                           "--fail", f"{u},{v}", "--fail-at", at)
+    assert code == 2
+    assert "must be finite and not before" in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("algo = flooding\ntopo = complete\nn = 5\nfn = max\n"

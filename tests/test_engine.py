@@ -355,6 +355,36 @@ def test_round_driven_broadcasts_land_at_the_next_boundary():
             if e.kind != "send" and e.ref is not None} == {0.01}
 
 
+def test_boundary_is_the_first_multiple_of_d_not_before():
+    timing = TimingParams(d=0.01, l=0.001)
+    assert timing.boundary(0.0) == 0.0
+    assert timing.boundary(0.0137) == 0.02
+    assert timing.boundary(0.02) == 0.02
+    assert timing.boundary(0.01 + 0.01 + 0.01) == 3 * 0.01  # float rounding
+    assert timing.boundary(0.0201) == 0.03
+
+
+def test_round_driven_rounds_count_from_the_first_boundary():
+    # started off the grid, the execution's first round is r = 0, at the
+    # first boundary after the start, and its broadcasts land at the next
+    seen = []
+
+    class Counting(RoundPing):
+        def on_round_boundary(self, automata, r, sim):
+            seen.append((r, sim.now))
+            return super().on_round_boundary(automata, r, sim)
+
+    g = make_topology("path", 3, seed=0)
+    trace = run(Counting(), g, [1, 2, 3], fn=MaxFunction(32),
+                timing=TimingParams(d=0.01, l=0.001), start_time=0.0137)
+    validate_trace(trace)
+    assert seen == [(0, 0.02), (1, 0.03)]
+    assert sorted(trace.outputs.values()) == [1, 2, 3]
+    assert {e.t for e in trace.events if e.kind == "send"} == {0.02}
+    assert {e.t for e in trace.events
+            if e.kind != "send" and e.ref is not None} == {0.03}
+
+
 @pytest.mark.parametrize("scheduler", ["random", "adversarial"])
 def test_round_driven_protocol_needs_lockstep(scheduler):
     with pytest.raises(ConfigError, match="round-ping only runs under"):
@@ -378,6 +408,30 @@ def test_unknown_scheduler_rejected():
     g = make_topology("path", 3, seed=0)
     with pytest.raises(ConfigError, match="unknown scheduler 'chaotic'"):
         _sim(g, scheduler="chaotic")
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+@pytest.mark.parametrize("start", [float("nan"), float("inf"),
+                                   -float("inf")])
+def test_non_finite_start_time_rejected(start, scheduler):
+    g = make_topology("path", 3, seed=0)
+    with pytest.raises(ConfigError, match="start_time must be finite"):
+        _sim(g, scheduler=scheduler, start_time=start)
+
+
+def test_value_map_missing_a_node_rejected():
+    g = make_topology("path", 3, seed=0)
+    values = dict.fromkeys(g.uids[:2], 1)
+    with pytest.raises(ConfigError, match="one initial value per node"):
+        Simulation(PingProtocol(), g, values, fn=MaxFunction(32))
+
+
+def test_value_map_naming_an_unknown_uid_rejected():
+    g = make_topology("path", 3, seed=0)
+    stranger = max(g.uids) + 1
+    values = dict.fromkeys((*g.uids, stranger), 1)
+    with pytest.raises(ConfigError, match="one initial value per node"):
+        Simulation(PingProtocol(), g, values, fn=MaxFunction(32))
 
 
 @pytest.mark.parametrize("cap", [0, -5])
@@ -454,8 +508,12 @@ PATH2 = make_topology("path", 2, seed=0)
 def _hand_trace(sends, d=0.01):
     """sends: (send time, delivery delay or None[, transition latency[,
     dst tag]]) from one node of a 2-node path; each send expects one
-    delivery, and a latency adds the receiver's transition on it."""
+    delivery, and a latency adds the receiver's transition on it.  An Event
+    among them is a record placed by hand: it follows the sends' records,
+    in the order given."""
     a, b = PATH2.uids
+    placed = [s for s in sends if isinstance(s, Event)]
+    sends = [s for s in sends if not isinstance(s, Event)]
     events = []
     for ref, (t, delay, *rest) in enumerate(sends):
         msg = Message("x.msg", a, 8, dst=rest[1] if len(rest) > 1 else None)
@@ -466,6 +524,7 @@ def _hand_trace(sends, d=0.01):
             events.append(Event("transition", t + (delay or 0.0) + lat, b,
                                 msg=msg, ref=ref))
     events.sort(key=lambda e: e.t)
+    events += placed
     return ExecutionTrace(events=events, outputs={}, config={},
                           timing=TimingParams(d=d, l=d / 10),
                           size_model=SizeModel(uid_bits=2, value_bits=8),
@@ -487,6 +546,18 @@ def test_validate_trace_accepts_tiny_random_delay():
     ([(0.0, 0.004, 0.0), (0.01, None, 0.0005)], "it never got"),
     # the copy reached the receiver, but the send is tagged for its sender
     ([(0.0, 0.004, 0.0, PATH2.uids[0])], "it never got as a recipient"),
+    ([(0.01, 0.004), Event("output", 0.0, PATH2.uids[0], value=1)],
+     "out of chronological order"),
+    ([(0.0, 0.004), Event("deliver", 0.005, PATH2.uids[1], ref=7,
+                          msg=Message("x.msg", PATH2.uids[0], 8))],
+     "references an unknown send"),
+    ([(0.0, 0.004, 0.002)], "exceeds l"),
+    ([(0.0, 0.004), Event("output", 0.005, PATH2.uids[1], value=1),
+      Event("output", 0.006, PATH2.uids[1], value=1)], "output twice"),
+    # one delivered copy, two transitions on it
+    ([(0.0, 0.004, 0.0), Event("transition", 0.0045, PATH2.uids[1], ref=0,
+                               msg=Message("x.msg", PATH2.uids[0], 8))],
+     "or twice"),
 ])
 def test_validate_trace_rejects(sends, text):
     with pytest.raises(AssertionError, match=re.escape(text)):

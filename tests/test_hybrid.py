@@ -223,10 +223,10 @@ def _recovery_case(g, m, scheduler, seed):
                              seed=seed, scheduler=scheduler)
 
 
-def _fail_and_recover(exp, edge):
+def _fail_and_recover(exp, edge, at=None):
     """Fail `edge` and recompute: every trace must be valid, the outputs
     exact and the clusters disciplined."""
-    exp.fail_link(edge)
+    exp.fail_link(edge, at)
     rerun = exp.reconsensus()
     for trace in (exp.initial_trace, exp.repair_trace, rerun):
         validate_trace(trace)
@@ -283,6 +283,40 @@ def test_failed_bridge_rejected():
     exp = FailureExperiment(g, [1, 2, 3, 4, 5], fn, m=2, timing=TIMING)
     with pytest.raises(WouldDisconnect):
         exp.fail_link(sorted(g.edges)[0])
+
+
+@pytest.mark.parametrize("at", ["before", float("nan"), float("inf"),
+                                -float("inf")])
+def test_link_failure_before_the_consensus_ends_is_rejected(at):
+    g = make_topology("complete", 6, seed=2)
+    exp = _recovery_case(g, 2, "lockstep", seed=2)
+    if at == "before":
+        at = exp.initial_trace.last_output_time() - 0.001
+    with pytest.raises(ConfigError, match="must be finite and not before"):
+        exp.fail_link(sorted(g.edges)[0], at=at)
+    assert exp.repair_trace is None and exp.graph is g
+
+
+@pytest.mark.parametrize("scheduler", ["lockstep", "random"])
+def test_link_failure_at_the_last_output_is_accepted(scheduler):
+    g = make_topology("complete", 6, seed=2)
+    exp = _recovery_case(g, 2, scheduler, seed=2)
+    _fail_and_recover(exp, sorted(g.edges)[0],
+                      at=exp.initial_trace.last_output_time())
+
+
+def test_rerun_starts_a_full_window_after_the_repair():
+    # the random scheduler's records are off the grid: the rerun starts at
+    # the first boundary not before one window after the repair's last one
+    g = make_topology("random_connected", 14, {"p": 0.35}, seed=6)
+    exp = _recovery_case(g, 3, "random", seed=6)
+    edge = next(e for e in sorted(_tree_edges(exp.automata))
+                if _still_connected(g, e))
+    exp.fail_link(edge)
+    exp.reconsensus()
+    end, start = exp.repair_trace.last_time(), exp.sim.start_time
+    assert end + TIMING.d <= start < end + 2 * TIMING.d
+    assert start == TIMING.boundary(start)
 
 
 def test_small_half_rejoins_a_neighbor_cluster():

@@ -116,8 +116,10 @@ PINS = {
         "632bbbf994d84150c65da2b5a982f75dc38d98063433919e5dcce2cdc19b497c",
     "hybrid-m3-failure/lockstep":
         "74ddd6087448dac28e59ebbb190a29b4a69d50ec4f9cf6b7e3aef842011565a4",
+    # the rerun starts at 0.56 s, the first boundary a full window after
+    # the repair's last record (0.5436 s)
     "hybrid-m3-failure/random":
-        "aa5b08216888dd2dfd19133e3db972ed140f64e7e3debc895bf488a685d15e42",
+        "93a6e4c830768759e47faec1e3d45197cec1461c96b2b060f87a2722ba1025f6",
     "hybrid-m3-failure/adversarial":
         "74ddd6087448dac28e59ebbb190a29b4a69d50ec4f9cf6b7e3aef842011565a4",
     "parallel-convergecast/lockstep":

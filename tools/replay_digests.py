@@ -15,9 +15,10 @@ that raises prints the error instead.
 Cases: every registry algorithm, and MST construction alone (`ghs-mst`,
 whose digest also covers the rooted tree it leaves), on every topology kind
 under every scheduler at n = 9 and 17, averaging both recorded and lean,
-and hybrid failure experiments that fail, one at a time, every breakable
-edge of a few graphs (tree edges, cut boundaries, intra- and cross-cluster
-edges).
+averaging again started off the grid at START (its rounds count from the
+first boundary after it), and hybrid failure experiments that fail, one at
+a time, every breakable edge of a few graphs (tree edges, cut boundaries,
+intra- and cross-cluster edges).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from consim.metrics import peak_bandwidth_by_phase, report_from_trace
 from consim.topology import TOPOLOGY_KINDS, fail_link, make_topology
 
 TIMING = TimingParams(d=0.01, l=0.001)
+START = 0.014  # the off-grid start time of the `average@` cases
 FUNCTIONS = {"flooding": "median", "average": "mean", "ghs-parallel": "vote:3",
              "ghs-token": "min", "hybrid": "max"}
 # (kind, n, p, seed, m); the first three hold every edge kind, and failing
@@ -78,10 +80,10 @@ def _line(name, execute, *args):
         return f"{name} error {type(err).__name__}: {err}"
 
 
-def _single(algo, g, values, fn, sched, mode):
+def _single(algo, g, values, fn, sched, mode, start=0.0):
     sim = Simulation(ALGORITHMS[algo].protocol(3, 1e-3), g, values, fn=fn,
                      timing=TIMING, scheduler=sched, seed=g.n,
-                     record_events=mode == "recorded")
+                     record_events=mode == "recorded", start_time=start)
     return _digest([sim.run()], 3 if algo == "hybrid" else None)
 
 
@@ -101,19 +103,34 @@ def _failure(g, values, m, seed, sched, edge):
     return _digest([exp.initial_trace, exp.repair_trace, exp.rerun_trace], m)
 
 
+def _graphs(fn):
+    """(kind, n, graph, values) of every single-execution case."""
+    for kind in TOPOLOGY_KINDS:
+        for n in (9, 17):
+            g = make_topology(kind, n, {"p": 0.35}, seed=n)
+            values = [(7 * i + 3) % (3 if fn.name == "vote" else 41)
+                      for i in range(n)]
+            yield kind, n, g, values
+
+
 def single_cases():
     for algo in sorted(ALGORITHMS):
         fn = get_function(FUNCTIONS[algo], 128)
         modes = ("recorded", "lean") if algo == "average" else ("recorded",)
-        for kind in TOPOLOGY_KINDS:
-            for n in (9, 17):
-                g = make_topology(kind, n, {"p": 0.35}, seed=n)
-                values = [(7 * i + 3) % (3 if fn.name == "vote" else 41)
-                          for i in range(n)]
-                for sched in sorted(SCHEDULERS):
-                    for mode in modes:
-                        yield _line(f"{algo}/{kind}/{n}/{sched}/{mode}",
-                                    _single, algo, g, values, fn, sched, mode)
+        for kind, n, g, values in _graphs(fn):
+            for sched in sorted(SCHEDULERS):
+                for mode in modes:
+                    yield _line(f"{algo}/{kind}/{n}/{sched}/{mode}",
+                                _single, algo, g, values, fn, sched, mode)
+
+
+def start_cases():
+    fn = get_function(FUNCTIONS["average"], 128)
+    for kind, n, g, values in _graphs(fn):
+        for mode in ("recorded", "lean"):
+            yield _line(f"average@{START}/{kind}/{n}/lockstep/{mode}",
+                        _single, "average", g, values, fn, "lockstep", mode,
+                        START)
 
 
 def mst_cases():
@@ -141,6 +158,8 @@ def failure_cases():
 
 def main() -> int:
     for line in single_cases():
+        print(line)
+    for line in start_cases():
         print(line)
     for line in mst_cases():
         print(line)
