@@ -41,13 +41,12 @@ every neighbor it had when its transmission started.  Messages carrying a
 `dst` tag are delivered everywhere but only the tagged recipient's automaton
 reacts.
 
-Deliveries land in batches of (message, ref, receivers, reactors), and
-every reaction runs in one loop over such a batch.  Under the quantized
-schedulers a batch holds every copy of a send, or of a round-driven
-protocol's round of broadcasts (lockstep only); under the random scheduler
-each copy draws its own delay and latency and is a batch of one.  A batch
-takes the sequence numbers of the entries it stands for, so records, refs,
-order and the event cap's count are those per-message events give.
+Under the quantized schedulers deliveries land in batches of (message,
+ref, receivers, reactors), one per send or per round-driven protocol's round
+(lockstep only), which take the sequence numbers of the entries they stand
+for, so records, refs, order and the event cap's count are those
+per-message events give.  Under the random scheduler each copy is one flat
+heap entry, with its own delay, and so is its reaction, with its latency.
 
 Traces
 ------
@@ -160,11 +159,8 @@ class TraceRows(Sequence):
     """
 
     def __init__(self):
-        self.kind = bytearray()
-        self.t = array("d")
-        self.node = array("q")
-        self.ref = array("q")
-        self.mid = array("q")
+        self.columns = (self.kind, self.t, self.node, self.ref, self.mid) = (
+            bytearray(), array("d"), array("q"), array("q"), array("q"))
         self.sends: dict[int, tuple] = {}
         self.values: list = []
         self._starts = None  # per row, the index of its first record
@@ -203,7 +199,7 @@ class TraceRows(Sequence):
         return rows
 
     def rows(self):
-        return zip(self.kind, self.t, self.node, self.ref, self.mid)
+        return zip(*self.columns)
 
     def starts(self) -> array:
         """Per row the index of its first record, then the record count."""
@@ -286,15 +282,22 @@ def _record_formats(mtype, size_bits, src, dst) -> tuple:
     a %-format string taking (kind, t, node); the json.dumps tail after
     the node; a send's %-format taking (t, node, fanout); and dst.  Keyed
     by the fields alone, so that the sends of a trace, and the traces of a
-    sweep, share them; 1,024 entries hold about 0.6 MB."""
-    msg = None if mtype is None else Message(mtype, src, size_bits, dst)
+    sweep, share them; 1,024 entries hold about 0.6 MB.  A tagged message
+    adds its dst field to its untagged twin's formats, so the JSON is built
+    once per (mtype, size_bits, src)."""
+    if dst is not None:
+        rec, tail, send, _ = _record_formats(mtype, size_bits, src, None)
+        f = ', "dst": %d' % dst  # a UID, last but for a send's fan-out
+        return (rec[:-1] + f + "}", tail[:-1] + f + "}",
+                send.replace(', "fanout"', f + ', "fanout"'), dst)
+    msg = None if mtype is None else Message(mtype, src, size_bits)
     rec = Event("", 0.0, 0, msg).to_record()
     del rec["kind"], rec["t"], rec["node"]
     tail = ", " + json.dumps(rec)[1:]
     escaped = tail.replace("%", "%%")
     return ('{"kind": "%s", "t": %r, "node": %d' + escaped, tail,
             '{"kind": "send", "t": %r, "node": %d' + escaped[:-1]
-            + ', "fanout": %s}', dst)
+            + ', "fanout": %s}', None)
 
 
 def _message_formats(msg) -> tuple:
@@ -357,8 +360,8 @@ class ExecutionTrace:
         records.  The header comes first; a send carries its fan-out; a
         copy is recorded only if its receiver may react: every copy of an
         untagged message, and of a tagged one only the copy to its dst.
-        Each distinct message's record formats are built once, and a
-        landing is one join over its receivers."""
+        An untagged message's record formats are looked up once, a tagged
+        one's per record; a landing is one join over its receivers."""
         rows, chunk, fanout = self.events, _JSONL_CHUNK, self.send_fanout
         sends, kinds = rows.sends, _KINDS
         land_row, send_row, deliver_row, output_row = (
@@ -367,8 +370,10 @@ class ExecutionTrace:
         lines, count = [self._header()], 1
         for k, t, node, ref, mid in rows.rows():
             fmts = by_mid.get(-1 if k == output_row else mid)
-            if fmts is None:
-                fmts = by_mid[mid] = _message_formats(sends[mid][0])
+            if fmts is None:  # kept for untagged messages only
+                fmts = _message_formats(sends[mid][0])
+                if fmts[3] is None:
+                    by_mid[mid] = fmts
             if k == land_row:
                 dst, receivers = fmts[3], sends[mid][1]
                 if dst is None:
@@ -572,25 +577,30 @@ class Simulation:
         heapq.heappush(self._heap, (t, prio, seq, *entry))
 
     def schedule_link_down(self, u, v, at: float):
-        self._push(at, _LINKDOWN, "linkdown", u, v)
+        self._push(self._hook_time(at), _LINKDOWN, "linkdown", u, v)
 
     def schedule_kick(self, uid, method: str, args=(), at=None):
         """Driver hook: invoke a named automaton method as a transition."""
-        self._push(self.start_time if at is None else at, _KICK,
-                   "kick", uid, method, tuple(args))
+        self._push(self._hook_time(self.start_time if at is None else at),
+                   _KICK, "kick", uid, method, tuple(args))
 
-    def _schedule_fire(self, uid, t, *entry):
-        """Push a transition of `uid` enabled at t.  A quantized scheduler
-        fires it at the first boundary not before t, so that no transition
-        precedes its cause; the random one after a latency drawn from
-        (0, l], and not before the node's previous transition."""
+    def _hook_time(self, at):
+        """A driver hook's time: finite and not before start_time."""
+        if not self.start_time <= at < math.inf:
+            raise ConfigError(f"time {at!r} is not finite or before start_time")
+        return at
+
+    def _fire_time(self, uid, t):
+        """When a transition of `uid` enabled at t fires.  A quantized
+        scheduler fires it at the first boundary not before t, so that no
+        transition precedes its cause; the random one after a latency drawn
+        from (0, l], and not before the node's previous transition."""
         if self._quantized:
-            ft = self.timing.boundary(t)
-        else:
-            ft = max(t + self.timing.l * (1.0 - self.rng.random()),
-                     self._last_fire[uid])
-            self._last_fire[uid] = ft
-        self._push(ft, _FIRE, *entry)
+            return self.timing.boundary(t)
+        ft = max(t + self.timing.l * (1.0 - self.rng.random()),
+                 self._last_fire[uid])
+        self._last_fire[uid] = ft
+        return ft
 
     def _transmit(self, uid, msgs, emit_t):
         for msg in msgs:
@@ -622,9 +632,13 @@ class Simulation:
             self._push(self.timing.boundary(self.start_time), _ROUND,
                        "round", 0)
 
+        heap, pop, push = self._heap, heapq.heappop, heapq.heappush
+        record, automata, outputs = self._record, self.automata, self.outputs
+        kinds, times, nodes, refs, mids = (c.append for c in self._rows.columns)
+        rng, l, last_fire = self.rng, self.timing.l, self._last_fire
         processed = 0
-        while self._heap:
-            e = heapq.heappop(self._heap)
+        while heap:
+            e = pop(heap)
             t, kind = e[0], e[3]
             # a batch counts once per copy or transition it stands for
             processed += e[4] if kind in _BATCHES else 1
@@ -632,10 +646,40 @@ class Simulation:
                 raise NonTermination(
                     f"event cap {self.event_cap} exceeded at t={t:.6g}")
             self.now = t
-            if kind == "react":
+            if kind == "copy":  # a random copy lands, then maybe reacts
+                _, _, _, _, nb, msg, ref, reacts = e
+                if record:
+                    kinds(_ROW_DELIVER), times(t), nodes(nb), refs(ref)
+                    mids(ref)
+                if reacts:  # _fire_time's rule inline: a call is ~10% of run
+                    ft = t + l * (1.0 - rng.random())
+                    if ft < last_fire[nb]:
+                        ft = last_fire[nb]
+                    last_fire[nb] = ft
+                    self._seq += 1
+                    push(heap, (ft, _FIRE, self._seq, "react1", nb, msg, ref))
+            elif kind == "react1":
+                _, _, _, _, nb, msg, ref = e
+                if record:
+                    kinds(_ROW_TRANSITION), times(t), nodes(nb), refs(ref)
+                    mids(ref)
+                auto = automata[nb]
+                msgs = auto.on_message(msg, msg.src)
+                if msgs:
+                    self._transmit(nb, msgs, t)
+                if (auto.ctx._flush_requested or auto.output is not None
+                        and nb not in outputs):
+                    self._post_transition(nb, t)
+            elif kind == "react":
                 self._react(t, e[2], e[5])
-            elif kind == "fan":
-                self._land(t, e[5], e[6])
+            elif kind == "fan":  # a quantized landing; reactions at _FIRE
+                if record:
+                    for _, ref, receivers, _ in e[5]:
+                        if receivers:
+                            kinds(_ROW_LAND), times(t), nodes(-1), refs(ref)
+                            mids(ref)
+                if e[6]:  # no latency, and every earlier transition fired
+                    self._push(t, _FIRE, "react", e[6], e[5], span=e[6])
             elif kind == "tx":
                 self._do_tx(t, e[2], e[4], e[5])
             elif kind == "fire":
@@ -646,7 +690,7 @@ class Simulation:
             elif kind == "round":
                 self._do_round(t, e[4])
             elif kind == "kick":
-                self._schedule_fire(e[4], t, "fire", *e[4:])
+                self._push(self._fire_time(e[4], t), _FIRE, "fire", *e[4:])
             elif kind == "linkdown":
                 self._do_linkdown(t, e[4], e[5])
 
@@ -683,8 +727,8 @@ class Simulation:
     def _do_tx(self, t, seq, uid, msg):
         """A transmission starts.  Under a quantized scheduler its copies
         land at the next boundary as one entry, numbered as the per-copy
-        entries it stands for.  Under the random scheduler each copy is an
-        entry of its own, with a delay drawn from (0, d]."""
+        entries it stands for.  Under the random scheduler each copy is a
+        flat entry, its delay drawn from (0, d] in receiver order."""
         batch, copies, reactions = self._charge(t, ((uid, msg),), seq)
         d = self.timing.d
         if self._quantized:
@@ -692,42 +736,17 @@ class Simulation:
                 self._push(self.timing.boundary(t + d), _DELIVER, "fan",
                            copies, batch, reactions, span=copies)
             return
-        rng = self.rng
+        rng, dst, heap, push = self.rng, msg.dst, self._heap, heapq.heappush
         for nb in batch[0][2]:
             # 1 - random() lies in (0, 1], so no delay degenerates to zero
-            dt = t + d * (1.0 - rng.random())
-            copy = (nb,)
-            reacts = msg.dst is None or msg.dst == nb
-            self._push(dt, _DELIVER, "fan", 1,
-                       ((msg, seq, copy, copy if reacts else ()),), reacts)
-
-    def _land(self, t, batch, reactions):
-        """A delivery entry lands, in batch and receiver order, recorded as
-        one landing row per item that has receivers (a copy of its own
-        under the random scheduler).  Under a quantized scheduler its
-        reactions follow as one batch at (t, _FIRE): with no latency, and a
-        node's earlier transitions all fired by t, the per-node fire clock
-        never holds them back and is not kept."""
-        if self._quantized:
-            if self._record:
-                rows = self._rows
-                for _, ref, receivers, _ in batch:
-                    if receivers:
-                        rows.add(_ROW_LAND, t, -1, ref, ref)
-            if reactions:
-                self._push(t, _FIRE, "react", reactions, batch,
-                           span=reactions)
-            return
-        _, ref, (nb,), _ = batch[0]
-        if self._record:
-            self._rows.add(_ROW_DELIVER, t, nb, ref, ref)
-        if reactions:
-            self._schedule_fire(nb, t, "react", 1, batch)
+            self._seq += 1
+            push(heap, (t + d * (1.0 - rng.random()), _DELIVER, self._seq,
+                        "copy", nb, msg, seq, dst in (None, nb)))
 
     def _react(self, t, seq, batch):
-        """The message transitions of a batch, the fire entry numbered seq
-        at (t, _FIRE): one per reactor of each item, in order.  Every
-        on_message call runs here."""
+        """The message transitions of a quantized batch, the fire entry
+        numbered seq at (t, _FIRE): one per reactor of each item, in
+        order."""
         automata = self.automata
         rows = self._rows if self._record else None
         items = iter(batch)
@@ -770,8 +789,8 @@ class Simulation:
             self._receivers.pop(u, None)
             self._receivers.pop(v, None)
             for uid, peer in ((u, v), (v, u)) if u < v else ((v, u), (u, v)):
-                self._schedule_fire(uid, t, "fire", uid, "on_link_down",
-                                    (peer,))
+                self._push(self._fire_time(uid, t), _FIRE, "fire", uid,
+                           "on_link_down", (peer,))
 
     def _fire(self, t, uid, method, args=()):
         """A transition other than a reaction to a message: invoke the

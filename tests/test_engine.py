@@ -101,6 +101,33 @@ def test_random_async_trace_is_fair_and_within_bounds():
     validate_trace(trace)
 
 
+def _outputs(trace):
+    return [(e.t, e.node, e.value) for e in trace.events if e.kind == "output"]
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+@pytest.mark.parametrize("kind, n", [("random_connected", 13), ("star", 17)])
+@pytest.mark.parametrize("algo", sorted(
+    a for a in ALGORITHMS if not ALGORITHMS[a].protocol(2, 1e-3).round_driven))
+def test_lean_run_equals_recorded_run_under_random(algo, kind, n, seed):
+    # a lean run records no copy and no reaction, yet draws the same delays
+    # and latencies: the same outputs at the same times, the same totals
+    g = make_topology(kind, n, {"p": 0.3} if kind == "random_connected"
+                      else None, seed=seed)
+    lean, recorded = (
+        run(ALGORITHMS[algo].protocol(2, 1e-3), g,
+            [(7 * i + seed) % 23 for i in range(n)], fn=MaxFunction(64),
+            scheduler="random", seed=seed,
+            timing=TimingParams(d=0.01, l=0.001), record_events=record)
+        for record in (False, True))
+    assert {e.kind for e in lean.events} == {"output"}
+    assert lean.outputs == recorded.outputs
+    assert len(lean.outputs) == n
+    assert (lean.messages_total, lean.bits_total) == (
+        recorded.messages_total, recorded.bits_total)
+    assert _outputs(lean) == _outputs(recorded)
+
+
 def test_broadcast_fans_out_to_every_neighbor_once():
     g = make_topology("star", 6, seed=1)
     trace = _sim(g).run()
@@ -434,6 +461,23 @@ def test_value_map_naming_an_unknown_uid_rejected():
         Simulation(PingProtocol(), g, values, fn=MaxFunction(32))
 
 
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+@pytest.mark.parametrize("at", [-5.0, float("nan"), float("inf"),
+                                -float("inf"), 0.0199])
+def test_hooks_reject_impossible_times(at, scheduler):
+    # the execution starts at 0.02; a hook may not act before it, or never
+    g = make_topology("cycle", 6, seed=1)
+    sim = _sim(g, scheduler=scheduler, start_time=0.02)
+    u, v = g.uids[0], g.uids[1]
+    with pytest.raises(ConfigError, match="not finite or before start_time"):
+        sim.schedule_link_down(u, v, at=at)
+    with pytest.raises(ConfigError, match="not finite or before start_time"):
+        sim.schedule_kick(u, "on_flush", at=at)
+    sim.schedule_link_down(u, v, at=0.02)  # the start itself is a time
+    sim.schedule_kick(u, "on_flush", at=0.02)
+    validate_trace(sim.run())
+
+
 @pytest.mark.parametrize("cap", [0, -5])
 def test_event_cap_below_one_rejected(cap):
     g = make_topology("path", 3, seed=0)
@@ -690,6 +734,26 @@ def test_export_of_hand_built_records():
                            timing=TimingParams(), graph=PATH2,
                            size_model=SizeModel(uid_bits=2, value_bits=8))
     _assert_export_matches(trace)
+
+
+def test_export_formats_build_the_json_once_per_sender(monkeypatch):
+    # a record's JSON is built once per (mtype, size_bits, src): messages that
+    # differ only in dst take it and add their own dst field
+    engine._record_formats.cache_clear()
+    dumps, built = json.dumps, []
+    monkeypatch.setattr(engine.json, "dumps",
+                        lambda obj: built.append(obj) or dumps(obj))
+    msgs = [Message("x.m", 4, 8, dst=dst) for dst in (0, 1, 17)]
+    for msg in msgs:
+        rec, tail, send, dst = engine._message_formats(msg)
+        assert dst == msg.dst
+        record = Event("deliver", 0.25, dst, msg).to_record()
+        assert rec % ("deliver", 0.25, dst) == dumps(record)
+        assert '{"kind": "deliver", "t": 0.25, "node": 1' + tail == \
+            dumps(Event("deliver", 0.25, 1, msg).to_record())
+        record = Event("send", 0.25, 4, msg).to_record()
+        assert send % (0.25, 4, 3) == dumps({**record, "fanout": 3})
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("fail", [False, True])

@@ -310,6 +310,38 @@ def test_event_cap_counts_every_reaction_that_transmits(cap):
                               f"{ECHO_CAP_PINS[cap]}")
 
 
+# under the random scheduler every copy and every reaction is an entry of
+# its own, counted once; on K4 at seed 2 the loop takes 12 entries before the
+# first copy lands (Chatter's copies never react), and each Echo cap but 12
+# and 36 stops the run after a copy and before that copy's reaction
+RANDOM_EVENT_CAP_PINS = {12: "t=0.000995253", 13: "t=0.00168898",
+                         24: "t=0.010044", 25: "t=0.0100522",
+                         27: "t=0.0109151", 40: "t=0.020044",
+                         55: "t=0.0298054"}
+RANDOM_ECHO_CAP_PINS = {12: "t=0.000995253", 13: "t=0.00104586",
+                        22: "t=0.00407842", 35: "t=0.00977079",
+                        36: "t=0.010044", 63: "t=0.0198806",
+                        103: "t=0.034269", 119: "t=0.0406389"}
+
+
+@pytest.mark.parametrize("cap", sorted(RANDOM_EVENT_CAP_PINS))
+def test_random_event_cap_counts_every_copy(cap):
+    g = make_topology("complete", 4, seed=0)
+    with pytest.raises(NonTermination) as err:
+        run(ChatterProtocol(), g, [1, 2, 3, 4], fn=MaxFunction(32),
+            timing=TIMING, scheduler="random", seed=2, event_cap=cap)
+    assert str(err.value) == (f"event cap {cap} exceeded at "
+                              f"{RANDOM_EVENT_CAP_PINS[cap]}")
+
+
+@pytest.mark.parametrize("cap", sorted(RANDOM_ECHO_CAP_PINS))
+def test_random_event_cap_counts_every_copy_and_reaction(cap):
+    with pytest.raises(NonTermination) as err:
+        _echo("random", cap)
+    assert str(err.value) == (f"event cap {cap} exceeded at "
+                              f"{RANDOM_ECHO_CAP_PINS[cap]}")
+
+
 @pytest.mark.parametrize("scheduler", sorted(ECHO_PINS))
 def test_reactions_that_transmit_are_pinned(scheduler):
     # every reaction to an ask starts an answer, whose send record sits
