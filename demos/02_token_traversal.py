@@ -24,11 +24,11 @@ trace = run(TokenConvergecastProtocol(root_tree(g, root)), g, values, fn=fn,
             size_model=sm)
 
 print(f"tree on {N} nodes rooted at {root}; values {values}\n")
-for e in trace.sends():
+for t, msg in trace.events.sent():
     arrow = {"token.compute": "ask ", "token.reply": "fold",
-             "token.relay": "tell", "token.ack": "ok  "}[e.msg.mtype]
-    print(f"t={e.t*1000:6.0f} ms  {arrow}  {e.node:>2} -> {e.msg.dst:>2}"
-          f"   ({e.msg.size_bits} bits)")
+             "token.relay": "tell", "token.ack": "ok  "}[msg.mtype]
+    print(f"t={t*1000:6.0f} ms  {arrow}  {msg.src:>2} -> {msg.dst:>2}"
+          f"   ({msg.size_bits} bits)")
 
 print(f"\nmessages: {message_complexity(trace)} = 4(n-1) = {4*(N-1)}")
 print(f"duration: {time_complexity(trace):.2f} s = 4(n-1) * d")

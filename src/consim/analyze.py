@@ -1,110 +1,88 @@
-"""Read a schema-2 JSONL trace back: check what its records show, and
-recompute the report row `consim run` printed for it.
+"""Read a schema-3 JSONL trace back into an ExecutionTrace, held as columns
+as a run holds it, and run `consim run`'s validate_trace and
+report_from_trace on it.  The reader checks only the format: the header,
+record kinds and keys, refs and where tagged copies are written.
 
     consim analyze trace.jsonl
-
-The file is streamed, and a send is kept only while copies of it may still
-land.  A node's sends start at least d apart and each copy lands within d
-of its send, so a copy at t belongs to the one send of its sender that
-started in [t - d, t), which is one of the sender's last two sends.
 """
 
 from __future__ import annotations
 
 import json
 
-from .engine import REL_TOL, TRACE_SCHEMA
-from .errors import ConfigError, IncompleteTrace, TraceViolation
-from .metrics import ComplexityReport, _sweep
-
+from .engine import (_NO_REF, _ROW_DELIVER, _ROW_TRANSITION, TRACE_SCHEMA,
+                     ExecutionTrace, TimingParams, TraceRows, validate_trace)
+from .errors import ConfigError, ConsimError, TraceViolation
+from .messages import Message, SizeModel
+from .metrics import ComplexityReport, report_from_trace
+from .topology import Graph
 
 def _not_schema(why) -> ConfigError:
     return ConfigError(f"not a schema-{TRACE_SCHEMA} trace: {why}")
 
 
-def _check_copies(src, send):
-    t, fields, fanout, got = send
-    if fanout is not None and (len(got) > fanout
-                               or fields[2] is None and len(got) != fanout):
-        raise TraceViolation(f"node {src}'s send at t={t!r} has {len(got)} "
-                             f"recorded copies for a fan-out of {fanout}")
+def _trace(head) -> ExecutionTrace:
+    """A trace with the header's configuration and no records yet."""
+    if not (isinstance(head, dict) and head.get("kind") == "header"
+            and head.get("schema") == TRACE_SCHEMA):
+        raise _not_schema("the first record is not its header")
+    try:
+        sm = head["size_model"]
+        return ExecutionTrace(
+            events=TraceRows(), outputs={},
+            config={key: head[key] for key in (
+                "protocol", "algo", "scheduler", "seed", "start_time", "fn",
+                "m")},
+            timing=TimingParams(head["d"], head["l"]),
+            size_model=SizeModel(sm["uid_bits"], sm["value_bits"]),
+            graph=Graph(tuple(head["uids"]),
+                        frozenset(map(tuple, head["edges"])),
+                        kind=head["topology"]),
+            messages_total=head["messages"], bits_total=head["bits"])
+    except ConsimError as exc:
+        raise _not_schema(f"its header: {exc}") from None
 
 
-def _check(head, records) -> ComplexityReport:
-    d = head["d"]
-    tol = d * REL_TOL
-    last_t = float("-inf")
-    recent: dict[int, list] = {}  # node -> its last two sends, latest first
-    sent = []  # (t, size_bits) of every send, in order
-    outputs: dict[int, float] = {}
+def _read(trace, records):
+    """Append the records to the trace's rows; a send's ref is its ordinal.
+    Only an untagged send has all its copies in the file, and a fan-out."""
+    rows, fanout = trace.events, trace.send_fanout
     for rec in records:
         kind, t, node = rec["kind"], rec["t"], rec["node"]
-        if t < last_t - tol:
-            raise TraceViolation(f"record at t={t!r} out of chronological "
-                                 f"order")
-        last_t = max(last_t, t)
-        if kind == "deliver":
-            src, fields = rec["src"], (rec["msg_type"], rec["size_bits"],
-                                       rec.get("dst"))
-            send = next((s for s in recent.get(src, ()) if s[0] < t), None)
-            if send is None or t - send[0] > d + tol or send[1] != fields:
-                raise TraceViolation(
-                    f"copy at node {node}, t={t!r} has no send of node {src}"
-                    f" in [t - d, t) with its message")
-            if fields[2] not in (None, node):
-                raise TraceViolation(f"copy for node {fields[2]} recorded "
-                                     f"at node {node}")
-            if node in send[3]:
-                raise TraceViolation(f"node {node} got node {src}'s send at "
-                                     f"t={send[0]!r} twice")
-            send[3].add(node)
-        elif kind == "send":
-            pair = recent.get(node, [])
-            if pair and t < pair[0][0] + d - tol:
-                raise TraceViolation(f"node {node} started a send inside an "
-                                     f"earlier window")
-            for old in pair[1:]:  # no copy of it can come any more
-                _check_copies(node, old)
-            fields = (rec["msg_type"], rec["size_bits"], rec.get("dst"))
-            recent[node] = [[t, fields, rec["fanout"], set()]] + pair[:1]
-            sent.append((t, rec["size_bits"]))
+        if kind == "send":
+            msg = Message(rec["msg_type"], rec["src"], rec["size_bits"],
+                          dst=rec.get("dst"))
+            ref = len(rows.sends)
+            rows.send(t, node, ref, msg, ())
+            if rec["fanout"] is not None and msg.dst is None:
+                fanout[ref] = rec["fanout"]
         elif kind == "output":
-            if node in outputs:
-                raise TraceViolation(f"node {node} output twice")
-            outputs[node] = t
-        elif kind != "transition":
+            rows.output(t, node, None)
+        elif kind == "transition" and "ref" not in rec:
+            rows.add(_ROW_TRANSITION, t, node, _NO_REF, -1)
+        elif kind in ("deliver", "transition"):
+            ref = rec["ref"]
+            if not (isinstance(ref, int) and 0 <= ref < len(rows.sends)):
+                raise TraceViolation(f"{kind} references an unknown send")
+            dst = rows.sends[ref][0].dst
+            if kind == "deliver" and dst not in (None, node):
+                raise TraceViolation(f"copy for node {dst} recorded at "
+                                     f"node {node}")
+            rows.add(_ROW_DELIVER if kind == "deliver" else _ROW_TRANSITION,
+                     t, node, ref, ref)
+        else:
             raise _not_schema(f"unknown record kind {kind!r}")
-    for node, pair in recent.items():
-        for send in pair:
-            _check_copies(node, send)
-    bits = sum(b for _, b in sent)
-    if sent and head["messages"] and (head["messages"], head["bits"]) != (
-            len(sent), bits):
-        raise TraceViolation(
-            f"{len(sent)} sends of {bits} bits recorded, the header counts "
-            f"{head['messages']} of {head['bits']}")
-    if len(outputs) < head["n"]:
-        raise IncompleteTrace(
-            f"only {len(outputs)}/{head['n']} nodes produced an output")
-    return ComplexityReport(
-        algo=head["algo"], topology=head["topology"], n=head["n"],
-        b_bits=head["b"], d_s=d, m=head["m"], seed=head["seed"],
-        time_s=max(outputs.values()) - head["start_time"],
-        messages=head["messages"] or len(sent), bits=head["bits"] or bits,
-        peak_bps=_sweep(sent, d))
 
 
 def analyze(lines) -> ComplexityReport:
-    """Check the records of a schema-2 trace, given as its lines, and
-    return its report row.  Raises ConfigError if the lines are not a
-    schema-2 trace, TraceViolation at the first failed check and
-    IncompleteTrace if a node never output."""
+    """The report row of a schema-3 trace, given as its lines.  Raises
+    ConfigError if they are not one, TraceViolation at the first failed
+    check and IncompleteTrace if a node never output."""
     lines = iter(lines)
     try:
-        head = json.loads(next(lines, "null"))
-        if not (isinstance(head, dict) and head.get("kind") == "header"
-                and head.get("schema") == TRACE_SCHEMA):
-            raise _not_schema("the first record is not its header")
-        return _check(head, map(json.loads, lines))
-    except (KeyError, TypeError, ValueError) as exc:
+        trace = _trace(json.loads(next(lines, "null")))
+        _read(trace, map(json.loads, lines))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _not_schema(f"{type(exc).__name__}: {exc}") from None
+    validate_trace(trace)
+    return report_from_trace(trace, m=trace.config["m"])

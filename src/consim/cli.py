@@ -12,7 +12,7 @@ acceptance suites and trace-file checks.
 Flags can come from a flat key=value config file (--config FILE); explicit
 flags override file entries.  CONSIM_SEED supplies the default seed.  Exit
 codes: 0 ok, 1 validation failure (for analyze, a failed check), 2
-configuration error (for analyze, a file that is not a schema-2 trace).
+configuration error (for analyze, a file that is not a schema-3 trace).
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ def build_parser(default_seed: int, config=None) -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_an = subs.add_parser(
-        "analyze", help="check a schema-2 trace file, print its report row")
+        "analyze", help="check a schema-3 trace file, print its report row")
     p_an.add_argument("file")
     p_an.set_defaults(func=cmd_analyze)
     return parser

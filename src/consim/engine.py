@@ -59,10 +59,10 @@ ExecutionTrace.events is a read-only sequence that expands rows into
 Events on demand; the JSONL export, validate_trace and the metrics read the
 columns directly.
 
-The export writes schema 2: a header record with the configuration, then
-the records, each send with its fan-out.  Of a tagged message's copies it
-writes only the one to dst, the only receiver that may react; the other
-copies stay in `events`.
+The export writes schema 3: a header with the configuration and the graph,
+then the records.  A copy or a message transition names its send by the
+send's ordinal in the file.  Of a tagged message's copies only the one to
+dst, the only receiver that may react, is written.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class Event:
 
 
 _JSONL_CHUNK = 65536  # records per piece of a streamed export
-TRACE_SCHEMA = 2  # the version the export writes in its header
+TRACE_SCHEMA = 3  # the version the export writes in its header
 
 # row kinds of a trace; a landing row stands for one deliver record per
 # receiver of its send, in receiver order, all at the row's time
@@ -276,34 +276,15 @@ class TraceRows(Sequence):
 
 
 @functools.lru_cache(maxsize=1024)
-def _record_formats(mtype, size_bits, src, dst) -> tuple:
-    """The JSONL formats of a record carrying the message (mtype,
-    size_bits, src, dst), or no message when mtype is None, and its dst:
-    a %-format string taking (kind, t, node); the json.dumps tail after
-    the node; a send's %-format taking (t, node, fanout); and dst.  Keyed
-    by the fields alone, so that the sends of a trace, and the traces of a
-    sweep, share them; 1,024 entries hold about 0.6 MB.  A tagged message
-    adds its dst field to its untagged twin's formats, so the JSON is built
-    once per (mtype, size_bits, src)."""
+def _send_format(mtype, size_bits, src, dst) -> str:
+    """The JSONL %-format of a send of the message, taking (t, node,
+    fanout); cached by the message fields, which many sends share."""
+    fields = {"msg_type": mtype, "size_bits": size_bits, "src": src}
     if dst is not None:
-        rec, tail, send, _ = _record_formats(mtype, size_bits, src, None)
-        f = ', "dst": %d' % dst  # a UID, last but for a send's fan-out
-        return (rec[:-1] + f + "}", tail[:-1] + f + "}",
-                send.replace(', "fanout"', f + ', "fanout"'), dst)
-    msg = None if mtype is None else Message(mtype, src, size_bits)
-    rec = Event("", 0.0, 0, msg).to_record()
-    del rec["kind"], rec["t"], rec["node"]
-    tail = ", " + json.dumps(rec)[1:]
-    escaped = tail.replace("%", "%%")
-    return ('{"kind": "%s", "t": %r, "node": %d' + escaped, tail,
-            '{"kind": "send", "t": %r, "node": %d' + escaped[:-1]
-            + ', "fanout": %s}', None)
-
-
-def _message_formats(msg) -> tuple:
-    if msg is None:
-        return _record_formats(None, 0, None, None)
-    return _record_formats(msg.mtype, msg.size_bits, msg.src, msg.dst)
+        fields["dst"] = dst
+    return ('{"kind": "send", "t": %r, "node": %d, '
+            + json.dumps(fields)[1:-1].replace("%", "%%")
+            + ', "fanout": %s}')
 
 
 @dataclass
@@ -331,13 +312,10 @@ class ExecutionTrace:
             value = TraceRows.from_events(value)
         super().__setattr__(name, value)
 
-    def sends(self) -> list:
-        rows = self.events
-        return [rows.record(i) for i in rows.indices_of(_ROW_SEND)]
-
     def _header(self) -> str:
         """The first record of the export: the schema version and all that
-        the report row of the trace reads."""
+        validate_trace and the report row of the trace read, the graph
+        included."""
         cfg, sm = self.config, self.size_model
         return json.dumps({
             "kind": "header", "schema": TRACE_SCHEMA,
@@ -346,51 +324,56 @@ class ExecutionTrace:
             "scheduler": cfg.get("scheduler"), "seed": cfg.get("seed", 0),
             "start_time": cfg.get("start_time", 0.0), "fn": cfg.get("fn"),
             "m": cfg.get("m"), "topology": self.graph.kind,
-            "n": self.graph.n, "b": sm.value_bits, "d": self.timing.d,
-            "l": self.timing.l,
+            "n": self.graph.n, "uids": self.graph.uids,
+            "edges": sorted(self.graph.edges), "b": sm.value_bits,
+            "d": self.timing.d, "l": self.timing.l,
             "size_model": {"uid_bits": sm.uid_bits,
                            "value_bits": sm.value_bits,
                            "flag_bits": sm.flag_bits},
             "messages": self.messages_total, "bits": self.bits_total})
 
     def jsonl_chunks(self):
-        """The schema-2 JSONL export in pieces of about _JSONL_CHUNK
+        """The schema-3 JSONL export in pieces of about _JSONL_CHUNK
         records, each ending in a newline; a piece ends after the landing
         that fills it, so it holds fewer than _JSONL_CHUNK plus one fan-out
-        records.  The header comes first; a send carries its fan-out; a
-        copy is recorded only if its receiver may react: every copy of an
-        untagged message, and of a tagged one only the copy to its dst.
-        An untagged message's record formats are looked up once, a tagged
-        one's per record; a landing is one join over its receivers."""
+        records.  The header comes first.  A copy is written only if its
+        receiver may react: every copy of an untagged message, and of a
+        tagged one only the copy to its dst."""
         rows, chunk, fanout = self.events, _JSONL_CHUNK, self.send_fanout
         sends, kinds = rows.sends, _KINDS
-        land_row, send_row, deliver_row, output_row = (
-            _ROW_LAND, _ROW_SEND, _ROW_DELIVER, _ROW_OUTPUT)  # read per row
-        by_mid = {-1: _message_formats(None)}  # outputs too
-        lines, count = [self._header()], 1
+        send_row, deliver_row, land_row = _ROW_SEND, _ROW_DELIVER, _ROW_LAND
+        bare = '{"kind": "%s", "t": %r, "node": %d}'
+        named = '{"kind": "%s", "t": %r, "node": %d, "ref": %s}'
+        ordinal: dict[int, int] = {}  # a send's ref -> its ordinal
+        lines, count, sent = [self._header()], 1, 0
         for k, t, node, ref, mid in rows.rows():
-            fmts = by_mid.get(-1 if k == output_row else mid)
-            if fmts is None:  # kept for untagged messages only
-                fmts = _message_formats(sends[mid][0])
-                if fmts[3] is None:
-                    by_mid[mid] = fmts
-            if k == land_row:
-                dst, receivers = fmts[3], sends[mid][1]
-                if dst is None:
-                    tail = fmts[1]
+            if k == deliver_row:
+                if sends[mid][0].dst in (None, node):
+                    lines.append(named % ("deliver", t, node,
+                                          ordinal.get(ref, "null")))
+                    count += 1
+            elif k == land_row:
+                msg, receivers = sends[mid]
+                if msg.dst is not None:
+                    receivers = (msg.dst,) if msg.dst in receivers else ()
+                if receivers:  # one join over them
                     head = '{"kind": "deliver", "t": %r, "node": ' % t
+                    tail = ', "ref": %d}' % ordinal[ref]
                     lines.append(head + (tail + "\n" + head).join(
                         map(str, receivers)) + tail)
                     count += len(receivers)
-                elif dst in receivers:
-                    lines.append(fmts[0] % ("deliver", t, dst))
-                    count += 1
             elif k == send_row:
-                f = fanout.get(ref)
-                lines.append(fmts[2] % (t, node, "null" if f is None else f))
+                msg, f = sends[mid][0], fanout.get(ref)
+                lines.append(_send_format(
+                    msg.mtype, msg.size_bits, msg.src, msg.dst)
+                    % (t, node, "null" if f is None else f))
+                ordinal[ref] = sent
+                sent += 1
                 count += 1
-            elif fmts[3] is None or k != deliver_row or fmts[3] == node:
-                lines.append(fmts[0] % (kinds[k], t, node))
+            else:  # an output, or a transition naming its message's send
+                lines.append(bare % (kinds[k], t, node) if ref == _NO_REF
+                             else named % (kinds[k], t, node,
+                                           ordinal.get(ref, "null")))
                 count += 1
             if count >= chunk:
                 lines.append("")
@@ -541,6 +524,7 @@ class Simulation:
                 a.ctx.live = self.adj[u]  # re-home live-neighbor views
 
         self._heap: list = []
+        self._ran = False
         self._seq = 0
         self._record = record_events
         self._rows = TraceRows()
@@ -581,6 +565,9 @@ class Simulation:
 
     def schedule_kick(self, uid, method: str, args=(), at=None):
         """Driver hook: invoke a named automaton method as a transition."""
+        if not callable(getattr(self.automata.get(uid), method, None)):
+            raise ConfigError(f"node {uid!r} has no automaton method "
+                              f"{method!r}")
         self._push(self._hook_time(self.start_time if at is None else at),
                    _KICK, "kick", uid, method, tuple(args))
 
@@ -625,6 +612,9 @@ class Simulation:
     # -- the loop ---------------------------------------------------------
 
     def run(self) -> ExecutionTrace:
+        if self._ran:  # a second run would change the first one's trace
+            raise ConfigError("a Simulation runs only once")
+        self._ran = True
         if self._fresh_automata:
             for uid in sorted(self.automata):
                 self.schedule_kick(uid, "on_start")
@@ -852,28 +842,33 @@ def run(protocol, graph, values, **kwargs) -> ExecutionTrace:
 
 def validate_trace(trace: ExecutionTrace):
     """Check the structural invariants every fair execution must satisfy:
-    chronological order, complete per-neighbor fan-out with every delivery
-    delay in (0, d], at most one transition per delivered copy, each within
-    l of its delivery, disjoint per-node transmission windows and at most
-    one output per node.  `tol`, d * REL_TOL, absorbs float rounding at the
-    upper ends and in the ordering checks; any positive delay is a valid
-    draw.  Raises TraceViolation, an AssertionError, on the first
-    violation, explicitly, so the checks also run under `python -O`."""
+    chronological order; complete per-neighbor fan-out, each delay in
+    (0, d]; one copy of a send at each node that may react to it, and one
+    transition on it within l; disjoint per-node transmission windows; one
+    output per node; and totals that count the recorded sends, if any.
+    `tol`, d * REL_TOL, absorbs float rounding at the upper ends and in the
+    ordering checks; any positive delay is a valid draw.  Raises
+    TraceViolation, an AssertionError, on the first violation, explicitly,
+    so the checks also run under `python -O`."""
     d, l = trace.timing.d, trace.timing.l
     tol = d * REL_TOL
-    table = trace.events.sends
+    rows = trace.events
+    table = rows.sends
     last_t = float("-inf")
     send_t: dict[int, float] = {}
     deliver_counts: dict[int, int] = {}
     node_send_end: dict[int, float] = {}
     react_t: dict[tuple, float] = {}  # copies yet to react, by (node, ref)
     outputs_seen = set()
-    for k, t, node, ref, mid in trace.events.rows():
+    sent = bits = 0
+    for k, t, node, ref, mid in rows.rows():
         if t < last_t - tol:
             raise TraceViolation("events out of chronological order")
         if t > last_t:
             last_t = t
         if k == _ROW_SEND:
+            sent += 1
+            bits += table[mid][0].size_bits
             send_t[ref] = t
             deliver_counts[ref] = 0
             prev_end = node_send_end.get(node, float("-inf"))
@@ -888,19 +883,30 @@ def validate_trace(trace: ExecutionTrace):
             if not 0 < delay <= d + tol:
                 raise TraceViolation(f"delivery delay {delay} outside (0, d]")
             msg, receivers = table[mid]
+            dst = msg.dst
             if k == _ROW_DELIVER:
-                receivers = (node,)
-            deliver_counts[ref] += len(receivers)
-            if msg.dst is None:
+                deliver_counts[ref] += 1
+                if dst is None or dst == node:
+                    key = (node, ref)
+                    if key in react_t:
+                        raise TraceViolation(
+                            f"node {node} got {_send_name(rows, ref)} twice")
+                    react_t[key] = t
+            else:  # a landing; a second one of a send shows in its count
+                deliver_counts[ref] += len(receivers)
+                if dst is not None:
+                    receivers = (dst,) if dst in receivers else ()
                 for nb in receivers:
                     react_t[(nb, ref)] = t
-            elif msg.dst in receivers:
-                react_t[(msg.dst, ref)] = t
         elif k == _ROW_TRANSITION and ref != _NO_REF:
             got = react_t.pop((node, ref), None)  # one reaction per copy
             if got is None:
-                raise TraceViolation(f"node {node} reacted to send {ref} "
-                                     f"it never got as a recipient, or twice")
+                if ref not in send_t:
+                    raise TraceViolation(
+                        "transition references an unknown send")
+                raise TraceViolation(
+                    f"node {node} reacted to {_send_name(rows, ref)} it "
+                    f"never got as a recipient, or twice")
             dt = t - got
             if not -tol <= dt <= l + tol:
                 raise TraceViolation(f"transition latency {dt} exceeds l")
@@ -910,5 +916,20 @@ def validate_trace(trace: ExecutionTrace):
             outputs_seen.add(node)
     for ref, expected in trace.send_fanout.items():
         if deliver_counts.get(ref, 0) != expected:
-            raise TraceViolation(f"send {ref} delivered "
+            raise TraceViolation(f"{_send_name(rows, ref)} delivered "
                                  f"{deliver_counts.get(ref, 0)}/{expected} times")
+    for node, ref in react_t:
+        raise TraceViolation(f"node {node} got {_send_name(rows, ref)} "
+                             f"twice, or never reacted to it")
+    if sent and (trace.messages_total, trace.bits_total) != (sent, bits):
+        raise TraceViolation(
+            f"{sent} sends of {bits} bits recorded, the totals count "
+            f"{trace.messages_total} of {trace.bits_total}")
+
+
+def _send_name(rows, ref) -> str:
+    """A send by sender and start, which, unlike its ref, a file keeps."""
+    for i in rows.indices_of(_ROW_SEND):
+        if rows.ref[i] == ref:
+            return f"node {rows.node[i]}'s send at t={rows.t[i]!r}"
+    return f"unrecorded send {ref}"

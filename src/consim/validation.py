@@ -127,7 +127,7 @@ def check_token_invariants(trees: int = 50) -> CheckResult:
         if msgs != 4 * (n - 1):
             return CheckResult("token.invariants", False,
                                f"n={n}: {msgs} messages, wanted {4*(n-1)}")
-        starts = sorted(e.t for e in trace.sends())
+        starts = sorted(t for t, _ in trace.events.sent())
         for a, b in zip(starts, starts[1:]):
             if b - a < D - 1e-12:
                 return CheckResult("token.invariants", False,
@@ -460,7 +460,7 @@ def check_peak_against_brute_force(traces: int = 100) -> CheckResult:
         swept = peak_bandwidth(tr)
         eps = D * 1e-6
         brute = 0.0
-        sends = [(e.t, e.msg.size_bits) for e in tr.sends()]
+        sends = [(t, msg.size_bits) for t, msg in tr.events.sent()]
         for t, _s in sends:
             for probe in (t + eps, t + D - eps):
                 rate = sum(s / D for (ts, s) in sends if ts <= probe < ts + D)

@@ -49,8 +49,9 @@ def test_p3_first_round_estimates():
     # recompute round 1 by hand: ends average over 2, middle over 3
     # [0,0,3] -> [0, 1, 1.5]
     # cannot observe intermediate rounds from outputs, so replay payloads
-    first_round = [e for e in trace.sends() if e.t == pytest.approx(D)]
-    est = {e.node: e.msg.payload / (1 << (128 - 64)) for e in first_round}
+    first_round = [msg for t, msg in trace.events.sent()
+                   if t == pytest.approx(D)]
+    est = {msg.src: msg.payload / (1 << (128 - 64)) for msg in first_round}
     assert est[end_a] == pytest.approx(0.0)
     assert est[mid] == pytest.approx(1.0)
     assert est[end_b] == pytest.approx(1.5)
@@ -83,8 +84,8 @@ def test_estimates_stay_in_convex_hull_and_regular_graphs_preserve_mean():
     trace = sim.run()
     frac = 1 << (128 - 64)
     by_round = {}
-    for e in trace.sends():
-        by_round.setdefault(round(e.t / D), []).append(e.msg.payload / frac)
+    for t, msg in trace.events.sent():
+        by_round.setdefault(round(t / D), []).append(msg.payload / frac)
     mean = sum(values) / len(values)
     for r, ests in sorted(by_round.items()):
         assert min(ests) >= min(values) - 1e-12

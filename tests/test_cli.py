@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -34,11 +36,40 @@ def test_run_writes_trace_jsonl(tmp_path, capsys):
     assert code == 0
     header, *records = [json.loads(ln)
                         for ln in trace_file.read_text().splitlines()]
-    assert (header["kind"], header["schema"]) == ("header", 2)
+    assert (header["kind"], header["schema"]) == ("header", 3)
     kinds = {r["kind"] for r in records}
     assert kinds == {"send", "deliver", "transition", "output"}
-    first = list(records[0])
+    first = list(next(r for r in records if r["kind"] == "send"))
     assert first[:6] == ["kind", "t", "node", "msg_type", "size_bits", "src"]
+
+
+_WRITE_TRACES = """
+import sys
+from consim.cli import main
+sys.exit(max(main(["run", "--algo", algo, "--m", "3", "--topo",
+                   "random_connected", "--n", "12", "--sched", "random",
+                   "--seed", "5", "--trace", f"{sys.argv[1]}/{algo}.jsonl"])
+             for algo in ("hybrid", "ghs-token", "flooding")))
+"""
+
+
+def test_trace_files_replay_across_processes(tmp_path):
+    # the bytes depend on nothing of the process: not the hash seed, and
+    # not -O, which strips assert statements
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    files = []
+    for flags, hashseed in (([], "0"), ([], "1"), (["-O"], "0")):
+        out = tmp_path / f"{hashseed}{''.join(flags)}"
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _WRITE_TRACES, str(out)],
+            env=dict(env, PYTHONHASHSEED=hashseed), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        files.append({p.name: p.read_text() for p in sorted(out.iterdir())})
+    assert len(files[0]) == 3
+    assert all('"schema": 3' in text for text in files[0].values())
+    assert files[0] == files[1] == files[2]
 
 
 def test_identical_configs_identical_csv(tmp_path, capsys):
@@ -321,7 +352,7 @@ def test_misspelt_config_key_is_a_configuration_error(tmp_path, capsys,
     assert not out
 
 
-# -- consim analyze: a schema-2 trace file read back -------------------------
+# -- consim analyze: a schema-3 trace file read back -------------------------
 
 def _algorithm_scheduler_cases():
     from consim.algorithms import ALGORITHMS
@@ -376,38 +407,59 @@ def _first(records, **match):
                 if all(r.get(k) == v for k, v in match.items()))
 
 
+def _last(records, kind):
+    return max(i for i, r in enumerate(records) if r["kind"] == kind)
+
+
+def _sends(records):
+    return [r for r in records if r["kind"] == "send"]
+
+
 def _tagged_copy(records):
-    return next(i for i, r in enumerate(records)
-                if r["kind"] == "deliver" and r.get("dst") is not None)
+    sends = _sends(records)
+    return next(i for i, r in enumerate(records) if r["kind"] == "deliver"
+                and sends[r["ref"]].get("dst") is not None)
 
 
 def _untagged_copy(records):
-    return next(i for i, r in enumerate(records)
-                if r["kind"] == "deliver" and r.get("dst") is None)
+    sends = _sends(records)
+    return next(i for i, r in enumerate(records) if r["kind"] == "deliver"
+                and sends[r["ref"]].get("dst") is None)
 
 
 def _mutate(records, how):
     r = [dict(rec) for rec in records]
-    if how == "order":
-        r.insert(1, r.pop())
-    elif how == "window":
-        i = _first(r, kind="send")
+    if how == "order":  # the last output first
+        r.insert(1, r.pop(_last(r, "output")))
+    elif how == "window":  # the last send again at once: no ref moves
+        i = _last(r, "send")
         r.insert(i + 1, dict(r[i]))
     elif how == "missing copy":
         del r[_untagged_copy(r)]
     elif how == "copy twice":
         i = _untagged_copy(r)
         r.insert(i + 1, dict(r[i]))
-    elif how == "other message":
-        r[_untagged_copy(r)]["size_bits"] += 1
+    elif how == "copy swapped":  # one receiver twice, another not at all
+        i = _untagged_copy(r)
+        r[i]["node"] = r[i + 1]["node"]
+    elif how == "other send":
+        i = _untagged_copy(r)
+        r[i]["ref"] = next(j for j, send in enumerate(_sends(r))
+                           if send["t"] < r[i]["t"] and j != r[i]["ref"])
+    elif how == "late reaction":
+        rec = r.pop(_first(r, kind="transition",
+                           ref=r[_untagged_copy(r)]["ref"]))
+        rec["t"] += 0.0015  # l is 0.001
+        r.insert(next(i for i in range(1, len(r)) if r[i]["t"] > rec["t"]),
+                 rec)
     elif how == "foreign copy":
         i = _tagged_copy(r)
-        r[i]["node"] = next(n for n in range(64)
-                            if n not in (r[i]["dst"], r[i]["src"]))
+        dst = _sends(r)[r[i]["ref"]]["dst"]
+        r[i]["node"] = next(n for n in range(64) if n != dst)
+    elif how == "unknown ref":
+        r[_untagged_copy(r)]["ref"] = len(_sends(r))
     elif how == "fan-out":
-        send = r[_untagged_copy(r)]
-        i = _first(r, kind="send", src=send["src"], msg_type=send["msg_type"])
-        r[i]["fanout"] -= 1
+        _sends(r)[r[_untagged_copy(r)]["ref"]]["fanout"] -= 1
     elif how == "output twice":
         r.append(dict(r[_first(r, kind="output")], t=r[-1]["t"]))
     elif how == "header count":
@@ -420,13 +472,16 @@ def _mutate(records, how):
 @pytest.mark.parametrize("how, text", [
     ("order", "out of chronological order"),
     ("window", "inside an earlier window"),
-    ("missing copy", "recorded copies for a fan-out"),
+    ("missing copy", "it never got as a recipient"),
     ("copy twice", "twice"),
-    ("other message", "with its message"),
+    ("copy swapped", "twice"),
+    ("other send", "outside (0, d]"),
+    ("late reaction", "exceeds l"),
     ("foreign copy", "recorded at node"),
-    ("fan-out", "recorded copies for a fan-out"),
+    ("unknown ref", "deliver references an unknown send"),
+    ("fan-out", "delivered 5/4 times"),
     ("output twice", "output twice"),
-    ("header count", "the header counts"),
+    ("header count", "the totals count"),
     ("no output", "nodes produced an output"),
 ])
 def test_analyze_fails_a_broken_check_with_exit_1(tmp_path, capsys, how,
@@ -464,4 +519,4 @@ def test_analyze_refuses_other_files_with_exit_2(tmp_path, capsys, how):
     path.write_text("".join(ln + "\n" for ln in lines))
     code, out, err = run_cli(capsys, "analyze", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("configuration error: not a schema-2 trace")
+    assert err.startswith("configuration error: not a schema-3 trace")

@@ -10,6 +10,7 @@ import pytest
 
 from consim import engine
 from consim.algorithms import ALGORITHMS
+from consim.analyze import analyze
 from consim.cli import _single_report, build_parser
 from consim.cli import main as cli_main
 from consim.engine import (SCHEDULERS, Automaton, Event, ExecutionTrace,
@@ -228,7 +229,7 @@ def test_single_node_runs_with_zero_messages():
     g = make_topology("path", 1, seed=0)
     trace = _sim(g).run()
     assert trace.outputs == {g.uids[0]: 1}
-    assert not trace.sends()
+    assert not trace.events.sent()
 
 
 def test_per_node_transmissions_serialize():
@@ -250,7 +251,8 @@ def test_per_node_transmissions_serialize():
     trace = run(ChattyProtocol(), g, [0, 0], fn=MaxFunction(32),
                 scheduler="adversarial", timing=TimingParams(d=0.01, l=0.001))
     validate_trace(trace)
-    starts = sorted(e.t for e in trace.sends() if e.node == g.uids[0])
+    starts = sorted(t for t, msg in trace.events.sent()
+                    if msg.src == g.uids[0])
     assert starts == pytest.approx([0.0, 0.01, 0.02])
 
 
@@ -478,6 +480,28 @@ def test_hooks_reject_impossible_times(at, scheduler):
     validate_trace(sim.run())
 
 
+def test_kick_of_an_unknown_method_is_rejected_when_scheduled():
+    g = make_topology("cycle", 6, seed=1)
+    sim = _sim(g)
+    with pytest.raises(ConfigError, match="no automaton method"):
+        sim.schedule_kick(g.uids[0], "no_such_method", at=0.05)
+    with pytest.raises(ConfigError, match="no automaton method"):
+        sim.schedule_kick(max(g.uids) + 1, "on_flush", at=0.05)
+    # neither left a row or an entry behind: the run is the plain one
+    assert sim.run().to_jsonl() == _sim(g).run().to_jsonl()
+
+
+def test_a_second_run_is_rejected_and_the_first_trace_kept():
+    g = make_topology("cycle", 6, seed=1)
+    sim = _sim(g)
+    trace = sim.run()
+    exported = trace.to_jsonl()
+    with pytest.raises(ConfigError, match="runs only once"):
+        sim.run()
+    assert trace.to_jsonl() == exported
+    validate_trace(trace)
+
+
 @pytest.mark.parametrize("cap", [0, -5])
 def test_event_cap_below_one_rejected(cap):
     g = make_topology("path", 3, seed=0)
@@ -537,11 +561,13 @@ def test_trace_jsonl_schema_field_order():
     first_send = next(ln for ln in _schema1(trace.events).splitlines()
                       if '"kind": "send"' in ln)
     assert _keys(first_send) == fields
-    # schema 2 keeps that order and appends the fan-out to a send
+    # schema 3 keeps that order for a send and appends its fan-out; any
+    # other record has kind, t and node, and a ref if it has a message
     lines = trace.to_jsonl().splitlines()
     assert _keys(lines[0])[:2] == ["kind", "schema"]
-    first_send = next(ln for ln in lines if '"kind": "send"' in ln)
-    assert _keys(first_send) == fields + ["fanout"]
+    keys = {tuple(_keys(ln)) for ln in lines[1:]}
+    assert keys == {tuple(fields + ["fanout"]), ("kind", "t", "node", "ref"),
+                    ("kind", "t", "node")}
 
 
 # -- validate_trace on hand-built traces ---------------------------------------
@@ -573,13 +599,14 @@ def _hand_trace(sends, d=0.01):
                           timing=TimingParams(d=d, l=d / 10),
                           size_model=SizeModel(uid_bits=2, value_bits=8),
                           graph=PATH2,
-                          send_fanout={ref: 1 for ref in range(len(sends))})
+                          send_fanout={ref: 1 for ref in range(len(sends))},
+                          messages_total=len(sends), bits_total=8 * len(sends))
 
 
 def test_validate_trace_accepts_tiny_random_delay():
     # the random scheduler draws delays from (0, d]; this one came from a
     # real run
-    validate_trace(_hand_trace([(0.0, 2.79e-10)]))
+    validate_trace(_hand_trace([(0.0, 2.79e-10, 0.0)]))
 
 
 @pytest.mark.parametrize("sends, text", [
@@ -602,10 +629,30 @@ def test_validate_trace_accepts_tiny_random_delay():
     ([(0.0, 0.004, 0.0), Event("transition", 0.0045, PATH2.uids[1], ref=0,
                                msg=Message("x.msg", PATH2.uids[0], 8))],
      "or twice"),
+    ([(0.0, 0.004, 0.0), Event("transition", 0.0045, PATH2.uids[1], ref=7,
+                               msg=Message("x.msg", PATH2.uids[0], 8))],
+     "transition references an unknown send"),
+    # a second copy of the send at the receiver before it reacts, and one
+    # after it did
+    ([(0.0, 0.004), Event("deliver", 0.0045, PATH2.uids[1], ref=0,
+                          msg=Message("x.msg", PATH2.uids[0], 8))],
+     f"node {PATH2.uids[1]} got node {PATH2.uids[0]}'s send at t=0.0 twice"),
+    ([(0.0, 0.004, 0.0), Event("deliver", 0.005, PATH2.uids[1], ref=0,
+                               msg=Message("x.msg", PATH2.uids[0], 8))],
+     "delivered 2/1 times"),
+    ([(0.0, 0.004)], "twice, or never reacted to it"),
+    # a send that the totals do not count
+    ([(0.0, 0.004, 0.0), Event("send", 0.02, PATH2.uids[0], ref=5,
+                               msg=Message("x.msg", PATH2.uids[0], 8))],
+     "2 sends of 16 bits recorded, the totals count 1 of 8"),
 ])
 def test_validate_trace_rejects(sends, text):
+    trace = _hand_trace(sends)
     with pytest.raises(AssertionError, match=re.escape(text)):
-        validate_trace(_hand_trace(sends))
+        validate_trace(trace)
+    # its file fails the same check with the same message
+    with pytest.raises(AssertionError, match=re.escape(text)):
+        analyze(trace.to_jsonl().splitlines())
 
 
 def test_validate_trace_rejects_late_delivery_at_small_d():
@@ -635,32 +682,41 @@ def _schema1(events):
 
 
 def _header(trace):
-    cfg, sm = trace.config, trace.size_model
-    return {"kind": "header", "schema": 2, "protocol": cfg.get("protocol"),
+    cfg, sm, g = trace.config, trace.size_model, trace.graph
+    return {"kind": "header", "schema": 3, "protocol": cfg.get("protocol"),
             "algo": cfg.get("algo", cfg.get("protocol")),
             "scheduler": cfg.get("scheduler"), "seed": cfg.get("seed", 0),
             "start_time": cfg.get("start_time", 0.0), "fn": cfg.get("fn"),
-            "m": cfg.get("m"), "topology": trace.graph.kind,
-            "n": trace.graph.n, "b": sm.value_bits, "d": trace.timing.d,
-            "l": trace.timing.l,
+            "m": cfg.get("m"), "topology": g.kind, "n": g.n,
+            "uids": list(g.uids), "edges": sorted(g.edges),
+            "b": sm.value_bits, "d": trace.timing.d, "l": trace.timing.l,
             "size_model": {"uid_bits": sm.uid_bits,
                            "value_bits": sm.value_bits, "flag_bits": 8},
             "messages": trace.messages_total, "bits": trace.bits_total}
 
 
 def _reference_jsonl(trace):
-    """Schema 2 from the schema-1 rendering: the header, then each schema-1
-    line except the copies of a tagged message to nodes other than its
-    dst, with each send's fan-out appended."""
+    """Schema 3 from the Event view: the header, then each send's schema-1
+    line with its fan-out appended, and every other record as its kind, t
+    and node, plus for a copy or a message transition the ordinal of its
+    send; the copies of a tagged message to nodes other than its dst are
+    left out."""
     events = list(trace.events)
-    lines = [json.dumps(_header(trace))]
+    lines, ordinal, sent = [json.dumps(_header(trace))], {}, 0
     for e, line in zip(events, _schema1(events).splitlines()):
+        rec = {"kind": e.kind, "t": e.t, "node": e.node}
+        if e.kind == "send":
+            if e.ref is not None:
+                ordinal[e.ref] = sent
+            sent += 1
+            lines.append(line[:-1] + ', "fanout": %s}' % json.dumps(
+                trace.send_fanout.get(e.ref)))
+            continue
         if e.kind == "deliver" and e.msg.dst not in (None, e.node):
             continue
-        if e.kind == "send":
-            line = line[:-1] + ', "fanout": %s}' % json.dumps(
-                trace.send_fanout.get(e.ref))
-        lines.append(line)
+        if e.kind == "deliver" or e.kind == "transition" and e.ref is not None:
+            rec["ref"] = ordinal.get(e.ref)
+        lines.append(json.dumps(rec))
     return "\n".join(lines) + "\n"
 
 
@@ -737,23 +793,22 @@ def test_export_of_hand_built_records():
 
 
 def test_export_formats_build_the_json_once_per_sender(monkeypatch):
-    # a record's JSON is built once per (mtype, size_bits, src): messages that
-    # differ only in dst take it and add their own dst field
-    engine._record_formats.cache_clear()
+    # a send's JSON is built once per sender's message fields, so the sends
+    # of a trace, and of the traces after it, share it; no other record
+    # has one
+    engine._send_format.cache_clear()
     dumps, built = json.dumps, []
     monkeypatch.setattr(engine.json, "dumps",
                         lambda obj: built.append(obj) or dumps(obj))
-    msgs = [Message("x.m", 4, 8, dst=dst) for dst in (0, 1, 17)]
-    for msg in msgs:
-        rec, tail, send, dst = engine._message_formats(msg)
-        assert dst == msg.dst
-        record = Event("deliver", 0.25, dst, msg).to_record()
-        assert rec % ("deliver", 0.25, dst) == dumps(record)
-        assert '{"kind": "deliver", "t": 0.25, "node": 1' + tail == \
-            dumps(Event("deliver", 0.25, 1, msg).to_record())
-        record = Event("send", 0.25, 4, msg).to_record()
-        assert send % (0.25, 4, 3) == dumps({**record, "fanout": 3})
-    assert len(built) == 1
+    g = make_topology("path", 4, seed=2)
+    trace = run(ALGORITHMS["average"].protocol(2, 1e-3), g, [1, 5, 2, 8],
+                fn=MeanFunction(128), seed=2)
+    for _ in range(2):
+        trace.to_jsonl()
+    fields = {(msg.mtype, msg.size_bits, msg.src, msg.dst)
+              for _, msg in trace.events.sent()}
+    assert len(trace.events.sent()) > len(fields)
+    assert len([obj for obj in built if "kind" not in obj]) == len(fields)
 
 
 @pytest.mark.parametrize("fail", [False, True])

@@ -67,10 +67,10 @@ def test_each_pair_rebroadcast_at_most_once_per_node():
     trace = flood(g, list(range(15)), MaxFunction(32), scheduler="random", seed=7)
     validate_trace(trace)
     shipped = {}
-    for e in trace.sends():
-        for uid, _val in e.msg.payload:
-            key = (e.node, uid)
-            assert key not in shipped, f"node {e.node} re-flooded {uid}"
+    for _, msg in trace.events.sent():
+        for uid, _val in msg.payload:
+            key = (msg.src, uid)
+            assert key not in shipped, f"node {msg.src} re-flooded {uid}"
             shipped[key] = True
 
 

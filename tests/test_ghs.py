@@ -76,9 +76,9 @@ def test_mst_message_sizes_capped_at_flag_plus_three_uids():
     sim, trace = run_mst(g, scheduler="random", seed=2)
     sm = trace.size_model
     cap = sm.flag_bits + 3 * sm.uid_bits
-    for e in trace.sends():
-        if e.msg.mtype.startswith("ghs."):
-            assert e.msg.size_bits <= cap, e.msg.mtype
+    for _, msg in trace.events.sent():
+        if msg.mtype.startswith("ghs."):
+            assert msg.size_bits <= cap, msg.mtype
 
 
 def test_ghs_build_mst_helper():
@@ -110,7 +110,7 @@ def test_token_exact_message_count_and_disjoint_windows():
         values = [rng.randrange(1000) for _ in range(n)]
         trace = token_on_tree(g, values, MaxFunction(64), root)
         assert message_complexity(trace) == 4 * (n - 1)
-        starts = sorted(e.t for e in trace.sends())
+        starts = sorted(t for t, _ in trace.events.sent())
         for a, b in zip(starts, starts[1:]):
             assert b - a >= D - 1e-12, "transmission windows overlap"
         assert set(trace.outputs.values()) == {max(values)}
@@ -132,7 +132,7 @@ def test_token_uniform_message_size():
     trace = token_on_tree(g, list(range(10)), MaxFunction(64), g.uids[0])
     sm = trace.size_model
     want = sm.flag_bits + 2 * sm.uid_bits + sm.value_bits
-    assert {e.msg.size_bits for e in trace.sends()} == {want}
+    assert {msg.size_bits for _, msg in trace.events.sent()} == {want}
 
 
 def test_token_time_is_4n_minus_1_d_under_adversary():
@@ -145,8 +145,8 @@ def test_token_children_visited_in_ascending_uid_order():
     g = make_topology("star", 6, seed=3)
     hub = max(g.uids, key=g.degree)
     trace = token_on_tree(g, [0] * 6, MaxFunction(64), hub)
-    computes = [e.msg.dst for e in trace.sends()
-                if e.msg.mtype == "token.compute"]
+    computes = [msg.dst for _, msg in trace.events.sent()
+                if msg.mtype == "token.compute"]
     assert computes == sorted(computes)
 
 
@@ -238,7 +238,8 @@ def test_pipeline_token_message_count_decomposition():
     sm = SizeModel.for_network(20, 64, pool_size=g.pool_size)
     trace = run(GhsTokenProtocol(), g, list(range(20)), fn=fn, timing=TIMING,
                 size_model=sm)
-    token_msgs = [e for e in trace.sends() if e.msg.mtype.startswith("token.")]
+    token_msgs = [msg for _, msg in trace.events.sent()
+                  if msg.mtype.startswith("token.")]
     assert len(token_msgs) == 4 * 19
     assert set(trace.outputs.values()) == {19}
 

@@ -51,8 +51,9 @@ def test_m_equals_n_singleton_clusters():
     assert all(len(members) == 1 for members in clusters.values())
     assert set(trace.outputs.values()) == {9}
     # singleton exchange degenerates into broadcast flooding
-    assert any(e.msg.mtype == "p4.share" for e in trace.sends())
-    assert not any(e.msg.mtype == "p4.values" for e in trace.sends())
+    mtypes = {msg.mtype for _, msg in trace.events.sent()}
+    assert "p4.share" in mtypes
+    assert "p4.values" not in mtypes
 
 
 def test_path5_split_into_sizes_two_and_three():
@@ -149,9 +150,9 @@ def test_value_messages_route_hop_by_hop_with_no_duplication():
     trace, sim = run_hybrid(g, list(range(12)), fn, m=3, keep_sim=True)
     # each routed copy is a unicast: exactly one sender per send event, and
     # every routed message names its next hop
-    for e in trace.sends():
-        if e.msg.mtype == "p4.values":
-            assert e.msg.dst is not None
+    for _, msg in trace.events.sent():
+        if msg.mtype == "p4.values":
+            assert msg.dst is not None
     assert set(trace.outputs.values()) == {11}
 
 
@@ -263,7 +264,8 @@ def test_small_half_joins_through_the_child_that_found_the_candidate(scheduler):
     exp = _recovery_case(g, 2, scheduler, seed=1)
     assert _edge_kind(exp.automata, 1, 11) == "tree"
     _fail_and_recover(exp, (1, 11))
-    assert any(e.msg.mtype == "pf.join" for e in exp.repair_trace.sends())
+    assert any(msg.mtype == "pf.join"
+               for _, msg in exp.repair_trace.events.sent())
 
 
 def test_link_down_before_output_is_rejected_promptly():
