@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 
-from .engine import (_NO_REF, _ROW_DELIVER, _ROW_TRANSITION, TRACE_SCHEMA,
+from .engine import (_KINDS, _NO_REF, _ROW_TRANSITION, TRACE_SCHEMA,
                      ExecutionTrace, TimingParams, TraceRows, validate_trace)
 from .errors import ConfigError, ConsimError, TraceViolation
 from .messages import Message, SizeModel
 from .metrics import ComplexityReport, report_from_trace
 from .topology import Graph
+
 
 def _not_schema(why) -> ConfigError:
     return ConfigError(f"not a schema-{TRACE_SCHEMA} trace: {why}")
@@ -30,9 +31,8 @@ def _trace(head) -> ExecutionTrace:
         sm = head["size_model"]
         return ExecutionTrace(
             events=TraceRows(), outputs={},
-            config={key: head[key] for key in (
-                "protocol", "algo", "scheduler", "seed", "start_time", "fn",
-                "m")},
+            config={k: head[k] for k in ("protocol", "algo", "scheduler",
+                                         "seed", "start_time", "fn", "m")},
             timing=TimingParams(head["d"], head["l"]),
             size_model=SizeModel(sm["uid_bits"], sm["value_bits"]),
             graph=Graph(tuple(head["uids"]),
@@ -68,8 +68,7 @@ def _read(trace, records):
             if kind == "deliver" and dst not in (None, node):
                 raise TraceViolation(f"copy for node {dst} recorded at "
                                      f"node {node}")
-            rows.add(_ROW_DELIVER if kind == "deliver" else _ROW_TRANSITION,
-                     t, node, ref, ref)
+            rows.add(_KINDS.index(kind), t, node, ref, ref)
         else:
             raise _not_schema(f"unknown record kind {kind!r}")
 

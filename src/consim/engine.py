@@ -347,12 +347,7 @@ class ExecutionTrace:
         ordinal: dict[int, int] = {}  # a send's ref -> its ordinal
         lines, count, sent = [self._header()], 1, 0
         for k, t, node, ref, mid in rows.rows():
-            if k == deliver_row:
-                if sends[mid][0].dst in (None, node):
-                    lines.append(named % ("deliver", t, node,
-                                          ordinal.get(ref, "null")))
-                    count += 1
-            elif k == land_row:
+            if k == land_row:
                 msg, receivers = sends[mid]
                 if msg.dst is not None:
                     receivers = (msg.dst,) if msg.dst in receivers else ()
@@ -370,10 +365,13 @@ class ExecutionTrace:
                 ordinal[ref] = sent
                 sent += 1
                 count += 1
-            else:  # an output, or a transition naming its message's send
-                lines.append(bare % (kinds[k], t, node) if ref == _NO_REF
-                             else named % (kinds[k], t, node,
-                                           ordinal.get(ref, "null")))
+            elif k == deliver_row and sends[mid][0].dst not in (None, node):
+                continue  # a copy its receiver drops unread
+            else:  # a copy, or a transition naming its send or none
+                lines.append(bare % (kinds[k], t, node)
+                             if ref == _NO_REF and k != deliver_row else
+                             named % (kinds[k], t, node,
+                                      ordinal.get(ref, "null")))
                 count += 1
             if count >= chunk:
                 lines.append("")
@@ -843,25 +841,25 @@ def run(protocol, graph, values, **kwargs) -> ExecutionTrace:
 def validate_trace(trace: ExecutionTrace):
     """Check the structural invariants every fair execution must satisfy:
     chronological order; complete per-neighbor fan-out, each delay in
-    (0, d]; one copy of a send at each node that may react to it, and one
-    transition on it within l; disjoint per-node transmission windows; one
-    output per node; and totals that count the recorded sends, if any.
+    (0, d]; at most one copy of a send at a node, and for each copy its
+    node may react to, one transition on it within l; disjoint per-node
+    transmission windows; one output per node; and totals that count the
+    recorded sends, if any.
     `tol`, d * REL_TOL, absorbs float rounding at the upper ends and in the
     ordering checks; any positive delay is a valid draw.  Raises
     TraceViolation, an AssertionError, on the first violation, explicitly,
     so the checks also run under `python -O`."""
     d, l = trace.timing.d, trace.timing.l
     tol = d * REL_TOL
-    rows = trace.events
-    table = rows.sends
+    table = trace.events.sends
     last_t = float("-inf")
-    send_t: dict[int, float] = {}
-    deliver_counts: dict[int, int] = {}
+    seen: dict[int, list] = {}  # [start, sender, copies, got] by ref
     node_send_end: dict[int, float] = {}
+    got_from: dict[int, dict] = {}  # sender -> node -> last start it got
     react_t: dict[tuple, float] = {}  # copies yet to react, by (node, ref)
     outputs_seen = set()
     sent = bits = 0
-    for k, t, node, ref, mid in rows.rows():
+    for k, t, node, ref, mid in trace.events.rows():
         if t < last_t - tol:
             raise TraceViolation("events out of chronological order")
         if t > last_t:
@@ -869,31 +867,34 @@ def validate_trace(trace: ExecutionTrace):
         if k == _ROW_SEND:
             sent += 1
             bits += table[mid][0].size_bits
-            send_t[ref] = t
-            deliver_counts[ref] = 0
-            prev_end = node_send_end.get(node, float("-inf"))
-            if t < prev_end - tol:
+            seen[ref] = [t, node, 0, got_from.setdefault(node, {})]
+            if t < node_send_end.get(node, t) - tol:
                 raise TraceViolation(
                     f"node {node} started a send inside an earlier window")
             node_send_end[node] = t + d
         elif k == _ROW_DELIVER or k == _ROW_LAND:
-            if ref not in send_t:
+            send = seen.get(ref)
+            if send is None:
                 raise TraceViolation("deliver references an unknown send")
-            delay = t - send_t[ref]
+            start = send[0]
+            delay = t - start
             if not 0 < delay <= d + tol:
                 raise TraceViolation(f"delivery delay {delay} outside (0, d]")
             msg, receivers = table[mid]
             dst = msg.dst
             if k == _ROW_DELIVER:
-                deliver_counts[ref] += 1
+                send[2] += 1
+                # a sender's windows are disjoint, so its copies reach a
+                # node in the order of their sends
+                got = send[3]
+                if got.get(node, -math.inf) >= start:
+                    raise TraceViolation(
+                        f"node {node} got {_send_name(seen, ref)} twice")
+                got[node] = start
                 if dst is None or dst == node:
-                    key = (node, ref)
-                    if key in react_t:
-                        raise TraceViolation(
-                            f"node {node} got {_send_name(rows, ref)} twice")
-                    react_t[key] = t
+                    react_t[(node, ref)] = t
             else:  # a landing; a second one of a send shows in its count
-                deliver_counts[ref] += len(receivers)
+                send[2] += len(receivers)
                 if dst is not None:
                     receivers = (dst,) if dst in receivers else ()
                 for nb in receivers:
@@ -901,11 +902,11 @@ def validate_trace(trace: ExecutionTrace):
         elif k == _ROW_TRANSITION and ref != _NO_REF:
             got = react_t.pop((node, ref), None)  # one reaction per copy
             if got is None:
-                if ref not in send_t:
+                if ref not in seen:
                     raise TraceViolation(
                         "transition references an unknown send")
                 raise TraceViolation(
-                    f"node {node} reacted to {_send_name(rows, ref)} it "
+                    f"node {node} reacted to {_send_name(seen, ref)} it "
                     f"never got as a recipient, or twice")
             dt = t - got
             if not -tol <= dt <= l + tol:
@@ -915,21 +916,21 @@ def validate_trace(trace: ExecutionTrace):
                 raise TraceViolation(f"node {node} output twice")
             outputs_seen.add(node)
     for ref, expected in trace.send_fanout.items():
-        if deliver_counts.get(ref, 0) != expected:
-            raise TraceViolation(f"{_send_name(rows, ref)} delivered "
-                                 f"{deliver_counts.get(ref, 0)}/{expected} times")
+        copies = seen[ref][2] if ref in seen else 0
+        if copies != expected:
+            raise TraceViolation(f"{_send_name(seen, ref)} delivered "
+                                 f"{copies}/{expected} times")
     for node, ref in react_t:
-        raise TraceViolation(f"node {node} got {_send_name(rows, ref)} "
-                             f"twice, or never reacted to it")
+        raise TraceViolation(
+            f"node {node} never reacted to {_send_name(seen, ref)}")
     if sent and (trace.messages_total, trace.bits_total) != (sent, bits):
         raise TraceViolation(
             f"{sent} sends of {bits} bits recorded, the totals count "
             f"{trace.messages_total} of {trace.bits_total}")
 
 
-def _send_name(rows, ref) -> str:
+def _send_name(seen, ref) -> str:
     """A send by sender and start, which, unlike its ref, a file keeps."""
-    for i in rows.indices_of(_ROW_SEND):
-        if rows.ref[i] == ref:
-            return f"node {rows.node[i]}'s send at t={rows.t[i]!r}"
-    return f"unrecorded send {ref}"
+    if ref not in seen:
+        return f"unrecorded send {ref}"
+    return f"node {seen[ref][1]}'s send at t={seen[ref][0]!r}"

@@ -639,8 +639,9 @@ def test_validate_trace_accepts_tiny_random_delay():
      f"node {PATH2.uids[1]} got node {PATH2.uids[0]}'s send at t=0.0 twice"),
     ([(0.0, 0.004, 0.0), Event("deliver", 0.005, PATH2.uids[1], ref=0,
                                msg=Message("x.msg", PATH2.uids[0], 8))],
-     "delivered 2/1 times"),
-    ([(0.0, 0.004)], "twice, or never reacted to it"),
+     f"node {PATH2.uids[1]} got node {PATH2.uids[0]}'s send at t=0.0 twice"),
+    ([(0.0, 0.004)],
+     f"node {PATH2.uids[1]} never reacted to node {PATH2.uids[0]}'s send"),
     # a send that the totals do not count
     ([(0.0, 0.004, 0.0), Event("send", 0.02, PATH2.uids[0], ref=5,
                                msg=Message("x.msg", PATH2.uids[0], 8))],
@@ -653,6 +654,39 @@ def test_validate_trace_rejects(sends, text):
     # its file fails the same check with the same message
     with pytest.raises(AssertionError, match=re.escape(text)):
         analyze(trace.to_jsonl().splitlines())
+
+
+def test_validate_trace_rejects_a_second_copy_that_replaces_a_missing_one():
+    # the fan-out count holds: one receiver got the send again after it
+    # reacted to it, and the other receiver never got it
+    g = make_topology("star", 3, seed=0)
+    hub = next(u for u in g.uids if g.degree(u) == 2)
+    leaf = g.adj[hub][0]
+    msg = Message("x.msg", hub, 8)
+    events = [Event("send", 0.0, hub, msg=msg, ref=0)]
+    for t in (0.004, 0.006):
+        events += [Event("deliver", t, leaf, msg=msg, ref=0),
+                   Event("transition", t + 0.0005, leaf, msg=msg, ref=0)]
+    trace = ExecutionTrace(events=events, outputs={}, config={},
+                           timing=TimingParams(d=0.01, l=0.001),
+                           size_model=SizeModel(uid_bits=2, value_bits=8),
+                           graph=g, send_fanout={0: 2}, messages_total=1,
+                           bits_total=8)
+    text = f"node {leaf} got node {hub}'s send at t=0.0 twice"
+    with pytest.raises(AssertionError, match=re.escape(text)):
+        validate_trace(trace)
+    with pytest.raises(AssertionError, match=re.escape(text)):
+        analyze(trace.to_jsonl().splitlines())
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_a_run_before_time_zero_validates_in_memory_and_as_a_file(scheduler):
+    # the duplicate-copy check compares send starts, which may be negative
+    g = make_topology("cycle", 6, seed=1)
+    trace = _sim(g, scheduler=scheduler, start_time=-5.0).run()
+    validate_trace(trace)
+    assert analyze(trace.to_jsonl().splitlines()).messages == \
+        trace.messages_total > 0
 
 
 def test_validate_trace_rejects_late_delivery_at_small_d():
