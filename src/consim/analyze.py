@@ -62,7 +62,7 @@ def _read(trace, records):
             rows.add(_ROW_TRANSITION, t, node, _NO_REF, -1)
         elif kind in ("deliver", "transition"):
             ref = rec["ref"]
-            if not (isinstance(ref, int) and 0 <= ref < len(rows.sends)):
+            if not (type(ref) is int and 0 <= ref < len(rows.sends)):
                 raise TraceViolation(f"{kind} references an unknown send")
             dst = rows.sends[ref][0].dst
             if kind == "deliver" and dst not in (None, node):

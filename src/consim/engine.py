@@ -74,6 +74,7 @@ import math
 import random
 from array import array
 from bisect import bisect_right
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
@@ -276,15 +277,14 @@ class TraceRows(Sequence):
 
 
 @functools.lru_cache(maxsize=1024)
-def _send_format(mtype, size_bits, src, dst) -> str:
-    """The JSONL %-format of a send of the message, taking (t, node,
-    fanout); cached by the message fields, which many sends share."""
+def _send_format(mtype, size_bits, src) -> str:
+    """The JSONL %-format of a send of a message with these fields, taking
+    (t, node, its dst field or "", fanout); cached by the fields, which a
+    sender's sends share whatever their dst."""
     fields = {"msg_type": mtype, "size_bits": size_bits, "src": src}
-    if dst is not None:
-        fields["dst"] = dst
     return ('{"kind": "send", "t": %r, "node": %d, '
             + json.dumps(fields)[1:-1].replace("%", "%%")
-            + ', "fanout": %s}')
+            + '%s, "fanout": %s}')
 
 
 @dataclass
@@ -349,19 +349,20 @@ class ExecutionTrace:
         for k, t, node, ref, mid in rows.rows():
             if k == land_row:
                 msg, receivers = sends[mid]
-                if msg.dst is not None:
-                    receivers = (msg.dst,) if msg.dst in receivers else ()
-                if receivers:  # one join over them
+                if msg.dst is None:  # one join over the receivers
                     head = '{"kind": "deliver", "t": %r, "node": ' % t
                     tail = ', "ref": %d}' % ordinal[ref]
                     lines.append(head + (tail + "\n" + head).join(
                         map(str, receivers)) + tail)
                     count += len(receivers)
+                elif msg.dst in receivers:
+                    lines.append(named % ("deliver", t, msg.dst, ordinal[ref]))
+                    count += 1
             elif k == send_row:
                 msg, f = sends[mid][0], fanout.get(ref)
-                lines.append(_send_format(
-                    msg.mtype, msg.size_bits, msg.src, msg.dst)
-                    % (t, node, "null" if f is None else f))
+                dst = "" if msg.dst is None else ', "dst": %d' % msg.dst
+                lines.append(_send_format(msg.mtype, msg.size_bits, msg.src)
+                             % (t, node, dst, "null" if f is None else f))
                 ordinal[ref] = sent
                 sent += 1
                 count += 1
@@ -853,9 +854,9 @@ def validate_trace(trace: ExecutionTrace):
     tol = d * REL_TOL
     table = trace.events.sends
     last_t = float("-inf")
-    seen: dict[int, list] = {}  # [start, sender, copies, got] by ref
+    seen: dict[int, list] = {}  # [start, sender, copies, got_from[sender]]
     node_send_end: dict[int, float] = {}
-    got_from: dict[int, dict] = {}  # sender -> node -> last start it got
+    got_from = defaultdict(dict)  # sender -> node -> last start it got
     react_t: dict[tuple, float] = {}  # copies yet to react, by (node, ref)
     outputs_seen = set()
     sent = bits = 0
@@ -867,7 +868,7 @@ def validate_trace(trace: ExecutionTrace):
         if k == _ROW_SEND:
             sent += 1
             bits += table[mid][0].size_bits
-            seen[ref] = [t, node, 0, got_from.setdefault(node, {})]
+            seen[ref] = [t, node, 0, got_from[node]]
             if t < node_send_end.get(node, t) - tol:
                 raise TraceViolation(
                     f"node {node} started a send inside an earlier window")
@@ -876,8 +877,7 @@ def validate_trace(trace: ExecutionTrace):
             send = seen.get(ref)
             if send is None:
                 raise TraceViolation("deliver references an unknown send")
-            start = send[0]
-            delay = t - start
+            delay = t - send[0]
             if not 0 < delay <= d + tol:
                 raise TraceViolation(f"delivery delay {delay} outside (0, d]")
             msg, receivers = table[mid]
@@ -886,11 +886,11 @@ def validate_trace(trace: ExecutionTrace):
                 send[2] += 1
                 # a sender's windows are disjoint, so its copies reach a
                 # node in the order of their sends
-                got = send[3]
-                if got.get(node, -math.inf) >= start:
+                last = send[3]
+                if last.get(node, -math.inf) >= send[0]:
                     raise TraceViolation(
                         f"node {node} got {_send_name(seen, ref)} twice")
-                got[node] = start
+                last[node] = send[0]
                 if dst is None or dst == node:
                     react_t[(node, ref)] = t
             else:  # a landing; a second one of a send shows in its count

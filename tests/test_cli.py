@@ -458,6 +458,8 @@ def _mutate(records, how):
         r[i]["node"] = next(n for n in range(64) if n != dst)
     elif how == "unknown ref":
         r[_untagged_copy(r)]["ref"] = len(_sends(r))
+    elif how == "boolean ref":  # not the send of ordinal 1
+        r[_first(r, kind="transition", ref=1)]["ref"] = True
     elif how == "fan-out":
         _sends(r)[r[_untagged_copy(r)]["ref"]]["fanout"] -= 1
     elif how == "output twice":
@@ -479,6 +481,7 @@ def _mutate(records, how):
     ("late reaction", "exceeds l"),
     ("foreign copy", "recorded at node"),
     ("unknown ref", "deliver references an unknown send"),
+    ("boolean ref", "transition references an unknown send"),
     ("fan-out", "delivered 5/4 times"),
     ("output twice", "output twice"),
     ("header count", "the totals count"),

@@ -827,21 +827,22 @@ def test_export_of_hand_built_records():
 
 
 def test_export_formats_build_the_json_once_per_sender(monkeypatch):
-    # a send's JSON is built once per sender's message fields, so the sends
-    # of a trace, and of the traces after it, share it; no other record
-    # has one
+    # a send's JSON is built once per sender's message fields, whatever its
+    # dst, so the sends of a trace, and of the traces after it, share it;
+    # no other record has one
     engine._send_format.cache_clear()
     dumps, built = json.dumps, []
     monkeypatch.setattr(engine.json, "dumps",
                         lambda obj: built.append(obj) or dumps(obj))
-    g = make_topology("path", 4, seed=2)
-    trace = run(ALGORITHMS["average"].protocol(2, 1e-3), g, [1, 5, 2, 8],
-                fn=MeanFunction(128), seed=2)
+    g = make_topology("complete", 6, seed=1)
+    trace = run(ALGORITHMS["hybrid"].protocol(2, 1e-3), g, list(range(6)),
+                fn=MaxFunction(64), seed=1)
     for _ in range(2):
         trace.to_jsonl()
-    fields = {(msg.mtype, msg.size_bits, msg.src, msg.dst)
-              for _, msg in trace.events.sent()}
-    assert len(trace.events.sent()) > len(fields)
+    sent = [msg for _, msg in trace.events.sent()]
+    fields = {(msg.mtype, msg.size_bits, msg.src) for msg in sent}
+    assert len({(msg.mtype, msg.size_bits, msg.src, msg.dst)
+                for msg in sent}) > len(fields)
     assert len([obj for obj in built if "kind" not in obj]) == len(fields)
 
 
