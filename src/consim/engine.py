@@ -853,7 +853,7 @@ def validate_trace(trace: ExecutionTrace):
     d, l = trace.timing.d, trace.timing.l
     tol = d * REL_TOL
     table = trace.events.sends
-    last_t = float("-inf")
+    last_t = never = -math.inf
     seen: dict[int, list] = {}  # [start, sender, copies, got_from[sender]]
     node_send_end: dict[int, float] = {}
     got_from = defaultdict(dict)  # sender -> node -> last start it got
@@ -887,7 +887,7 @@ def validate_trace(trace: ExecutionTrace):
                 # a sender's windows are disjoint, so its copies reach a
                 # node in the order of their sends
                 last = send[3]
-                if last.get(node, -math.inf) >= send[0]:
+                if last.get(node, never) >= send[0]:
                     raise TraceViolation(
                         f"node {node} got {_send_name(seen, ref)} twice")
                 last[node] = send[0]
