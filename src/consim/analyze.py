@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 
-from .engine import (_KINDS, _NO_REF, _ROW_TRANSITION, TRACE_SCHEMA,
-                     ExecutionTrace, TimingParams, TraceRows, validate_trace)
+from .engine import (TRACE_SCHEMA, ExecutionTrace, TimingParams, TraceRows,
+                     validate_trace)
 from .errors import ConfigError, ConsimError, TraceViolation
 from .messages import Message, SizeModel
 from .metrics import ComplexityReport, report_from_trace
@@ -59,7 +59,7 @@ def _read(trace, records):
         elif kind == "output":
             rows.output(t, node, None)
         elif kind == "transition" and "ref" not in rec:
-            rows.add(_ROW_TRANSITION, t, node, _NO_REF, -1)
+            rows.add(kind, t, node)
         elif kind in ("deliver", "transition"):
             ref = rec["ref"]
             if not (type(ref) is int and 0 <= ref < len(rows.sends)):
@@ -68,7 +68,7 @@ def _read(trace, records):
             if kind == "deliver" and dst not in (None, node):
                 raise TraceViolation(f"copy for node {dst} recorded at "
                                      f"node {node}")
-            rows.add(_KINDS.index(kind), t, node, ref, ref)
+            rows.add(kind, t, node, ref)
         else:
             raise _not_schema(f"unknown record kind {kind!r}")
 

@@ -51,10 +51,11 @@ heap entry, with its own delay, and so is its reaction, with its latency.
 Traces
 ------
 The records are stored as columns (TraceRows): one row per send,
-transition and output, and one per landing item.  Under the quantized
-schedulers every copy of a send lands at one time, in receiver order, so a
-landing row stands for all of them and its receivers are kept once, with
-the send; under the random scheduler each copy is a row of its own.
+transition and output, and one per landing item.  A row names its message
+by ref, the sequence number of its send.  Under the quantized schedulers
+every copy of a send lands at one time, in receiver order, so a landing
+row stands for all of them and its receivers are kept once, with the send;
+under the random scheduler each copy is a row of its own.
 ExecutionTrace.events is a read-only sequence that expands rows into
 Events on demand; the JSONL export, validate_trace and the metrics read the
 columns directly.
@@ -149,54 +150,55 @@ class TraceRows(Sequence):
     landing, and read as a sequence of Events built on demand: indexing and
     slicing expand only the rows they reach.
 
-    Row i is (kind[i], t[i], node[i], ref[i], mid[i]); rows() yields these
-    tuples.  For an output, mid indexes `values`.  For any other row it is
-    the message id, the key in `sends` of its (message, sorted receivers),
-    or -1 for a transition without a message.  A recorded execution keys
-    each send by its ref, so there mid equals ref; a trace built from
-    Events keys each Message object from 0, with no receivers.  A landing
-    row's node is unused: its receivers are its send's.  The columns hold
-    no objects, so the garbage collector walks only `sends` and `values`.
+    Row i is (kind[i], t[i], node[i], ref[i]); rows() yields these tuples.
+    A row's ref is its message's key in `sends`, which holds each send's
+    (message, sorted receivers); a transition without a message, and an
+    output, have none.  `values` maps an output's row index to its value.
+    A landing row's node is unused: its receivers are its send's.  The
+    columns hold no objects, so the garbage collector walks only `sends`
+    and `values`.
     """
 
     def __init__(self):
-        self.columns = (self.kind, self.t, self.node, self.ref, self.mid) = (
-            bytearray(), array("d"), array("q"), array("q"), array("q"))
+        self.columns = (self.kind, self.t, self.node, self.ref) = (
+            bytearray(), array("d"), array("q"), array("q"))
         self.sends: dict[int, tuple] = {}
-        self.values: list = []
+        self.values: dict[int, Any] = {}
         self._starts = None  # per row, the index of its first record
 
-    def add(self, kind, t, node, ref, mid):
-        self.kind.append(kind)
+    def add(self, kind, t, node, ref=None):
+        """Append a record of `kind`, by name, naming its send by `ref`."""
+        self.kind.append(_KINDS.index(kind))
         self.t.append(t)
         self.node.append(node)
-        self.ref.append(ref)
-        self.mid.append(mid)
+        self.ref.append(_NO_REF if ref is None else ref)
 
     def send(self, t, node, ref, msg, receivers):
         self.sends[ref] = (msg, receivers)
-        self.add(_ROW_SEND, t, node, ref, ref)
+        self.add("send", t, node, ref)
 
     def output(self, t, node, value):
-        self.add(_ROW_OUTPUT, t, node, _NO_REF, len(self.values))
-        self.values.append(value)
+        self.values[len(self.kind)] = value
+        self.add("output", t, node)
 
     @classmethod
     def from_events(cls, events) -> "TraceRows":
-        """One row per Event; records sharing a Message object share its
-        entry of `sends`.  An output keeps its value, not a message."""
+        """One row per Event; records sharing a ref read the Message of its
+        send, or else of the first of them, with no receivers.  An output
+        keeps its value, not a message.  Raises ConfigError for a record
+        with a message but no ref, or a ref but no message."""
         rows = cls()
-        mids: dict[int, int] = {}
+        sends = rows.sends
         for e in events:
             if e.kind == "output":
                 rows.output(e.t, e.node, e.value)
                 continue
-            mid = mids.get(id(e.msg))
-            if mid is None:
-                mid = mids[id(e.msg)] = len(rows.sends)
-                rows.sends[mid] = (e.msg, ())
-            rows.add(_KINDS.index(e.kind), e.t, e.node,
-                     _NO_REF if e.ref is None else e.ref, mid)
+            if (e.msg is None) != (e.ref is None):
+                raise ConfigError(f"a {e.kind} record at t={e.t!r} needs "
+                                  f"both a message and its ref, or neither")
+            if e.msg is not None and (e.kind == "send" or e.ref not in sends):
+                sends[e.ref] = (e.msg, ())
+            rows.add(e.kind, e.t, e.node, e.ref)
         return rows
 
     def rows(self):
@@ -206,9 +208,9 @@ class TraceRows(Sequence):
         """Per row the index of its first record, then the record count."""
         if self._starts is None:
             starts, n, sends = array("q"), 0, self.sends
-            for k, mid in zip(self.kind, self.mid):
+            for k, ref in zip(self.kind, self.ref):
                 starts.append(n)
-                n += len(sends[mid][1]) if k == _ROW_LAND else 1
+                n += len(sends[ref][1]) if k == _ROW_LAND else 1
             starts.append(n)
             self._starts = starts
         return self._starts
@@ -239,8 +241,8 @@ class TraceRows(Sequence):
         skip = start - starts[row]
         for i in range(row, len(self.kind)):
             if self.kind[i] == _ROW_LAND:
-                msg, receivers = self.sends[self.mid[i]]
                 t, ref = self.t[i], self.ref[i]
+                msg, receivers = self.sends[ref]
                 for nb in receivers[skip:]:
                     yield Event("deliver", t, nb, msg, ref)
                 skip = 0
@@ -249,13 +251,12 @@ class TraceRows(Sequence):
 
     def record(self, i) -> Event:
         """The Event of row i, which is not a landing."""
-        k, t, node, ref, mid = (self.kind[i], self.t[i], self.node[i],
-                                self.ref[i], self.mid[i])
+        k, t, node, ref = self.kind[i], self.t[i], self.node[i], self.ref[i]
         if k == _ROW_OUTPUT:
-            return Event("output", t, node, value=self.values[mid])
-        return Event(_KINDS[k], t, node,
-                     None if mid < 0 else self.sends[mid][0],
-                     None if ref == _NO_REF else ref)
+            return Event("output", t, node, value=self.values[i])
+        if ref == _NO_REF:
+            return Event(_KINDS[k], t, node)
+        return Event(_KINDS[k], t, node, self.sends[ref][0], ref)
 
     def indices_of(self, kind) -> list:
         """The indices of the rows of `kind`, found by a scan in C."""
@@ -268,8 +269,8 @@ class TraceRows(Sequence):
 
     def sent(self) -> list:
         """(t, message) of every send, in order."""
-        t, mid, sends = self.t, self.mid, self.sends
-        return [(t[i], sends[mid[i]][0]) for i in self.indices_of(_ROW_SEND)]
+        t, ref, sends = self.t, self.ref, self.sends
+        return [(t[i], sends[ref[i]][0]) for i in self.indices_of(_ROW_SEND)]
 
     def output_times(self) -> list:
         t = self.t
@@ -346,9 +347,9 @@ class ExecutionTrace:
         named = '{"kind": "%s", "t": %r, "node": %d, "ref": %s}'
         ordinal: dict[int, int] = {}  # a send's ref -> its ordinal
         lines, count, sent = [self._header()], 1, 0
-        for k, t, node, ref, mid in rows.rows():
+        for k, t, node, ref in rows.rows():
             if k == land_row:
-                msg, receivers = sends[mid]
+                msg, receivers = sends[ref]
                 if msg.dst is None:  # one join over the receivers
                     head = '{"kind": "deliver", "t": %r, "node": ' % t
                     tail = ', "ref": %d}' % ordinal[ref]
@@ -359,14 +360,14 @@ class ExecutionTrace:
                     lines.append(named % ("deliver", t, msg.dst, ordinal[ref]))
                     count += 1
             elif k == send_row:
-                msg, f = sends[mid][0], fanout.get(ref)
+                msg, f = sends[ref][0], fanout.get(ref)
                 dst = "" if msg.dst is None else ', "dst": %d' % msg.dst
                 lines.append(_send_format(msg.mtype, msg.size_bits, msg.src)
                              % (t, node, dst, "null" if f is None else f))
                 ordinal[ref] = sent
                 sent += 1
                 count += 1
-            elif k == deliver_row and sends[mid][0].dst not in (None, node):
+            elif k == deliver_row and sends[ref][0].dst not in (None, node):
                 continue  # a copy its receiver drops unread
             else:  # a copy, or a transition naming its send or none
                 lines.append(bare % (kinds[k], t, node)
@@ -623,7 +624,7 @@ class Simulation:
 
         heap, pop, push = self._heap, heapq.heappop, heapq.heappush
         record, automata, outputs = self._record, self.automata, self.outputs
-        kinds, times, nodes, refs, mids = (c.append for c in self._rows.columns)
+        kinds, times, nodes, refs = (c.append for c in self._rows.columns)
         rng, l, last_fire = self.rng, self.timing.l, self._last_fire
         processed = 0
         while heap:
@@ -639,7 +640,6 @@ class Simulation:
                 _, _, _, _, nb, msg, ref, reacts = e
                 if record:
                     kinds(_ROW_DELIVER), times(t), nodes(nb), refs(ref)
-                    mids(ref)
                 if reacts:  # _fire_time's rule inline: a call is ~10% of run
                     ft = t + l * (1.0 - rng.random())
                     if ft < last_fire[nb]:
@@ -651,7 +651,6 @@ class Simulation:
                 _, _, _, _, nb, msg, ref = e
                 if record:
                     kinds(_ROW_TRANSITION), times(t), nodes(nb), refs(ref)
-                    mids(ref)
                 auto = automata[nb]
                 msgs = auto.on_message(msg, msg.src)
                 if msgs:
@@ -666,7 +665,6 @@ class Simulation:
                     for _, ref, receivers, _ in e[5]:
                         if receivers:
                             kinds(_ROW_LAND), times(t), nodes(-1), refs(ref)
-                            mids(ref)
                 if e[6]:  # no latency, and every earlier transition fired
                     self._push(t, _FIRE, "react", e[6], e[5], span=e[6])
             elif kind == "tx":
@@ -745,7 +743,7 @@ class Simulation:
             for uid in reactors:
                 auto = automata[uid]
                 if rows is not None:
-                    rows.add(_ROW_TRANSITION, t, uid, ref, ref)
+                    rows.add("transition", t, uid, ref)
                 msgs = auto.on_message(msg, src)
                 if msgs:
                     return self._answer(t, seq, item, uid, msgs, items)
@@ -786,7 +784,7 @@ class Simulation:
         automaton's `method` and transmit what it returns."""
         auto = self.automata[uid]
         if self._record:
-            self._rows.add(_ROW_TRANSITION, t, uid, _NO_REF, -1)
+            self._rows.add("transition", t, uid)
         self._transmit(uid, getattr(auto, method)(*args) or [], t)
         self._post_transition(uid, t)
 
@@ -826,10 +824,10 @@ class Simulation:
             "fn": getattr(self.fn, "name", None),
             "m": getattr(self.protocol, "m", None),
         }
-        return ExecutionTrace(events=self._rows, outputs=dict(self.outputs),
+        return ExecutionTrace(events=self._rows, outputs=self.outputs,
                               config=config, timing=self.timing,
                               size_model=self.size_model, graph=self.graph,
-                              send_fanout=dict(self._send_fanout),
+                              send_fanout=self._send_fanout,
                               messages_total=self._messages_total,
                               bits_total=self._bits_total)
 
@@ -860,14 +858,14 @@ def validate_trace(trace: ExecutionTrace):
     react_t: dict[tuple, float] = {}  # copies yet to react, by (node, ref)
     outputs_seen = set()
     sent = bits = 0
-    for k, t, node, ref, mid in trace.events.rows():
+    for k, t, node, ref in trace.events.rows():
         if t < last_t - tol:
             raise TraceViolation("events out of chronological order")
         if t > last_t:
             last_t = t
         if k == _ROW_SEND:
             sent += 1
-            bits += table[mid][0].size_bits
+            bits += table[ref][0].size_bits
             seen[ref] = [t, node, 0, got_from[node]]
             if t < node_send_end.get(node, t) - tol:
                 raise TraceViolation(
@@ -880,7 +878,7 @@ def validate_trace(trace: ExecutionTrace):
             delay = t - send[0]
             if not 0 < delay <= d + tol:
                 raise TraceViolation(f"delivery delay {delay} outside (0, d]")
-            msg, receivers = table[mid]
+            msg, receivers = table[ref]
             dst = msg.dst
             if k == _ROW_DELIVER:
                 send[2] += 1

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .engine import Protocol, Simulation
+from .engine import REL_TOL, Protocol, Simulation
 from .errors import ConfigError, InvariantViolation, StaleRoutingEntry
 from .ghs import BASIC, BRANCH, INF_W, GhsAutomaton, TokenPass
 from .topology import fail_link
@@ -872,9 +872,10 @@ class FailureExperiment:
         u, v = edge
         failed_graph = fail_link(self.graph, edge)  # raises if it disconnects
         done = self.initial_trace.last_output_time()
+        d = self.sim.timing.d  # done, a float k * d, may round up
         if at is None:
-            at = done + self.sim.timing.d
-        elif not (done <= at < math.inf):
+            at = done + d
+        elif not (done - d * REL_TOL <= at < math.inf):
             raise ConfigError(f"a link failure at t={at!r} must be finite and "
                               f"not before the consensus ends at t={done!r}")
         repair = self._continue(at)

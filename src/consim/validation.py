@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from . import bounds as bnd
 from .algorithms import ALGORITHMS
 from .averaging import AverageProtocol
-from .engine import Event, ExecutionTrace, Simulation, TimingParams, run
+from .engine import ExecutionTrace, Simulation, TimingParams, TraceRows, run
 from .errors import WouldDisconnect
 from .flooding import FloodingProtocol
 from .functions import (MaxFunction, MeanFunction, MinFunction, VoteFunction,
@@ -442,14 +442,13 @@ def check_operator_algebra(samples: int = 10_000) -> CheckResult:
 
 def _synthetic_trace(rng) -> ExecutionTrace:
     g = make_topology("path", 2, seed=0)
-    events = []
-    for i in range(rng.randrange(1, 60)):
-        msg = Message("x.m", g.uids[0], rng.randrange(8, 4096))
-        events.append(Event("send", rng.uniform(0, 0.25), g.uids[0], msg=msg,
-                            ref=i))
-    events.sort(key=lambda e: e.t)
+    draws = [(Message("x.m", g.uids[0], rng.randrange(8, 4096)),
+              rng.uniform(0, 0.25)) for _ in range(rng.randrange(1, 60))]
+    rows = TraceRows()
+    for ref, (msg, t) in enumerate(sorted(draws, key=lambda draw: draw[1])):
+        rows.send(t, g.uids[0], ref, msg, ())
     sm = SizeModel(uid_bits=7, value_bits=64)
-    return ExecutionTrace(events=events, outputs={}, config={},
+    return ExecutionTrace(events=rows, outputs={}, config={},
                           timing=TIMING, size_model=sm, graph=g)
 
 

@@ -180,9 +180,10 @@ def test_failure_injection_happy_path(capsys):
     assert algos == ["hybrid", "hybrid-repair", "hybrid-rerun"]
 
 
-@pytest.mark.parametrize("at", ["0.001", "nan", "inf"])
+@pytest.mark.parametrize("at", ["0.001", "0.4099", "nan", "inf"])
 def test_failure_before_the_consensus_ends_is_a_configuration_error(capsys,
                                                                     at):
+    # the consensus of this run ends at 0.41000000000000003
     from consim.topology import make_topology
     u, v = sorted(make_topology("complete", 6, seed=2).uids)[:2]
     code, _, err = run_cli(capsys, "run", "--algo", "hybrid", "--m", "2",
@@ -190,6 +191,24 @@ def test_failure_before_the_consensus_ends_is_a_configuration_error(capsys,
                            "--fail", f"{u},{v}", "--fail-at", at)
     assert code == 2
     assert "must be finite and not before" in err
+
+
+def test_failure_at_the_printed_consensus_end_is_accepted(capsys):
+    # the printed time_s is a float product k * d, which a time typed back
+    # as --fail-at may round below
+    from consim.topology import make_topology
+    u, v = sorted(make_topology("complete", 6, seed=2).uids)[:2]
+    argv = ["run", "--algo", "hybrid", "--m", "2", "--topo", "complete",
+            "--n", "6", "--seed", "2"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    done = out.strip().splitlines()[1].split(",")[7]
+    for at in (done, "%.2f" % float(done)):
+        code, out, _ = run_cli(capsys, *argv, "--fail", f"{u},{v}",
+                               "--fail-at", at)
+        assert code == 0
+        rows = [ln.split(",")[0] for ln in out.strip().splitlines()[1:]]
+        assert rows == ["hybrid", "hybrid-repair", "hybrid-rerun"]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -268,6 +287,9 @@ def test_config_file_values_are_converted_like_flags(tmp_path, capsys):
     ("run", "--topo", "path", "--n", "3", "--bits", "1"),
     ("run", "--topo", "path", "--n", "3", "--fn", "vote:x"),
     ("run", "--topo", "path", "--n", "3", "--fn", "vote:"),
+    ("run", "--topo", "path", "--n", "3", "--init-values", "1,2"),
+    ("run", "--algo", "flooding", "--topo", "path", "--n", "3",
+     "--fail", "1,2"),
 ])
 def test_malformed_input_is_a_configuration_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -349,6 +371,17 @@ def test_misspelt_config_key_is_a_configuration_error(tmp_path, capsys,
     code, out, err = run_cli(capsys, *command, "--config", str(cfg))
     assert code == 2
     assert err.startswith("configuration error:") and "seeds" in err
+    assert not out
+
+
+def test_unknown_algorithm_in_a_config_file_is_a_configuration_error(
+        tmp_path, capsys):
+    # argparse checks a flag against its choices, but not a file's default
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("algo = nosuch\ntopo = path\nn = 4\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("configuration error: unknown algorithm 'nosuch'")
     assert not out
 
 

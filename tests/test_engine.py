@@ -14,8 +14,8 @@ from consim.analyze import analyze
 from consim.cli import _single_report, build_parser
 from consim.cli import main as cli_main
 from consim.engine import (SCHEDULERS, Automaton, Event, ExecutionTrace,
-                           Protocol, Simulation, TimingParams, run,
-                           validate_trace)
+                           Protocol, Simulation, TimingParams, TraceRows,
+                           run, validate_trace)
 from consim.errors import (ConfigError, DisconnectedGraph,
                            InvariantViolation, NonTermination, NotHierarchical)
 from consim.functions import MaxFunction, MeanFunction, MedianFunction
@@ -106,11 +106,28 @@ def _outputs(trace):
     return [(e.t, e.node, e.value) for e in trace.events if e.kind == "output"]
 
 
-@pytest.mark.parametrize("seed", [2, 9])
-@pytest.mark.parametrize("kind, n", [("random_connected", 13), ("star", 17)])
-@pytest.mark.parametrize("algo", sorted(
-    a for a in ALGORITHMS if not ALGORITHMS[a].protocol(2, 1e-3).round_driven))
+LEAN_CASES = pytest.mark.parametrize("algo, kind, n, seed", [
+    (algo, kind, n, seed)
+    for algo in sorted(a for a in ALGORITHMS
+                       if not ALGORITHMS[a].protocol(2, 1e-3).round_driven)
+    for kind, n in (("random_connected", 13), ("star", 17))
+    for seed in (2, 9)])
+
+
+@LEAN_CASES
 def test_lean_run_equals_recorded_run_under_random(algo, kind, n, seed):
+    _assert_lean_run_equals_recorded_run(algo, kind, n, seed, "random")
+
+
+@pytest.mark.parametrize("scheduler", sorted(
+    s for s, quantized in SCHEDULERS.items() if quantized))
+@LEAN_CASES
+def test_lean_run_equals_recorded_run_under_quantized_schedulers(
+        algo, kind, n, seed, scheduler):
+    _assert_lean_run_equals_recorded_run(algo, kind, n, seed, scheduler)
+
+
+def _assert_lean_run_equals_recorded_run(algo, kind, n, seed, scheduler):
     # a lean run records no copy and no reaction, yet draws the same delays
     # and latencies: the same outputs at the same times, the same totals
     g = make_topology(kind, n, {"p": 0.3} if kind == "random_connected"
@@ -118,7 +135,7 @@ def test_lean_run_equals_recorded_run_under_random(algo, kind, n, seed):
     lean, recorded = (
         run(ALGORITHMS[algo].protocol(2, 1e-3), g,
             [(7 * i + seed) % 23 for i in range(n)], fn=MaxFunction(64),
-            scheduler="random", seed=seed,
+            scheduler=scheduler, seed=seed,
             timing=TimingParams(d=0.01, l=0.001), record_events=record)
         for record in (False, True))
     assert {e.kind for e in lean.events} == {"output"}
@@ -453,6 +470,13 @@ def test_value_map_missing_a_node_rejected():
     values = dict.fromkeys(g.uids[:2], 1)
     with pytest.raises(ConfigError, match="one initial value per node"):
         Simulation(PingProtocol(), g, values, fn=MaxFunction(32))
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_value_list_of_the_wrong_length_rejected(count):
+    g = make_topology("path", 3, seed=0)
+    with pytest.raises(ConfigError, match="one initial value per node"):
+        Simulation(PingProtocol(), g, [1] * count, fn=MaxFunction(32))
 
 
 def test_value_map_naming_an_unknown_uid_rejected():
@@ -818,8 +842,9 @@ def test_export_of_hand_built_records():
               Event("transition", 1e16, 3, msg=msg, ref=1),
               Event("transition", 0.0, 5),
               Event("output", 2, 3, value=7),
-              Event("deliver", 0.5, 0, msg=Message("y", 3, 8, dst=0)),
-              Event("deliver", 0.5, 0, msg=Message("y", 3, 8))]
+              # copies whose refs name no send
+              Event("deliver", 0.5, 0, msg=Message("y", 3, 8, dst=0), ref=2),
+              Event("deliver", 0.5, 0, msg=Message("y", 3, 8), ref=3)]
     trace = ExecutionTrace(events=events, outputs={}, config={},
                            timing=TimingParams(), graph=PATH2,
                            size_model=SizeModel(uid_bits=2, value_bits=8))
@@ -928,6 +953,29 @@ def test_hand_built_events_round_trip():
     assert list(built.events) == events[3:40]
     built.events = []
     assert len(built.events) == 0 and list(built.events) == []
+
+
+@pytest.mark.parametrize("event", [
+    Event("deliver", 0.0, 0, msg=Message("x", 1, 8)),
+    Event("transition", 0.0, 0, msg=Message("x", 1, 8)),
+    Event("deliver", 0.0, 0, ref=0),
+    Event("transition", 0.0, 0, ref=0)])
+def test_hand_built_records_need_a_message_and_its_ref_or_neither(event):
+    with pytest.raises(ConfigError, match="both a message and its ref"):
+        TraceRows.from_events([Event("send", 0.0, 1, Message("x", 1, 8), 0),
+                               event])
+
+
+def test_hand_built_records_sharing_a_ref_read_their_sends_message():
+    sent, copy = Message("x", 1, 8), Message("x", 1, 8)
+    rows = TraceRows.from_events([
+        Event("deliver", 0.001, 0, copy, 4), Event("send", 0.0, 1, sent, 4),
+        Event("transition", 0.002, 0, copy, 4), Event("transition", 0.003, 0),
+        Event("output", 0.004, 0, value=5)])
+    assert [e.msg for e in rows] == [sent, sent, sent, None, None]
+    assert all(e.msg is sent for e in rows[:3])
+    assert [(e.ref, e.value) for e in rows[3:]] == [(None, None), (None, 5)]
+    assert rows.columns == (rows.kind, rows.t, rows.node, rows.ref)
 
 
 def _live_events():
