@@ -185,17 +185,18 @@ class TraceRows(Sequence):
     def from_events(cls, events) -> "TraceRows":
         """One row per Event; records sharing a ref read the Message of its
         send, or else of the first of them, with no receivers.  An output
-        keeps its value, not a message.  Raises ConfigError for a record
-        with a message but no ref, or a ref but no message."""
+        keeps its value.  Raises ConfigError unless every other record has
+        a message and a ref, or, a transition, neither."""
         rows = cls()
         sends = rows.sends
         for e in events:
             if e.kind == "output":
                 rows.output(e.t, e.node, e.value)
                 continue
-            if (e.msg is None) != (e.ref is None):
+            if (e.msg is None) != (e.ref is None) or (
+                    e.msg is None and e.kind != "transition"):
                 raise ConfigError(f"a {e.kind} record at t={e.t!r} needs "
-                                  f"both a message and its ref, or neither")
+                                  f"both a message and its send's ref")
             if e.msg is not None and (e.kind == "send" or e.ref not in sends):
                 sends[e.ref] = (e.msg, ())
             rows.add(e.kind, e.t, e.node, e.ref)

@@ -959,9 +959,10 @@ def test_hand_built_events_round_trip():
     Event("deliver", 0.0, 0, msg=Message("x", 1, 8)),
     Event("transition", 0.0, 0, msg=Message("x", 1, 8)),
     Event("deliver", 0.0, 0, ref=0),
-    Event("transition", 0.0, 0, ref=0)])
-def test_hand_built_records_need_a_message_and_its_ref_or_neither(event):
-    with pytest.raises(ConfigError, match="both a message and its ref"):
+    Event("transition", 0.0, 0, ref=0),
+    Event("send", 0.0, 1), Event("deliver", 0.0, 0)])
+def test_hand_built_record_missing_its_message_or_ref_is_rejected(event):
+    with pytest.raises(ConfigError, match="both a message and its send's ref"):
         TraceRows.from_events([Event("send", 0.0, 1, Message("x", 1, 8), 0),
                                event])
 
@@ -972,9 +973,10 @@ def test_hand_built_records_sharing_a_ref_read_their_sends_message():
         Event("deliver", 0.001, 0, copy, 4), Event("send", 0.0, 1, sent, 4),
         Event("transition", 0.002, 0, copy, 4), Event("transition", 0.003, 0),
         Event("output", 0.004, 0, value=5)])
-    assert [e.msg for e in rows] == [sent, sent, sent, None, None]
     assert all(e.msg is sent for e in rows[:3])
-    assert [(e.ref, e.value) for e in rows[3:]] == [(None, None), (None, 5)]
+    assert [(e.msg, e.ref, e.value) for e in rows[3:]] == [
+        (None, None, None), (None, None, 5)]
+    # a row names its message by its ref alone
     assert rows.columns == (rows.kind, rows.t, rows.node, rows.ref)
 
 
