@@ -1,13 +1,15 @@
 """Read a schema-3 JSONL trace back into an ExecutionTrace, held as columns
 as a run holds it, and run `consim run`'s validate_trace and
 report_from_trace on it.  The reader checks only the format: the header,
-record kinds and keys, refs and where tagged copies are written.
+record kinds and keys, finite numbers, refs, where tagged copies are
+written, and each record's node, which the graph has and a send's src is.
 
     consim analyze trace.jsonl
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .engine import (TRACE_SCHEMA, ExecutionTrace, TimingParams, TraceRows,
@@ -20,6 +22,10 @@ from .topology import Graph
 
 def _not_schema(why) -> ConfigError:
     return ConfigError(f"not a schema-{TRACE_SCHEMA} trace: {why}")
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def _trace(head) -> ExecutionTrace:
@@ -46,12 +52,16 @@ def _trace(head) -> ExecutionTrace:
 def _read(trace, records):
     """Append the records to the trace's rows; a send's ref is its ordinal.
     Only an untagged send has all its copies in the file, and a fan-out."""
-    rows, fanout = trace.events, trace.send_fanout
+    rows, fanout, uids = trace.events, trace.send_fanout, set(trace.graph.uids)
     for rec in records:
         kind, t, node = rec["kind"], rec["t"], rec["node"]
+        if node not in uids:
+            raise TraceViolation(f"{kind} at node {node!r}, not in the graph")
         if kind == "send":
             msg = Message(rec["msg_type"], rec["src"], rec["size_bits"],
                           dst=rec.get("dst"))
+            if msg.src != node:
+                raise TraceViolation(f"a send at node {node} from {msg.src!r}")
             ref = len(rows.sends)
             rows.send(t, node, ref, msg, ())
             if rec["fanout"] is not None and msg.dst is None:
@@ -77,10 +87,11 @@ def analyze(lines) -> ComplexityReport:
     """The report row of a schema-3 trace, given as its lines.  Raises
     ConfigError if they are not one, TraceViolation at the first failed
     check and IncompleteTrace if a node never output."""
+    loads = functools.partial(json.loads, parse_constant=_not_json)
     lines = iter(lines)
     try:
-        trace = _trace(json.loads(next(lines, "null")))
-        _read(trace, map(json.loads, lines))
+        trace = _trace(loads(next(lines, "null")))
+        _read(trace, map(loads, lines))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _not_schema(f"{type(exc).__name__}: {exc}") from None
     validate_trace(trace)

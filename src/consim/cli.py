@@ -71,7 +71,8 @@ def _build(args):
     graph = make_topology(args.topo, args.n, {"p": args.p, "arity": args.arity},
                           seed=args.seed)
     fn = get_function(args.fn, args.bits)
-    timing = TimingParams(d=args.d, l=args.l if args.l else args.d / 10)
+    l = args.d / 10 if args.l is None else args.l
+    timing = TimingParams(d=args.d, l=l)
     return graph, fn, timing
 
 
@@ -172,6 +173,8 @@ def _sweep_one(payload):
 
 def cmd_sweep(args) -> int:
     values = _axis_values(args.values, "--values")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     axis = {"b": "bits"}.get(args.axis, args.axis)
     base = vars(args).copy()
     for k in ("func", "out", "values", "axis", "workers"):
@@ -240,7 +243,7 @@ def _add_experiment_flags(sub, default_seed):
                      help="size b of one value, in bits")
     sub.add_argument("--d", type=float, default=0.01,
                      help="maximum delivery delay, seconds")
-    sub.add_argument("--l", type=float, default=0.0,
+    sub.add_argument("--l", type=float, default=None,
                      help="maximum transition latency (default d/10)")
     sub.add_argument("--fn", default="max",
                      help="consensus function: max, min, mean, vote:k, median")

@@ -55,8 +55,9 @@ transition and output, and one per landing item.  A row names its message
 by ref, the sequence number of its send.  Under the quantized schedulers
 every copy of a send lands at one time, in receiver order, so a landing
 row stands for all of them and its receivers are kept once, with the send;
-under the random scheduler each copy is a row of its own.
-ExecutionTrace.events is a read-only sequence that expands rows into
+under the random scheduler each copy is a row of its own.  A trace is
+built only as rows, and carries its message and bit totals.
+ExecutionTrace.events also reads as a sequence that expands rows into
 Events on demand; the JSONL export, validate_trace and the metrics read the
 columns directly.
 
@@ -148,7 +149,9 @@ _NO_REF = -(1 << 63)  # the ref column's None
 class TraceRows(Sequence):
     """The records of a trace, stored as columns with one row per record or
     landing, and read as a sequence of Events built on demand: indexing and
-    slicing expand only the rows they reach.
+    slicing expand only the rows they reach.  Outside the run loop, which
+    appends to the columns itself, rows are written by add, send and
+    output.
 
     Row i is (kind[i], t[i], node[i], ref[i]); rows() yields these tuples.
     A row's ref is its message's key in `sends`, which holds each send's
@@ -180,27 +183,6 @@ class TraceRows(Sequence):
     def output(self, t, node, value):
         self.values[len(self.kind)] = value
         self.add("output", t, node)
-
-    @classmethod
-    def from_events(cls, events) -> "TraceRows":
-        """One row per Event; records sharing a ref read the Message of its
-        send, or else of the first of them, with no receivers.  An output
-        keeps its value.  Raises ConfigError unless every other record has
-        a message and a ref, or, a transition, neither."""
-        rows = cls()
-        sends = rows.sends
-        for e in events:
-            if e.kind == "output":
-                rows.output(e.t, e.node, e.value)
-                continue
-            if (e.msg is None) != (e.ref is None) or (
-                    e.msg is None and e.kind != "transition"):
-                raise ConfigError(f"a {e.kind} record at t={e.t!r} needs "
-                                  f"both a message and its send's ref")
-            if e.msg is not None and (e.kind == "send" or e.ref not in sends):
-                sends[e.ref] = (e.msg, ())
-            rows.add(e.kind, e.t, e.node, e.ref)
-        return rows
 
     def rows(self):
         return zip(*self.columns)
@@ -293,10 +275,10 @@ def _send_format(mtype, size_bits, src) -> str:
 class ExecutionTrace:
     """Time-ordered event log of one fair execution plus its configuration.
 
-    `events` holds the records as TraceRows; a list of Events given to the
-    constructor or assigned to `events` is converted once.  Runs started
-    with record_events=False log outputs only; the aggregate message and
-    bit counters are still filled in.
+    `events` holds the records as TraceRows, and anything else is a
+    ConfigError; `messages_total` and `bits_total` count every send, and
+    the metrics report them.  Runs started with record_events=False log
+    outputs only; the totals are still filled in.
     """
 
     events: TraceRows
@@ -305,14 +287,14 @@ class ExecutionTrace:
     timing: TimingParams
     size_model: SizeModel
     graph: Graph
+    messages_total: int
+    bits_total: int
     send_fanout: dict = field(default_factory=dict, repr=False)
-    messages_total: int = 0
-    bits_total: int = 0
 
-    def __setattr__(self, name, value):
-        if name == "events" and not isinstance(value, TraceRows):
-            value = TraceRows.from_events(value)
-        super().__setattr__(name, value)
+    def __post_init__(self):
+        if not isinstance(self.events, TraceRows):
+            raise ConfigError(f"a trace's events are TraceRows, not "
+                              f"{type(self.events).__name__}")
 
     def _header(self) -> str:
         """The first record of the export: the schema version and all that

@@ -72,16 +72,13 @@ def time_complexity(trace) -> float:
 
 
 def message_complexity(trace) -> int:
-    if trace.messages_total:
-        return trace.messages_total  # the engine's counter, lean runs too
-    return len(trace.events.sent())
+    """The trace's send count, which lean runs carry too."""
+    return trace.messages_total
 
 
 def byte_complexity(trace) -> int:
     """Total traffic in bits (divide by 8 for bytes)."""
-    if trace.bits_total:
-        return trace.bits_total
-    return sum(msg.size_bits for _, msg in trace.events.sent())
+    return trace.bits_total
 
 
 CSV_HEADER = "algo,topology,n,b_bits,d_s,m,seed,time_s,messages,bytes,peak_bps"

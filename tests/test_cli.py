@@ -290,11 +290,32 @@ def test_config_file_values_are_converted_like_flags(tmp_path, capsys):
     ("run", "--topo", "path", "--n", "3", "--init-values", "1,2"),
     ("run", "--algo", "flooding", "--topo", "path", "--n", "3",
      "--fail", "1,2"),
+    # a zero latency or worker count is refused, not replaced by a default
+    ("run", "--topo", "path", "--n", "3", "--l", "0"),
+    ("sweep", "--axis", "n", "--values", "3,4", "--topo", "path",
+     "--workers", "0"),
+    ("sweep", "--axis", "n", "--values", "3,4", "--topo", "path",
+     "--workers", "-2"),
 ])
 def test_malformed_input_is_a_configuration_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("configuration error:")
+
+
+def test_zero_latency_in_a_config_file_is_a_configuration_error(tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("topo = path\nn = 3\nl = 0\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: timing parameters")
+    # with no l at all, l is d/10
+    cfg.write_text("topo = path\nn = 3\nd = 0.02\n")
+    assert run_cli(capsys, "run", "--config", str(cfg),
+                   "--trace", str(tmp_path / "t.jsonl"))[0] == 0
+    head = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[0])
+    assert (head["d"], head["l"]) == (0.02, 0.002)
 
 
 @pytest.mark.parametrize("argv", [
@@ -501,6 +522,15 @@ def _mutate(records, how):
         r[0]["messages"] += 1
     elif how == "no output":
         del r[_first(r, kind="output")]
+    elif how == "output off the graph":
+        r[_first(r, kind="output")]["node"] = max(r[0]["uids"]) + 1
+    elif how == "kick off the graph":  # a start transition names no send
+        i = next(i for i, rec in enumerate(r)
+                 if rec["kind"] == "transition" and "ref" not in rec)
+        r[i]["node"] = max(r[0]["uids"]) + 1
+    elif how == "send from another node":
+        send = _sends(r)[0]
+        send["src"] = next(u for u in r[0]["uids"] if u != send["node"])
     return r
 
 
@@ -519,6 +549,9 @@ def _mutate(records, how):
     ("output twice", "output twice"),
     ("header count", "the totals count"),
     ("no output", "nodes produced an output"),
+    ("output off the graph", "not in the graph"),
+    ("kick off the graph", "transition at node"),
+    ("send from another node", "a send at node"),
 ])
 def test_analyze_fails_a_broken_check_with_exit_1(tmp_path, capsys, how,
                                                   text):
@@ -534,7 +567,8 @@ def test_analyze_fails_a_broken_check_with_exit_1(tmp_path, capsys, how,
 
 
 @pytest.mark.parametrize("how", ["schema 1", "empty", "old schema",
-                                 "not json", "no time", "unknown kind"])
+                                 "not json", "no time", "unknown kind",
+                                 "NaN time", "NaN start", "Infinity time"])
 def test_analyze_refuses_other_files_with_exit_2(tmp_path, capsys, how):
     records = _hybrid_records(tmp_path, capsys)
     lines = [json.dumps(r) for r in records]
@@ -551,6 +585,12 @@ def test_analyze_refuses_other_files_with_exit_2(tmp_path, capsys, how):
                                if k != "t"})
     elif how == "unknown kind":
         lines[3] = json.dumps(dict(records[3], kind="drop"))
+    elif how == "NaN time":  # json.dumps writes NaN, which is not JSON
+        lines[-1] = json.dumps(dict(records[-1], t=float("nan")))
+    elif how == "NaN start":
+        lines[0] = json.dumps(dict(records[0], start_time=float("nan")))
+    elif how == "Infinity time":
+        lines[-1] = json.dumps(dict(records[-1], t=float("inf")))
     path = tmp_path / "other.jsonl"
     path.write_text("".join(ln + "\n" for ln in lines))
     code, out, err = run_cli(capsys, "analyze", str(path))

@@ -1,32 +1,38 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from consim.engine import Event, ExecutionTrace, TimingParams
+from consim.algorithms import ALGORITHMS
+from consim.engine import SCHEDULERS, ExecutionTrace, TimingParams, run
 from consim.errors import IncompleteTrace
+from consim.functions import MaxFunction, MeanFunction
 from consim.messages import Message, SizeModel
 from consim.metrics import (byte_complexity, message_complexity,
                             peak_bandwidth, peak_bandwidth_by_phase,
                             report_from_trace, time_complexity)
 from consim.topology import make_topology
+from rows import rows_of
 
 
 def synthetic_trace(sends, d=0.01, n=2, outputs_at=None):
-    """sends: list of (t, size_bits[, mtype]); builds a minimal valid trace."""
+    """sends: list of (t, size_bits[, mtype]); builds a minimal valid trace
+    whose nodes output at `outputs_at`, by default each at 0."""
     g = make_topology("path", n, seed=0)
-    events = []
-    for i, item in enumerate(sends):
-        t, size, mtype = (item + ("x.msg",))[:3] if len(item) == 2 else item
-        msg = Message(mtype, g.uids[0], size)
-        events.append(Event("send", t, g.uids[0], msg=msg, ref=i))
-    for j, uid in enumerate(g.uids):
-        events.append(Event("output", (outputs_at or [0.0] * n)[j], uid, value=0))
-    events.sort(key=lambda e: e.t)
+    records = [("send", t, g.uids[0], i, Message(mtype, g.uids[0], size))
+               for i, (t, size, mtype, *_) in enumerate(
+                   item + ("x.msg",) for item in sends)]
+    records += [("output", t, uid, 0) for uid, t in
+                zip(g.uids, [0.0] * n if outputs_at is None else outputs_at)]
+    records.sort(key=lambda r: r[1])
     sm = SizeModel(uid_bits=7, value_bits=768)
-    return ExecutionTrace(events=events, outputs={u: 0 for u in g.uids},
+    return ExecutionTrace(events=rows_of(*records),
+                          outputs={u: 0 for u in g.uids},
                           config={"seed": 0},
                           timing=TimingParams(d=d, l=d / 10),
-                          size_model=sm, graph=g)
+                          size_model=sm, graph=g, messages_total=len(sends),
+                          bits_total=sum(item[1] for item in sends))
 
 
 def brute_force_peak(sends, d):
@@ -96,8 +102,7 @@ def test_time_message_byte_metrics():
 
 
 def test_incomplete_trace_rejected():
-    tr = synthetic_trace([(0.0, 100)])
-    tr.events = [e for e in tr.events if e.kind != "output"][:1]
+    tr = synthetic_trace([(0.0, 100)], outputs_at=[0.0])
     with pytest.raises(IncompleteTrace):
         time_complexity(tr)
 
@@ -109,3 +114,27 @@ def test_report_row_shape():
     assert row.startswith("demo,path,2,768,")
     assert rep.bytes == pytest.approx(775 / 8)
     assert rep.peak_bps == pytest.approx(77_500)
+
+
+# averaging is round-driven and runs under lockstep only
+CASES = [(algo, sched) for algo in sorted(ALGORITHMS)
+         for sched in (["lockstep"] if algo == "average"
+                       else sorted(SCHEDULERS))]
+
+
+@pytest.mark.parametrize("algo, sched", CASES)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(2, 16), p=st.sampled_from([0.2, 0.5, 1.0]),
+       m=st.integers(1, 16), seed=st.integers(0, 2**16))
+def test_bits_fit_under_the_peak_over_the_sending_span(algo, sched, n, p, m,
+                                                        seed):
+    # every send's d-window lies in [start, last send + d], so the bits
+    # sent are at most the peak rate over that span
+    g = make_topology("random_connected", n, {"p": p}, seed=seed)
+    fn = MeanFunction(128) if algo == "average" else MaxFunction(64)
+    trace = run(ALGORITHMS[algo].protocol(min(m, n), 1e-3), g,
+                [(7 * i + seed) % 23 for i in range(n)], fn=fn,
+                scheduler=sched, seed=seed,
+                timing=TimingParams(d=0.01, l=0.001))
+    span = trace.events.sent()[-1][0] + 0.01 - trace.config["start_time"]
+    assert byte_complexity(trace) <= peak_bandwidth(trace) * span * (1 + 1e-9)
