@@ -635,8 +635,7 @@ def _hand_trace(sends, d=0.01):
             records.append(("transition", t + (delay or 0.0) + lat, b, ref))
     records.sort(key=lambda r: r[1])
     return ExecutionTrace(events=rows_of(*records, *placed), outputs={},
-                          config={},
-                          timing=TimingParams(d=d, l=d / 10),
+                          config={}, timing=TimingParams(d=d, l=d / 10),
                           size_model=SizeModel(uid_bits=2, value_bits=8),
                           graph=PATH2,
                           send_fanout={ref: 1 for ref in range(len(sends))},
@@ -924,6 +923,8 @@ def test_event_view_agrees_with_its_expansion(algo, scheduler):
                 fn=fn, scheduler=scheduler, seed=4,
                 timing=TimingParams(d=0.01, l=0.001))
     view = trace.events
+    # a row names its message by its ref alone
+    assert view.columns == (view.kind, view.t, view.node, view.ref)
     expanded = list(view)
     n = len(expanded)
     assert len(view) == n > 0
