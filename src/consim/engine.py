@@ -136,7 +136,7 @@ class Event:
         return rec
 
 
-_JSONL_CHUNK = 65536  # records per piece of a streamed export
+_JSONL_CHUNK = 4096  # records per piece of a streamed export
 TRACE_SCHEMA = 3  # the version the export writes in its header
 
 # row kinds of a trace; a landing row stands for one deliver record per
@@ -149,9 +149,9 @@ _NO_REF = -(1 << 63)  # the ref column's None
 class TraceRows(Sequence):
     """The records of a trace, stored as columns with one row per record or
     landing, and read as a sequence of Events built on demand: indexing and
-    slicing expand only the rows they reach.  Outside the run loop, which
-    appends to the columns itself, rows are written by add, send and
-    output.
+    slicing expand only the rows they reach.  The engine appends rows by
+    kind code through `appends`, the columns' append methods; other
+    writers use add, by kind name, send and output.
 
     Row i is (kind[i], t[i], node[i], ref[i]); rows() yields these tuples.
     A row's ref is its message's key in `sends`, which holds each send's
@@ -165,31 +165,38 @@ class TraceRows(Sequence):
     def __init__(self):
         self.columns = (self.kind, self.t, self.node, self.ref) = (
             bytearray(), array("d"), array("q"), array("q"))
+        self.appends = tuple(c.append for c in self.columns)
         self.sends: dict[int, tuple] = {}
         self.values: dict[int, Any] = {}
         self._starts = None  # per row, the index of its first record
 
     def add(self, kind, t, node, ref=None):
         """Append a record of `kind`, by name, naming its send by `ref`."""
-        self.kind.append(_KINDS.index(kind))
+        self._append(_KINDS.index(kind), t, node,
+                     _NO_REF if ref is None else ref)
+
+    def _append(self, code, t, node, ref=_NO_REF):
+        """Append a row of the kind code `code`."""
+        self.kind.append(code)
         self.t.append(t)
         self.node.append(node)
-        self.ref.append(_NO_REF if ref is None else ref)
+        self.ref.append(ref)
 
     def send(self, t, node, ref, msg, receivers):
         self.sends[ref] = (msg, receivers)
-        self.add("send", t, node, ref)
+        self._append(_ROW_SEND, t, node, ref)
 
     def output(self, t, node, value):
         self.values[len(self.kind)] = value
-        self.add("output", t, node)
+        self._append(_ROW_OUTPUT, t, node)
 
     def rows(self):
         return zip(*self.columns)
 
     def starts(self) -> array:
-        """Per row the index of its first record, then the record count."""
-        if self._starts is None:
+        """Per row the index of its first record, then the record count;
+        computed again once rows have been appended since."""
+        if self._starts is None or len(self._starts) != len(self.kind) + 1:
             starts, n, sends = array("q"), 0, self.sends
             for k, ref in zip(self.kind, self.ref):
                 starts.append(n)
@@ -320,9 +327,11 @@ class ExecutionTrace:
         """The schema-3 JSONL export in pieces of about _JSONL_CHUNK
         records, each ending in a newline; a piece ends after the landing
         that fills it, so it holds fewer than _JSONL_CHUNK plus one fan-out
-        records.  The header comes first.  A copy is written only if its
-        receiver may react: every copy of an untagged message, and of a
-        tagged one only the copy to its dst."""
+        records, and its list of lines stays small whether a caller streams
+        the pieces to a file or to_jsonl appends them to one string.  The
+        header comes first.  A copy is written only if its receiver may
+        react: every copy of an untagged message, and of a tagged one only
+        the copy to its dst."""
         rows, chunk, fanout = self.events, _JSONL_CHUNK, self.send_fanout
         sends, kinds = rows.sends, _KINDS
         send_row, deliver_row, land_row = _ROW_SEND, _ROW_DELIVER, _ROW_LAND
@@ -367,7 +376,13 @@ class ExecutionTrace:
             yield "\n".join(lines)
 
     def to_jsonl(self) -> str:
-        return "".join(self.jsonl_chunks())
+        """The whole export as one string.  `out` is its only reference, so
+        CPython grows it in place (by mremap once large) and holds it once,
+        plus a piece; under a tracer or profiler 3.11 copies it instead."""
+        out = ""
+        for piece in self.jsonl_chunks():
+            out += piece
+        return out
 
     def last_output_time(self) -> float:
         return max(self.events.output_times())
@@ -501,11 +516,13 @@ class Simulation:
         if automata is None:
             self.automata = {u: protocol.automaton(NodeContext(self, u))
                              for u in sorted(graph.uids)}
-        else:
-            self.automata = automata
+        else:  # in uid order, as a fresh set is
+            self.automata = dict(sorted(automata.items()))
             for u, a in automata.items():
                 a.ctx.live = self.adj[u]  # re-home live-neighbor views
 
+        # 29 attributes in all: CPython 3.11 shares one key table among
+        # instances of at most 29, and past that every self.x read is slower
         self._heap: list = []
         self._ran = False
         self._seq = 0
@@ -599,7 +616,7 @@ class Simulation:
             raise ConfigError("a Simulation runs only once")
         self._ran = True
         if self._fresh_automata:
-            for uid in sorted(self.automata):
+            for uid in self.automata:
                 self.schedule_kick(uid, "on_start")
         if self.protocol.round_driven:
             self._push(self.timing.boundary(self.start_time), _ROUND,
@@ -607,7 +624,7 @@ class Simulation:
 
         heap, pop, push = self._heap, heapq.heappop, heapq.heappush
         record, automata, outputs = self._record, self.automata, self.outputs
-        kinds, times, nodes, refs = (c.append for c in self._rows.columns)
+        kinds, times, nodes, refs = self._rows.appends
         rng, l, last_fire = self.rng, self.timing.l, self._last_fire
         processed = 0
         while heap:
@@ -717,16 +734,16 @@ class Simulation:
         """The message transitions of a quantized batch, the fire entry
         numbered seq at (t, _FIRE): one per reactor of each item, in
         order."""
-        automata = self.automata
-        rows = self._rows if self._record else None
+        automata, record = self.automata, self._record
+        kinds, times, nodes, refs = self._rows.appends
         items = iter(batch)
         for item in items:
             msg, ref, _, reactors = item
             src = msg.src
             for uid in reactors:
                 auto = automata[uid]
-                if rows is not None:
-                    rows.add("transition", t, uid, ref)
+                if record:
+                    kinds(_ROW_TRANSITION), times(t), nodes(uid), refs(ref)
                 msgs = auto.on_message(msg, src)
                 if msgs:
                     return self._answer(t, seq, item, uid, msgs, items)
@@ -767,7 +784,7 @@ class Simulation:
         automaton's `method` and transmit what it returns."""
         auto = self.automata[uid]
         if self._record:
-            self._rows.add("transition", t, uid)
+            self._rows._append(_ROW_TRANSITION, t, uid)
         self._transmit(uid, getattr(auto, method)(*args) or [], t)
         self._post_transition(uid, t)
 
@@ -787,8 +804,11 @@ class Simulation:
             self._tx_free[uid] = t + timing.d
         first_ref = self._seq + 1
         self._seq += len(sends)
-        for uid in sorted(self.automata):
-            self._post_transition(uid, t)
+        outputs = self.outputs
+        for uid, auto in self.automata.items():  # in uid order
+            if (auto.ctx._flush_requested or auto.output is not None
+                    and uid not in outputs):  # else it would do nothing
+                self._post_transition(uid, t)
         nxt = timing.boundary(t + timing.d)
         if not halted:
             self._push(nxt, _ROUND, "round", r + 1)

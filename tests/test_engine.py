@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -913,6 +914,24 @@ def test_export_pieces_are_bounded_by_records(scheduler, monkeypatch):
     assert "".join(pieces) == _reference_jsonl(trace)
 
 
+def test_export_string_is_held_once():
+    # to_jsonl appends each piece to the one string it returns, so the
+    # export is never held twice: the pieces are small next to it.  A
+    # tracer or profiler turns CPython 3.11's in-place append off.
+    g = make_topology("random_connected", 55, {"p": 0.2}, seed=1)
+    trace = run(ALGORITHMS["flooding"].protocol(2, 1e-3), g, list(range(55)),
+                fn=MaxFunction(64), scheduler="random", seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        exported = trace.to_jsonl()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.5 * len(exported)
+    assert exported.count("\n") >= 10 * engine._JSONL_CHUNK  # pieces
+
+
 # -- the column store and its Event view --------------------------------------
 
 @pytest.mark.parametrize("algo, scheduler", _algorithm_scheduler_cases())
@@ -944,6 +963,14 @@ def test_event_view_agrees_with_its_expansion(algo, scheduler):
     for s in (slice(None), slice(-5, None), slice(None, None, 3),
               slice(None, None, -2), slice(n, None)):
         assert view[s] == expanded[s]
+
+
+def test_event_view_counts_rows_appended_after_a_read():
+    rows = rows_of(("transition", 0.0, 1))
+    assert len(rows) == 1
+    rows.add("transition", 0.1, 1)
+    assert len(rows) == len(list(rows)) == 2
+    assert rows[-1].t == 0.1
 
 
 @pytest.mark.parametrize("events", [[], [Event("output", 0.0, 0, value=1)],
