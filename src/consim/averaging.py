@@ -25,6 +25,7 @@ from operator import attrgetter
 
 from .engine import Automaton, Protocol
 from .errors import ConfigError, InvariantViolation
+from .messages import Message
 
 _ESTIMATE = attrgetter("estimate")
 
@@ -44,26 +45,25 @@ class AverageAutomaton(Automaton):
         self.frac = frac_bits
         self.estimate = round(Fraction(ctx.value) * (1 << frac_bits))
         self.inbox: list[int] = []
+        # per-node constants: an estimate's size, and the update's divisor
+        self.msg_bits = ctx.size_model.size(n_uids=1, n_values=1)
+        self.weights = len(ctx.neighbors) + 1
 
     def on_message(self, msg, src):
         self.inbox.append(msg.payload)
-        return []
+        return ()
 
     def apply_update(self):
         """Average of own estimate and every neighbor's, round to nearest."""
-        if len(self.inbox) != len(self.ctx.neighbors):
+        if len(self.inbox) + 1 != self.weights:
             raise InvariantViolation(
                 "lockstep round delivered an incomplete neighborhood")
-        total = self.estimate + sum(self.inbox)
-        self.estimate = div_round_half_even(total, len(self.inbox) + 1)
-        self.inbox = []
+        self.estimate = div_round_half_even(self.estimate + sum(self.inbox),
+                                            self.weights)
+        self.inbox.clear()
 
     def estimate_value(self) -> float:
         return self.estimate / (1 << self.frac)
-
-    def broadcast(self):
-        return self.ctx.message("avg.estimate", payload=self.estimate,
-                                uids=1, values=1)
 
 
 class AverageProtocol(Protocol):
@@ -92,11 +92,10 @@ class AverageProtocol(Protocol):
                 / sum(w.values()))
 
     def on_round_boundary(self, automata, r, sim):
-        nodes = [automata[uid] for uid in sorted(automata)]
+        nodes = automata.values()  # the engine keeps them in uid order
         if r == 0:  # a new execution: set up its convergence monitor
             self._target = self._fixed_point(sim)
-            vals = [sim.values[u] for u in sim.graph.uids]
-            self._spread = max(vals) - min(vals)
+            self._spread = max(sim.values.values()) - min(sim.values.values())
         else:
             for a in nodes:
                 a.apply_update()
@@ -108,4 +107,6 @@ class AverageProtocol(Protocol):
             for a in nodes:
                 a.output = a.estimate_value()
             return True, []
-        return False, [(a.ctx.uid, a.broadcast()) for a in nodes]
+        return False, [(a.ctx.uid, Message("avg.estimate", a.ctx.uid,
+                                           a.msg_bits, None, a.estimate))
+                       for a in nodes]

@@ -131,11 +131,9 @@ def curve_rows(n: int, b: int, d: float, m_values) -> list[dict]:
 def curve_csv(rows) -> str:
     lines = [",".join(CURVE_CSV_COLUMNS)]
     for row in rows:
-        cells = []
-        for c in CURVE_CSV_COLUMNS:
-            v = row.get(c)
-            cells.append("" if v is None else repr(v) if isinstance(v, float)
-                         else str(v))
-        lines.append(",".join(cells))
+        cells = (row.get(c) for c in CURVE_CSV_COLUMNS)
+        lines.append(",".join("" if v is None else repr(v)
+                              if isinstance(v, float) else str(v)
+                              for v in cells))
     return "\n".join(lines) + "\n"
 

@@ -25,7 +25,7 @@ import sys
 from . import bounds as bnd
 from .algorithms import ALGORITHMS
 from .analyze import analyze
-from .engine import SCHEDULERS, Simulation, TimingParams
+from .engine import SCHEDULERS, TimingParams, run
 from .errors import (ConfigError, ConsimError, DomainOverflow, InvalidParams,
                      NotHierarchical, WouldDisconnect)
 from .functions import get_function
@@ -72,8 +72,7 @@ def _build(args):
                           seed=args.seed)
     fn = get_function(args.fn, args.bits)
     l = args.d / 10 if args.l is None else args.l
-    timing = TimingParams(d=args.d, l=l)
-    return graph, fn, timing
+    return graph, fn, TimingParams(d=args.d, l=l)
 
 
 def _execution_report(args) -> tuple[list[ComplexityReport], object]:
@@ -82,10 +81,8 @@ def _execution_report(args) -> tuple[list[ComplexityReport], object]:
     values = _values(args, graph, fn)
     protocol = _algorithm(args).protocol(args.m, args.eps)
     m = args.m if args.algo == "hybrid" else None
-    sim = Simulation(protocol, graph, values, fn=fn, timing=timing,
-                     scheduler=args.sched, seed=args.seed,
-                     event_cap=args.event_cap)
-    trace = sim.run()
+    trace = run(protocol, graph, values, fn=fn, timing=timing,
+                scheduler=args.sched, seed=args.seed, event_cap=args.event_cap)
     return [report_from_trace(trace, m=m)], trace
 
 

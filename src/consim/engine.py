@@ -416,9 +416,8 @@ class NodeContext:
                 extra=0) -> Message:
         """A message from this node, sized by the execution's size model
         from its counts of UID-sized fields, values and extra bits."""
-        size = self.size_model.size(n_uids=uids, n_values=values,
-                                    extra_bits=extra)
-        return Message(mtype, self.uid, size, dst=dst, payload=payload)
+        return Message(mtype, self.uid,
+                       self.size_model.size(uids, values, extra), dst, payload)
 
     def request_flush(self):
         """Ask the engine for a deferred self-transition after the pending
@@ -691,24 +690,26 @@ class Simulation:
         """Charge and record (uid, msg) sends starting at t, numbered from
         `ref`; returns their batch of (msg, ref, live neighbors, reactors)
         items and its copy and reaction counts."""
-        batch, copies, reactions = [], 0, 0
+        batch, copies, reactions, bits = [], 0, 0, 0
+        adjs, cached, record = self.adj, self._receivers, self._record
         for uid, msg in sends:
-            adj = self.adj[uid]
-            receivers = self._receivers.get(uid)
+            adj = adjs[uid]
+            receivers = cached.get(uid)
             if receivers is None:
-                receivers = self._receivers[uid] = tuple(sorted(adj))
+                receivers = cached[uid] = tuple(sorted(adj))
             dst = msg.dst
             reactors = (receivers if dst is None
                         else (dst,) if dst in adj else ())
-            self._messages_total += 1
-            self._bits_total += msg.size_bits
-            if self._record:
+            bits += msg.size_bits
+            if record:
                 self._rows.send(t, uid, ref, msg, receivers)
                 self._send_fanout[ref] = len(receivers)
             batch.append((msg, ref, receivers, reactors))
             copies += len(receivers)
             reactions += len(reactors)
             ref += 1
+        self._messages_total += len(batch)
+        self._bits_total += bits
         return batch, copies, reactions
 
     def _do_tx(self, t, seq, uid, msg):
@@ -794,14 +795,14 @@ class Simulation:
         have been, and land at the next boundary as one delivery entry that
         the event cap counts per send and copy."""
         halted, sends = self.protocol.on_round_boundary(self.automata, r, self)
-        timing = self.timing
+        timing, tx_free, end = self.timing, self._tx_free, t + self.timing.d
         for uid, _ in sends:
-            free = self._tx_free[uid]
+            free = tx_free[uid]
             if free > t and timing.boundary(free) != t:
                 raise InvariantViolation(
                     f"node {uid}'s round-{r} send would start inside its "
                     f"earlier transmission window")
-            self._tx_free[uid] = t + timing.d
+            tx_free[uid] = end
         first_ref = self._seq + 1
         self._seq += len(sends)
         outputs = self.outputs
@@ -809,7 +810,7 @@ class Simulation:
             if (auto.ctx._flush_requested or auto.output is not None
                     and uid not in outputs):  # else it would do nothing
                 self._post_transition(uid, t)
-        nxt = timing.boundary(t + timing.d)
+        nxt = timing.boundary(end)
         if not halted:
             self._push(nxt, _ROUND, "round", r + 1)
         if not sends:

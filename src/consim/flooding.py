@@ -30,14 +30,15 @@ class FloodingAutomaton(Automaton):
 
     def on_message(self, msg, src):
         new = []
-        for uid, val in msg.payload:
+        for pair in msg.payload:  # forwarded as is: payloads are immutable
+            uid, val = pair
             if uid in self.known:
                 if self.known[uid] != val:
                     raise DuplicateUidConflict(
                         f"uid {uid} seen with two different values")
             else:
                 self.known[uid] = val
-                new.append((uid, val))
+                new.append(pair)
         if new:
             self.fresh.extend(new)
             self.ctx.request_flush()

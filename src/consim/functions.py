@@ -209,12 +209,10 @@ class MedianFunction(_UnsignedFunction):
 
 def get_function(spec: str, bits: int) -> ConsensusFunction:
     """Parse a function spec string: max, min, mean, vote:k, median."""
-    if spec == "max":
-        return MaxFunction(bits)
-    if spec == "min":
-        return MinFunction(bits)
-    if spec == "mean":
-        return MeanFunction(bits)
+    plain = {"max": MaxFunction, "min": MinFunction, "mean": MeanFunction,
+             "median": MedianFunction}
+    if spec in plain:
+        return plain[spec](bits)
     if spec.startswith("vote:"):
         try:
             candidates = int(spec[len("vote:"):])
@@ -222,8 +220,6 @@ def get_function(spec: str, bits: int) -> ConsensusFunction:
             raise InvalidParams(
                 f"vote:k needs an integer k, got {spec!r}") from None
         return VoteFunction(bits, candidates)
-    if spec == "median":
-        return MedianFunction(bits)
     raise InvalidParams(f"unknown consensus function {spec!r}")
 
 

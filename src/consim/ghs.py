@@ -80,16 +80,14 @@ class TreeInfo:
 def root_tree(graph, root: int) -> dict[int, TreeInfo]:
     """Orient a tree-shaped graph away from `root` (children sorted by UID)."""
     parents: dict[int, int | None] = {root: None}
+    children: dict[int, list[int]] = {u: [] for u in graph.uids}
     order = [root]
     for u in order:
         for v in graph.adj[u]:
             if v not in parents:
                 parents[v] = u
+                children[u].append(v)
                 order.append(v)
-    children: dict[int, list[int]] = {u: [] for u in graph.uids}
-    for u, p in parents.items():
-        if p is not None:
-            children[p].append(u)
     return {u: TreeInfo(uid=u, parent=parents[u],
                         children=tuple(sorted(children[u])))
             for u in graph.uids}
@@ -174,6 +172,7 @@ class GhsAutomaton(Automaton):
         self.level = 0
         self.fname = ctx.uid
         self.edge_state = {p: BASIC for p in ctx.neighbors}
+        self.basic_from = 0  # no neighbor before this index is BASIC
         self.in_branch: int | None = None
         self.best_peer: int | None = None
         self.best_wt = INF_W
@@ -317,13 +316,21 @@ class GhsAutomaton(Automaton):
             self._test(out)
 
     def _test(self, out):
-        self.test_peer = next((p for p in self.ctx.neighbors
-                               if self.edge_state[p] == BASIC), None)
+        nbrs, state, i = self.ctx.neighbors, self.edge_state, self.basic_from
+        while i < len(nbrs) and state[nbrs[i]] != BASIC:
+            i += 1
+        self.basic_from = i
+        self.test_peer = nbrs[i] if i < len(nbrs) else None
         if self.test_peer is None:
             self._report(out)
         else:
             out.append(self._m("test", dst=self.test_peer,
                                payload=(self.level, self.fname), uids=3))
+
+    def _reopen(self, peer):
+        """Set the edge to `peer` back to BASIC, for `_test` to try again."""
+        self.edge_state[peer] = BASIC
+        self.basic_from = min(self.basic_from, self.ctx.neighbors.index(peer))
 
     def _on_test(self, msg, src, out):
         level, fname = msg.payload
@@ -441,32 +448,25 @@ class GhsAutomaton(Automaton):
 
 
 class GhsMstProtocol(Protocol):
-    """MST construction only; every node outputs the root UID."""
+    """MST construction only; every node outputs the root UID.  A pipeline
+    chains it into the aggregation named by its `mode`."""
 
-    name = "ghs-mst"
+    name, mode = "ghs-mst", None
 
     def automaton(self, ctx):
-        return GhsAutomaton(ctx, mode=None)
+        return GhsAutomaton(ctx, mode=self.mode)
 
 
-class GhsParallelProtocol(Protocol):
+class GhsParallelProtocol(GhsMstProtocol):
     """MST construction chained into a parallel convergecast."""
 
-    name = "ghs-parallel"
-    hierarchical_only = True
-
-    def automaton(self, ctx):
-        return GhsAutomaton(ctx, mode="parallel")
+    name, mode, hierarchical_only = "ghs-parallel", "parallel", True
 
 
-class GhsTokenProtocol(Protocol):
+class GhsTokenProtocol(GhsMstProtocol):
     """MST construction chained into the bandwidth-frugal token traversal."""
 
-    name = "ghs-token"
-    hierarchical_only = True
-
-    def automaton(self, ctx):
-        return GhsAutomaton(ctx, mode="token")
+    name, mode, hierarchical_only = "ghs-token", "token", True
 
 
 class TokenConvergecastAutomaton(Automaton):

@@ -48,7 +48,7 @@ from functools import reduce
 
 from .engine import REL_TOL, Protocol, Simulation
 from .errors import ConfigError, InvariantViolation, StaleRoutingEntry
-from .ghs import BASIC, BRANCH, INF_W, GhsAutomaton, TokenPass
+from .ghs import BRANCH, INF_W, GhsAutomaton, TokenPass
 from .topology import fail_link
 
 EPOCH_BITS = 8  # phase-3/4 and recovery messages carry an epoch byte
@@ -330,9 +330,8 @@ class HybridAutomaton(GhsAutomaton):
             self._fresh += entry[1] >= self._fresh_epoch
 
     def _discovery_gate(self) -> bool:
-        if self.disc_sent or self.announced_epoch != self.epoch:
-            return False
-        if self.disc_pending:
+        if (self.disc_sent or self.disc_pending
+                or self.announced_epoch != self.epoch):
             return False
         neighbor_cluster, epoch = self.neighbor_cluster, self.epoch
         if self._fresh_epoch != epoch:  # recounted once per epoch
@@ -419,9 +418,6 @@ class HybridAutomaton(GhsAutomaton):
         self._check_global(out)
         self._flush_pairs(out)
 
-    def _all_routes_direct_to_roots(self) -> bool:
-        return all(hop == c for c, hop in self.routing.items())
-
     def _pair_batch(self, cids):
         return tuple((c,) + self.value_table[c] for c in sorted(cids))
 
@@ -432,7 +428,8 @@ class HybridAutomaton(GhsAutomaton):
         self.pending_pairs = []
         if not cids or not self.routing:
             return
-        if self._all_routes_direct_to_roots():
+        if all(hop == c for c, hop in self.routing.items()):
+            # every neighbor cluster's root is a neighbor: one broadcast
             batch = self._pair_batch(cids)
             out.append(self.ctx.message(
                 "p4.share", payload=(self.cluster_id, batch, self.epoch),
@@ -541,7 +538,7 @@ class HybridAutomaton(GhsAutomaton):
             self.disc_candidates[cid].discard(peer)
         if peer == self.parent:
             # child side of a broken tree edge: we lead the lower half
-            self.edge_state[peer] = BASIC
+            self._reopen(peer)
             self.parent = None
             self.is_root = True
             self.pf_initiator = True
@@ -549,7 +546,7 @@ class HybridAutomaton(GhsAutomaton):
             self._pf_start_count(out)
         elif peer in self._members():
             # parent side: drop the branch and have the root recount
-            self.edge_state[peer] = BASIC
+            self._reopen(peer)
             self._recount("pf.branch_lost", (self.epoch,), 1, out)
         else:
             # a non-tree edge or a cut boundary, on either side: no members
@@ -894,8 +891,7 @@ class FailureExperiment:
         start = self.sim.start_time if end is None else end + self.sim.timing.d
         start = self.sim.timing.boundary(start)  # a full window on, at least
         rerun = self._continue(start)
-        for uid in sorted(self.sim.automata):
-            a = self.sim.automata[uid]
+        for uid, a in self.sim.automata.items():  # in uid order
             if a.parent is None and not a.awaiting_release:
                 rerun.schedule_kick(uid, "begin_epoch", (epoch,), at=start)
         self.rerun_trace = rerun.run()

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import bounds as bnd
@@ -99,10 +100,9 @@ def check_headline_flooding() -> CheckResult:
 
 def check_headline_token() -> CheckResult:
     peak = _peak(GhsTokenProtocol(), "star", 100, MaxFunction(B_HEADLINE))
-    offs = {}
-    for mode in bnd.MODES:
-        formula = bnd.ghs_token_bandwidth(100, B_HEADLINE, D, mode)
-        offs[mode] = (peak - formula) / formula
+    formulas = {mode: bnd.ghs_token_bandwidth(100, B_HEADLINE, D, mode)
+                for mode in bnd.MODES}
+    offs = {mode: (peak - f) / f for mode, f in formulas.items()}
     ok = any(abs(v) <= 0.15 for v in offs.values())
     detail = f"peak {peak:.0f} bps; " + ", ".join(
         f"{m} {v:+.2%}" for m, v in offs.items())
@@ -191,13 +191,11 @@ def check_consensus_matrix(n: int = 8, seeds: int = 5) -> CheckResult:
         for topo in topologies:
             for fname in fns:
                 fn = get_function(fname, 128)
+                span = (0, 3) if fname.startswith("vote") else (10, 100)
                 for sched in schedulers:
                     for seed in range(seeds):
                         g = _matrix_graph(topo, n, seed)
-                        if fname.startswith("vote"):
-                            values = [rng.randrange(3) for _ in range(n)]
-                        else:
-                            values = [rng.randrange(10, 100) for _ in range(n)]
+                        values = [rng.randrange(*span) for _ in range(n)]
                         trace = _run(factory(3, None), g, values, fn,
                                      scheduler=sched, seed=seed)
                         runs += 1
@@ -296,8 +294,26 @@ def check_token_tightness() -> CheckResult:
 # interpolation sweep (criterion 6)
 # ---------------------------------------------------------------------------
 
+def _doubled_ranks(xs) -> list[int]:
+    """Twice each x's 1-based rank, tied values sharing the mean of their
+    ranks: integers, where the average ranks are halves."""
+    s = sorted(xs)
+    return [bisect_left(s, x) + bisect_right(s, x) + 1 for x in xs]
+
+
+def spearman_rho(xs, ys) -> float:
+    """Spearman's rank correlation: the Pearson correlation of the average
+    ranks, ties included, as scipy.stats.spearmanr gives it; NaN when
+    either side is constant.  Sums run on integers, so the sign is exact."""
+    rx, ry = _doubled_ranks(xs), _doubled_ranks(ys)
+    n, sx, sy = len(rx), sum(rx), sum(ry)
+    cov = n * sum(a * b for a, b in zip(rx, ry)) - sx * sy
+    vx = n * sum(a * a for a in rx) - sx * sx
+    vy = n * sum(b * b for b in ry) - sy * sy
+    return cov / math.sqrt(vx * vy) if vx and vy else math.nan
+
+
 def check_interpolation(n: int = 100) -> CheckResult:
-    from scipy.stats import spearmanr
     fn = MaxFunction(B_HEADLINE)
     g = make_topology("cycle", n, seed=1)
     values = list(range(n))
@@ -319,8 +335,8 @@ def check_interpolation(n: int = 100) -> CheckResult:
         problems.append(f"m=1 bytes {bits[0]} > 2x token {token_bits}")
     if times[-1] > 2 * flood_time:
         problems.append(f"m=n time {times[-1]:.2f} > 2x flooding {flood_time:.2f}")
-    rho_peak = spearmanr(ms, peaks).statistic
-    rho_bits = spearmanr(ms, bits).statistic
+    rho_peak = spearman_rho(ms, peaks)
+    rho_bits = spearman_rho(ms, bits)
     if rho_peak < 0:
         problems.append(f"peak not increasing with m (rho={rho_peak:.2f})")
     if rho_bits < 0:
@@ -377,8 +393,7 @@ def check_time_average_mixing() -> CheckResult:
 def check_recovery(instances: int = 20) -> CheckResult:
     rng = random.Random(88)
     fn = MaxFunction(64)
-    done = 0
-    trial = 0
+    done = trial = 0
     while done < instances:
         trial += 1
         n = rng.randrange(8, 21)
@@ -493,10 +508,8 @@ def check_determinism(configs: int = 50) -> CheckResult:
         g = make_topology("random_connected", n, {"p": 0.5}, seed=trial)
         values = [rng.randrange(100) for _ in range(n)]
         fn = MaxFunction(64)
-        t1 = _run(factory(m, None), g, list(values), fn, scheduler=sched,
-                  seed=trial)
-        t2 = _run(factory(m, None), g, list(values), fn, scheduler=sched,
-                  seed=trial)
+        t1, t2 = (_run(factory(m, None), g, list(values), fn,
+                       scheduler=sched, seed=trial) for _ in range(2))
         if not same_records(t1, t2):
             return CheckResult("properties.determinism", False,
                                f"{name} n={n} {sched} seed={trial} diverged")
@@ -537,7 +550,4 @@ SUITES = {
 
 def run_suites(which: str = "all") -> list[CheckResult]:
     names = list(SUITES) if which == "all" else [which]
-    results = []
-    for name in names:
-        results.extend(SUITES[name]())
-    return results
+    return [res for name in names for res in SUITES[name]()]

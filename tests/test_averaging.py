@@ -10,7 +10,7 @@ from consim.errors import ConfigError, InvariantViolation, NonTermination
 from consim.functions import MaxFunction, MeanFunction, oracle
 from consim.messages import SizeModel
 from consim.metrics import message_complexity
-from consim.topology import make_topology
+from consim.topology import Graph, make_topology
 
 D = 0.01
 TIMING = TimingParams(d=D, l=D / 10)
@@ -159,6 +159,35 @@ def test_runs_alike_at_any_start_time(start):
     assert rounds_used(base) > 1
     assert (trace.messages_total, trace.bits_total) == (base.messages_total,
                                                         base.bits_total)
+
+
+@pytest.mark.parametrize("bits", [96, 128, 200])  # mean needs b >= 96
+@pytest.mark.parametrize("lean", [False, True])
+def test_every_estimate_is_charged_one_uid_and_one_value(bits, lean):
+    # each node sizes its estimate once, at construction; every send of the
+    # run must still cost exactly what the size model charges for it
+    g = make_topology("path", 7, seed=2)
+    trace = average(g, [5, 0, 9, 2, 7, 1, 3], bits=bits, lean=lean)
+    sm = SizeModel.for_network(g.n, bits, pool_size=g.pool_size)
+    assert trace.messages_total > 0
+    assert trace.bits_total == trace.messages_total * sm.size(n_uids=1,
+                                                              n_values=1)
+
+
+def test_automata_iterate_in_uid_order_on_an_unsorted_graph():
+    # the round hook reads the automata in the engine's order, which must
+    # be uid order whatever order the graph lists its uids in
+    uids = (5, 2, 9, 0, 7)
+    g = Graph(uids=uids, edges=frozenset(
+        (min(a, b), max(a, b)) for a, b in zip(uids, uids[1:])))
+    sim = Simulation(AverageProtocol(eps=1e-3), g, [4, 0, 8, 1, 6],
+                     fn=MeanFunction(128), timing=TIMING, scheduler="lockstep")
+    assert list(sim.automata) == sorted(uids)
+    trace = sim.run()
+    validate_trace(trace)
+    first_round = [msg.src for t, msg in trace.events.sent()
+                   if t == pytest.approx(0.0)]
+    assert first_round == sorted(uids)
 
 
 def test_link_down_mid_run_raises_typed_error():

@@ -8,6 +8,7 @@ from consim.errors import (ConfigError, InvariantViolation, NotHierarchical,
                            WouldDisconnect)
 from consim.functions import (MaxFunction, MeanFunction, MedianFunction,
                               VoteFunction, oracle)
+from consim.ghs import BASIC
 from consim.hybrid import (FailureExperiment, HybridProtocol, branch_sizes,
                            check_cluster_discipline, cluster_map)
 from consim.messages import SizeModel
@@ -180,6 +181,30 @@ def test_recovery_after_tree_edge_failure():
     rerun = exp.reconsensus()
     assert set(rerun.outputs.values()) == {want}
     assert not check_cluster_discipline(exp.automata, 12, 3)
+
+
+def test_recovery_puts_both_ends_of_a_failed_tree_edge_back_in_the_scan():
+    # `_test` resumes its scan of the neighbors at `basic_from`; the child
+    # and the parent side of a failed tree edge each set it back to BASIC,
+    # and each must move its index back so that no BASIC edge is skipped
+    g = make_topology("random_connected", 12, {"p": 0.5}, seed=21)
+    values = [random.Random(21).randrange(500) for _ in range(12)]
+    exp = FailureExperiment(g, values, MaxFunction(64), m=3, timing=TIMING)
+    edge = min(e for e in _tree_edges(exp.automata) if _still_connected(g, e))
+    u, v = edge
+    child, parent = (u, v) if exp.automata[u].parent == v else (v, u)
+    ends = ((child, parent), (parent, child))
+    for uid, peer in ends:  # the first MST's scans passed the tree edge
+        a = exp.automata[uid]
+        assert a.ctx.neighbors.index(peer) < a.basic_from
+    exp.fail_link(edge)
+    for uid, peer in ends:
+        assert exp.automata[uid].edge_state[peer] == BASIC
+    for a in exp.automata.values():
+        assert all(a.edge_state.get(p) != BASIC
+                   for p in a.ctx.neighbors[:a.basic_from])
+    rerun = exp.reconsensus()
+    assert set(rerun.outputs.values()) == {oracle(MaxFunction(64), values)}
 
 
 def _still_connected(g, edge):
