@@ -7,8 +7,7 @@ from .engine import (Automaton, Event, ExecutionTrace, Protocol, Simulation,
 from .flooding import FloodingProtocol
 from .ghs import (GhsMstProtocol, GhsParallelProtocol, GhsTokenProtocol,
                   ParallelConvergecastProtocol, TokenConvergecastProtocol,
-                  TokenPass, TreeInfo, ghs_build_mst, mst_edges, root_tree,
-                  tree_from_automata)
+                  TokenPass, TreeInfo, mst_edges, root_tree, tree_from_automata)
 from .hybrid import (FailureExperiment, HybridProtocol, branch_sizes,
                      check_cluster_discipline, cluster_map)
 from .errors import (ConsimError, DisconnectedGraph, WouldDisconnect,
@@ -24,6 +23,6 @@ from .metrics import (ComplexityReport, byte_complexity, message_complexity,
                       peak_bandwidth, peak_bandwidth_by_phase,
                       report_from_trace, time_complexity)
 from .topology import (Graph, edge_weight, fail_link, kruskal_mst,
-                       load_adjacency, dump_adjacency, make_topology)
+                       make_topology)
 
 __version__ = "0.1.0"

@@ -477,6 +477,14 @@ class Simulation:
     the automata must survive the run (failure recovery drives a second
     execution over the same automaton states)."""
 
+    __slots__ = ("protocol", "graph", "values", "fn", "timing", "scheduler",
+                 "seed", "rng", "size_model", "event_cap", "start_time", "adj",
+                 "_fresh_automata", "automata", "_heap", "_ran", "_seq",
+                 "_record", "_rows", "_messages_total", "_bits_total",
+                 "outputs", "_send_fanout", "_receivers", "_tx_free",
+                 "_last_fire", "_flush_pending", "_quantized", "now",
+                 "__weakref__")
+
     def __init__(self, protocol, graph, values, *, fn=None, timing=None,
                  scheduler="lockstep", seed=0, size_model=None,
                  event_cap=10_000_000, automata=None, start_time=0.0,
@@ -520,8 +528,6 @@ class Simulation:
             for u, a in automata.items():
                 a.ctx.live = self.adj[u]  # re-home live-neighbor views
 
-        # 29 attributes in all: CPython 3.11 shares one key table among
-        # instances of at most 29, and past that every self.x read is slower
         self._heap: list = []
         self._ran = False
         self._seq = 0

@@ -27,7 +27,6 @@ through combine/finalize, and is the ground truth for every correctness test.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 
 from .errors import DomainOverflow, InvalidParams, NotHierarchical
 
@@ -50,11 +49,6 @@ class ConsensusFunction:
         """Encode one node's initial condition as a b-bit value."""
         raise NotImplementedError
 
-    def encoded_bits(self, value) -> int:
-        """Serialized size of a value; always b, or DomainOverflow."""
-        self._check(value)
-        return self.bits
-
     def _check(self, value):
         raise NotImplementedError
 
@@ -69,12 +63,6 @@ class ConsensusFunction:
     def decode(self, final):
         """Final consensus value -> plain number."""
         raise NotImplementedError
-
-    # full-multiset route (non-hierarchical functions) ------------------
-    def compute_full(self, raws):
-        """Consensus value straight from all raw inputs."""
-        return self.finalize(reduce(self.combine,
-                                    [self.initial(r) for r in raws]))
 
 
 class _UnsignedFunction(ConsensusFunction):
@@ -203,6 +191,7 @@ class MedianFunction(_UnsignedFunction):
         raise NotHierarchical("median has no fold to finalize")
 
     def compute_full(self, raws):
+        """Consensus value straight from all raw inputs."""
         ordered = sorted(int(r) for r in raws)
         return ordered[(len(ordered) - 1) // 2]
 

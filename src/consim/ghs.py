@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Automaton, Protocol, Simulation
+from .engine import Automaton, Protocol
 from .errors import InvariantViolation
 from .topology import edge_weight
 
@@ -181,9 +181,13 @@ class GhsAutomaton(Automaton):
         self.count_acc = 0  # subtree size accumulator (used by subclasses)
         self.deferred: list = []
         self.halted = False
-        self.is_root = False
         self.root_uid: int | None = None
         self.agg: Automaton | None = None  # aggregation over the final tree
+
+    @property
+    def is_root(self) -> bool:
+        """A halted node with no parent edge roots the MST."""
+        return self.halted and self.in_branch is None
 
     # -- small helpers ---------------------------------------------------
 
@@ -222,7 +226,6 @@ class GhsAutomaton(Automaton):
     def _finish_as_root(self, out):
         """The MST is final and this node is its root."""
         self.halted = True
-        self.is_root = True
         self.root_uid = self.ctx.uid
         self._after_halt(out)
 
@@ -581,15 +584,7 @@ def mst_edges(automata) -> frozenset:
 
 def tree_from_automata(automata) -> dict[int, TreeInfo]:
     """Rooted TreeInfo map from a finished MST or pipeline run."""
-    return {uid: TreeInfo(uid=uid,
-                          parent=None if auto.is_root else auto.in_branch,
+    return {uid: TreeInfo(uid=uid, parent=auto.in_branch,
                           children=auto.children())
             for uid, auto in automata.items()}
 
-
-def ghs_build_mst(graph, scheduler="lockstep", seed=0, timing=None):
-    """Run MST construction and return (tree map, trace)."""
-    sim = Simulation(GhsMstProtocol(), graph, [0] * graph.n, fn=None,
-                     scheduler=scheduler, seed=seed, timing=timing)
-    trace = sim.run()
-    return tree_from_automata(sim.automata), trace

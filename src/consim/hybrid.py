@@ -70,12 +70,11 @@ class HybridAutomaton(GhsAutomaton):
         # phase 1 results
         self.parent: int | None = None
         self.cluster_id: int | None = None
-        self.neighbor_done: dict[int, int] = {}
+        self.neighbor_done: set = set()  # neighbors whose done flag came
         # phase 2
-        self.started_p2 = False
         self.p2_reported = False
         self.child_counts: dict[int, int] = {}  # read until p2_reported
-        self.cut_children: dict[int, int] = {}
+        self.cut_children: set = set()  # children that cut loose
         self.latest_cut: tuple | None = None  # (uid, size) of the last cut
         self.awaiting_release = False
         self.old_parent: int | None = None
@@ -93,8 +92,7 @@ class HybridAutomaton(GhsAutomaton):
         self.disc_sent = False
         self.routing: dict[int, int] = {}  # neighbour cluster -> next hop
         self.token: TokenPass | None = None
-        self.cluster_value = None
-        self.value_dirty = True
+        self.cluster_value = None  # None until computed, and once stale
         self.value_table: dict[int, tuple[int, object]] = {}
         self.pair_from: dict[int, int] = {}
         self.pending_pairs: list = []
@@ -111,6 +109,10 @@ class HybridAutomaton(GhsAutomaton):
         self.pf_undo: int | None = None
         self.pf_token: tuple | None = None
         self._pf_pass = 0
+
+    @property
+    def is_root(self) -> bool:
+        return self.parent is None
 
     # ------------------------------------------------------------------
     # phase 1: bounded fragment growth
@@ -142,13 +144,12 @@ class HybridAutomaton(GhsAutomaton):
         """Phase 1 is locally complete: this node roots cluster `root_uid`
         (parent None) or hangs below `parent` in it."""
         self.halted = True
-        self.is_root = parent is None
         self.cluster_id = root_uid
         self.parent = parent
         if self.ctx.neighbors:
             out.append(self._m("done", payload=(self.cluster_id,), uids=1))
         self._drain(out)  # deferred connects/tests resolve under done rules
-        self._maybe_start_p2(out)
+        self._maybe_count(out)
 
     def children(self):
         # a cut root keeps the severed edge in branch state (an undo may
@@ -190,12 +191,11 @@ class HybridAutomaton(GhsAutomaton):
             super()._dispatch(msg, src, out)
 
     def _on_p1_done(self, msg, src, out):
-        cid = msg.payload[0]
-        self.neighbor_done[src] = cid
+        self.neighbor_done.add(src)
         if not self.halted and self.edge_state.get(src) == BRANCH:
-            self._finalize_p1(cid, src, out)
+            self._finalize_p1(msg.payload[0], src, out)
         else:
-            self._maybe_start_p2(out)
+            self._maybe_count(out)
 
     def _on_p1_absorb(self, msg, src, out):
         if self.halted:
@@ -206,15 +206,10 @@ class HybridAutomaton(GhsAutomaton):
     # phase 2: descendant counting and splitting
     # ------------------------------------------------------------------
 
-    def _maybe_start_p2(self, out):
-        if (not self.halted or self.started_p2
-                or len(self.neighbor_done) < len(self.ctx.neighbors)):
-            return
-        self.started_p2 = True
-        self._maybe_count(out)
-
     def _maybe_count(self, out):
-        if not self.started_p2 or self.p2_reported:
+        """Phase 2 starts once this node and all its neighbors are done."""
+        if (not self.halted or self.p2_reported
+                or len(self.neighbor_done) < len(self.ctx.neighbors)):
             return
         if any(c not in self.child_counts for c in self.children()):
             return
@@ -238,10 +233,9 @@ class HybridAutomaton(GhsAutomaton):
         self.awaiting_release = True
         self.old_parent = self.parent
         self.parent = None
-        self.is_root = True
         self.cluster_id = self.ctx.uid
         self.cluster_size = count
-        self.value_dirty = True
+        self.cluster_value = None
         out.append(self.ctx.message(mtype, dst=self.old_parent,
                                     payload=payload, uids=uids, extra=extra))
         return True
@@ -249,7 +243,7 @@ class HybridAutomaton(GhsAutomaton):
     def _on_cut(self, child, size):
         """The old parent's side of a cut: `child` left with `size` nodes."""
         self.child_counts[child] = 0
-        self.cut_children[child] = size
+        self.cut_children.add(child)
         self.latest_cut = (child, size)
 
     def _take_back(self, count):
@@ -281,7 +275,7 @@ class HybridAutomaton(GhsAutomaton):
     # ------------------------------------------------------------------
 
     def _begin_announce(self, undo_uid, out):
-        self.cut_children.pop(undo_uid, None)  # that branch rejoins us
+        self.cut_children.discard(undo_uid)  # that branch rejoins us
         self.announced_epoch = self.epoch
         self.token = None
         self.p4_ready = False
@@ -309,7 +303,6 @@ class HybridAutomaton(GhsAutomaton):
             self.epoch = epoch
             if undo_uid == self.ctx.uid:
                 # the original root pulled us back in
-                self.is_root = False
                 self.parent = self.old_parent
                 self.old_parent = None
                 self.cluster_id = cid
@@ -376,7 +369,7 @@ class HybridAutomaton(GhsAutomaton):
         self._maybe_report_discovery(out)
 
     def _start_cluster_value(self, out):
-        if not self.value_dirty and self.cluster_value is not None:
+        if self.cluster_value is not None:
             self._enter_p4(out)
             return
         msgs, event = self._token().start_compute(
@@ -398,7 +391,6 @@ class HybridAutomaton(GhsAutomaton):
             return
         if event[0] == "computed":
             self.cluster_value = event[1]
-            self.value_dirty = False
             self._enter_p4(out)
         else:
             self.output = self.ctx.fn.decode(event[1])
@@ -530,7 +522,7 @@ class HybridAutomaton(GhsAutomaton):
                 f"link to {peer} failed before node {self.ctx.uid} output; "
                 f"hybrid recovers only after consensus completes")
         out = []
-        self.neighbor_done.pop(peer, None)
+        self.neighbor_done.discard(peer)
         self._note_cluster(peer, None)
         touched = [cid for cid, cands in self.disc_candidates.items()
                    if peer in cands]
@@ -540,9 +532,8 @@ class HybridAutomaton(GhsAutomaton):
             # child side of a broken tree edge: we lead the lower half
             self._reopen(peer)
             self.parent = None
-            self.is_root = True
             self.pf_initiator = True
-            self.value_dirty = True
+            self.cluster_value = None
             self._pf_start_count(out)
         elif peer in self._members():
             # parent side: drop the branch and have the root recount
@@ -554,7 +545,7 @@ class HybridAutomaton(GhsAutomaton):
             if peer == self.old_parent:
                 self.awaiting_release = False
                 self.old_parent = None
-            self.cut_children.pop(peer, None)
+            self.cut_children.discard(peer)
             self.edge_state.pop(peer, None)
             self._route_repair(peer, touched, out)
         return out
@@ -711,7 +702,7 @@ class HybridAutomaton(GhsAutomaton):
     def _recount(self, mtype, payload, uids, out):
         """Membership changed below this node: the root recounts its part,
         any other node passes the news toward the root."""
-        self.value_dirty = True
+        self.cluster_value = None
         if self.is_root:
             self.pf_initiator = True
             self._pf_start_count(out)
@@ -725,14 +716,13 @@ class HybridAutomaton(GhsAutomaton):
         self.edge_state[peer] = BRANCH
         if peer == self.old_parent:
             self.old_parent = None  # a severed cut boundary is rejoined
-        self.cut_children.pop(peer, None)
+        self.cut_children.discard(peer)
 
     def _reroot(self, parent, cid, epoch, out):
         """Hang this node under `parent` in cluster `cid` and pass the
         adoption on to the members below."""
         self._attach(parent)
         self.parent = parent
-        self.is_root = False
         self.pf_joining = False
         self._rename(cid, epoch, "pf.adopt", out)
 

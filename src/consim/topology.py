@@ -3,10 +3,10 @@
 Graphs are connected, undirected and static for the life of an execution;
 `fail_link` produces a new graph value rather than mutating in place.  Node
 UIDs are drawn from a pool of 2n integers shuffled by the seed, so distinct
-seeds exercise distinct UID assignments; an imported graph's pool also
-covers its largest UID.  Edge weights are the lexicographic pair (min UID,
-max UID), which totally orders the edges and makes the minimum spanning
-tree unique.
+seeds exercise distinct UID assignments; the pool of a graph built from
+given UIDs also covers its largest UID.  Edge weights are the lexicographic
+pair (min UID, max UID), which totally orders the edges and makes the
+minimum spanning tree unique.
 """
 
 from __future__ import annotations
@@ -152,37 +152,6 @@ def fail_link(graph: Graph, edge: tuple[int, int]) -> Graph:
     except DisconnectedGraph:
         raise WouldDisconnect(
             f"removing {edge} disconnects the graph") from None
-
-
-def dump_adjacency(graph: Graph) -> str:
-    """Text form: first line n, then one `u v` pair per edge."""
-    lines = [str(graph.n)]
-    lines += [f"{a} {b}" for a, b in sorted(graph.edges)]
-    return "\n".join(lines) + "\n"
-
-
-def load_adjacency(text: str, kind: str = "imported") -> Graph:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    edges = set()
-    uids = set()
-    try:
-        n = int(lines[0])
-        for ln in lines[1:]:
-            a, b = (int(x) for x in ln.split())
-            edges.add(edge_weight(a, b))
-            uids.update((a, b))
-    except (IndexError, ValueError):
-        raise InvalidParams("adjacency text must be a node count, then one "
-                            "'u v' pair of integers per line") from None
-    if len(uids) < n:
-        # isolated nodes are only legal for n == 1
-        if n == 1 and not edges:
-            uids = {0}
-        else:
-            raise DisconnectedGraph("adjacency text lists fewer UIDs than nodes")
-    if len(uids) != n:
-        raise InvalidParams("node count does not match edge list")
-    return Graph(uids=tuple(sorted(uids)), edges=frozenset(edges), kind=kind)
 
 
 def kruskal_mst(graph: Graph) -> frozenset[tuple[int, int]]:

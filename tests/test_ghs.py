@@ -10,7 +10,7 @@ from consim.errors import InvariantViolation, NotHierarchical
 from consim.functions import MaxFunction, MeanFunction, MedianFunction, oracle
 from consim.ghs import (GhsMstProtocol, GhsParallelProtocol, GhsTokenProtocol,
                         ParallelConvergecastProtocol, TokenConvergecastProtocol,
-                        TokenPass, ghs_build_mst, mst_edges, root_tree, tree_from_automata)
+                        TokenPass, mst_edges, root_tree, tree_from_automata)
 from consim.messages import Message, SizeModel
 from consim.metrics import (byte_complexity, message_complexity,
                             peak_bandwidth, time_complexity)
@@ -83,7 +83,8 @@ def test_mst_message_sizes_capped_at_flag_plus_three_uids():
 
 def test_ghs_build_mst_helper():
     g = make_topology("cycle", 9, seed=4)
-    tree, trace = ghs_build_mst(g, seed=4)
+    sim, _trace = run_mst(g, seed=4)
+    tree = tree_from_automata(sim.automata)
     roots = [u for u, ti in tree.items() if ti.is_root]
     assert len(roots) == 1
     child_edges = {(min(u, ti.parent), max(u, ti.parent))

@@ -9,8 +9,8 @@ from consim.errors import (ConfigError, InvariantViolation, NotHierarchical,
 from consim.functions import (MaxFunction, MeanFunction, MedianFunction,
                               VoteFunction, oracle)
 from consim.ghs import BASIC
-from consim.hybrid import (FailureExperiment, HybridProtocol, branch_sizes,
-                           check_cluster_discipline, cluster_map)
+from consim.hybrid import (FailureExperiment, HybridAutomaton, HybridProtocol,
+                           branch_sizes, check_cluster_discipline, cluster_map)
 from consim.messages import SizeModel
 from consim.metrics import (byte_complexity, message_complexity,
                             peak_bandwidth, peak_bandwidth_by_phase,
@@ -87,6 +87,30 @@ def test_outputs_equal_oracle_across_schedulers(scheduler, m):
         assert set(trace.outputs.values()) == {oracle(fn, values)}, \
             f"{scheduler} m={m} n={n} trial={trial}"
         assert not check_cluster_discipline(sim.automata, n, min(m, n))
+
+
+@pytest.mark.parametrize("scheduler", ["lockstep", "random"])
+def test_absorb_adopts_a_node_still_in_phase_1(scheduler, monkeypatch):
+    # an absorb that reaches a node before the done flood does is its
+    # adoption into the finished cluster, and its entry into phase 2
+    adoptions = []
+    on_absorb = HybridAutomaton._on_p1_absorb
+
+    def counting(self, msg, src, out):
+        if not self.halted:
+            adoptions.append(self.ctx.uid)
+        return on_absorb(self, msg, src, out)
+
+    monkeypatch.setattr(HybridAutomaton, "_on_p1_absorb", counting)
+    g = make_topology("random_connected", 16, {"p": 0.3}, seed=5)
+    fn = MaxFunction(64)
+    values = list(range(16))
+    trace, sim = run_hybrid(g, values, fn, m=2, scheduler=scheduler, seed=5,
+                            keep_sim=True)
+    assert adoptions
+    validate_trace(trace)
+    assert trace.outputs == {u: oracle(fn, values) for u in g.uids}
+    assert not check_cluster_discipline(sim.automata, 16, 2)
 
 
 def test_mean_and_vote_supported():

@@ -4,8 +4,8 @@ import pytest
 
 from consim.errors import DisconnectedGraph, InvalidParams, WouldDisconnect
 from consim.messages import uid_bits_for_pool
-from consim.topology import (Graph, dump_adjacency, edge_weight, fail_link,
-                             kruskal_mst, load_adjacency, make_topology)
+from consim.topology import (Graph, edge_weight, fail_link, kruskal_mst,
+                             make_topology)
 
 
 def test_complete_four_nodes():
@@ -110,25 +110,9 @@ def test_direct_graph_construction_rejects_disconnected():
 
 
 def test_imported_uids_are_charged_their_full_width():
-    g = load_adjacency("3\n10 20\n20 30\n")
+    g = Graph(uids=(10, 20, 30), edges=frozenset({(10, 20), (20, 30)}))
     assert g.pool_size == 31
     assert uid_bits_for_pool(g.pool_size) == 5  # UID 30 needs five bits
-
-
-@pytest.mark.parametrize("text", ["", "3\n1 2 3\n", "x\n", "2\n1\n",
-                                  "2\n1 y\n"])
-def test_malformed_adjacency_text_is_invalid_params(text):
-    with pytest.raises(InvalidParams):
-        load_adjacency(text)
-
-
-def test_adjacency_round_trip():
-    g = make_topology("random_connected", 12, {"p": 0.4}, seed=9)
-    text = dump_adjacency(g)
-    g2 = load_adjacency(text)
-    assert set(g2.uids) == set(g.uids)
-    assert g2.edges == g.edges
-    assert text.splitlines()[0] == "12"
 
 
 def test_kruskal_matches_networkx_free_brute_force_on_tiny_graph():
