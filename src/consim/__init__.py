@@ -3,7 +3,8 @@ protocols on broadcast networks."""
 
 from .averaging import AverageProtocol
 from .engine import (Automaton, Event, ExecutionTrace, Protocol, Simulation,
-                     TimingParams, run, validate_trace, SCHEDULERS)
+                     TimingParams, run, trace_digest, validate_trace,
+                     SCHEDULERS)
 from .flooding import FloodingProtocol
 from .ghs import (GhsMstProtocol, GhsParallelProtocol, GhsTokenProtocol,
                   ParallelConvergecastProtocol, TokenConvergecastProtocol,

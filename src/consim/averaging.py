@@ -21,13 +21,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter
 
 from .engine import Automaton, Protocol
 from .errors import ConfigError, InvariantViolation
 from .messages import Message
-
-_ESTIMATE = attrgetter("estimate")
 
 
 def div_round_half_even(num: int, den: int) -> int:
@@ -52,15 +49,6 @@ class AverageAutomaton(Automaton):
     def on_message(self, msg, src):
         self.inbox.append(msg.payload)
         return ()
-
-    def apply_update(self):
-        """Average of own estimate and every neighbor's, round to nearest."""
-        if len(self.inbox) + 1 != self.weights:
-            raise InvariantViolation(
-                "lockstep round delivered an incomplete neighborhood")
-        self.estimate = div_round_half_even(self.estimate + sum(self.inbox),
-                                            self.weights)
-        self.inbox.clear()
 
     def estimate_value(self) -> float:
         return self.estimate / (1 << self.frac)
@@ -92,21 +80,35 @@ class AverageProtocol(Protocol):
                 / sum(w.values()))
 
     def on_round_boundary(self, automata, r, sim):
-        nodes = automata.values()  # the engine keeps them in uid order
+        """One pass over the automata, in the engine's uid order: each
+        applies its update (after round 0), the average of its own estimate
+        and every neighbor's rounded to nearest; the pass keeps the two
+        extreme estimates and builds the round's messages."""
         if r == 0:  # a new execution: set up its convergence monitor
             self._target = self._fixed_point(sim)
             self._spread = max(sim.values.values()) - min(sim.values.values())
-        else:
-            for a in nodes:
-                a.apply_update()
+        sends, estimates = [], []
+        for uid, a in automata.items():
+            if r:
+                inbox = a.inbox
+                if len(inbox) + 1 != a.weights:
+                    raise InvariantViolation(
+                        "lockstep round delivered an incomplete neighborhood")
+                a.estimate = div_round_half_even(a.estimate + sum(inbox),
+                                                 a.weights)
+                inbox.clear()
+            est = a.estimate
+            estimates.append(est)
+            sends.append((uid, Message("avg.estimate", uid, a.msg_bits, None,
+                                       est)))
         # estimate_value is monotone in the estimate, so the two extreme
-        # estimates are the farthest from the target
-        extremes = (min(nodes, key=_ESTIMATE), max(nodes, key=_ESTIMATE))
-        worst = max(abs(a.estimate_value() - self._target) for a in extremes)
+        # estimates are the farthest from the target; every node of an
+        # execution has the same fractional bits
+        scale = 1 << a.frac
+        worst = max(abs(est / scale - self._target)
+                    for est in (min(estimates), max(estimates)))
         if worst <= self.eps * self._spread:
-            for a in nodes:
+            for a in automata.values():
                 a.output = a.estimate_value()
             return True, []
-        return False, [(a.ctx.uid, Message("avg.estimate", a.ctx.uid,
-                                           a.msg_bits, None, a.estimate))
-                       for a in nodes]
+        return False, sends

@@ -47,6 +47,8 @@ ref, receivers, reactors), one per send or per round-driven protocol's round
 for, so records, refs, order and the event cap's count are those
 per-message events give.  Under the random scheduler each copy is one flat
 heap entry, with its own delay, and so is its reaction, with its latency.
+Of a node's queued transmissions only the next is on the heap; the rest
+wait in a per-node FIFO, numbered as the entries they stand for.
 
 Traces
 ------
@@ -59,7 +61,9 @@ under the random scheduler each copy is a row of its own.  A trace is
 built only as rows, and carries its message and bit totals.
 ExecutionTrace.events also reads as a sequence that expands rows into
 Events on demand; the JSONL export, validate_trace and the metrics read the
-columns directly.
+columns directly.  trace_digest says when two traces are the same
+execution: it hashes the columns and the send table with refs written as
+send ordinals, so it does not depend on how the engine numbers its sends.
 
 The export writes schema 3: a header with the configuration and the graph,
 then the records.  A copy or a message transition names its send by the
@@ -70,13 +74,15 @@ dst, the only receiver that may react, is written.
 from __future__ import annotations
 
 import functools
+import hashlib
 import heapq
 import json
 import math
 import random
+import sys
 from array import array
 from bisect import bisect_right
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
@@ -270,10 +276,10 @@ class TraceRows(Sequence):
 @functools.lru_cache(maxsize=1024)
 def _send_format(mtype, size_bits, src) -> str:
     """The JSONL %-format of a send of a message with these fields, taking
-    (t, node, its dst field or "", fanout); cached by the fields, which a
-    sender's sends share whatever their dst."""
+    (repr of t, node, its dst field or "", fanout); cached by the fields,
+    which a sender's sends share whatever their dst."""
     fields = {"msg_type": mtype, "size_bits": size_bits, "src": src}
-    return ('{"kind": "send", "t": %r, "node": %d, '
+    return ('{"kind": "send", "t": %s, "node": %d, '
             + json.dumps(fields)[1:-1].replace("%", "%%")
             + '%s, "fanout": %s}')
 
@@ -335,36 +341,42 @@ class ExecutionTrace:
         rows, chunk, fanout = self.events, _JSONL_CHUNK, self.send_fanout
         sends, kinds = rows.sends, _KINDS
         send_row, deliver_row, land_row = _ROW_SEND, _ROW_DELIVER, _ROW_LAND
-        bare = '{"kind": "%s", "t": %r, "node": %d}'
-        named = '{"kind": "%s", "t": %r, "node": %d, "ref": %s}'
+        bare = '{"kind": "%s", "t": %s, "node": %d}'
+        named = '{"kind": "%s", "t": %s, "node": %d, "ref": %s}'
         ordinal: dict[int, int] = {}  # a send's ref -> its ordinal
         lines, count, sent = [self._header()], 1, 0
+        last_t, rt = None, ""
         for k, t, node, ref in rows.rows():
+            if k == deliver_row and sends[ref][0].dst not in (None, node):
+                continue  # a copy its receiver drops unread
+            # rows share times, a lockstep round's all of them: format each
+            # time once.  Equal floats have one repr, except 0.0 and -0.0
+            if t != last_t or not t:
+                last_t, rt = t, repr(t)
             if k == land_row:
                 msg, receivers = sends[ref]
                 if msg.dst is None:  # one join over the receivers
-                    head = '{"kind": "deliver", "t": %r, "node": ' % t
+                    head = '{"kind": "deliver", "t": %s, "node": ' % rt
                     tail = ', "ref": %d}' % ordinal[ref]
                     lines.append(head + (tail + "\n" + head).join(
                         map(str, receivers)) + tail)
                     count += len(receivers)
                 elif msg.dst in receivers:
-                    lines.append(named % ("deliver", t, msg.dst, ordinal[ref]))
+                    lines.append(named % ("deliver", rt, msg.dst,
+                                          ordinal[ref]))
                     count += 1
             elif k == send_row:
                 msg, f = sends[ref][0], fanout.get(ref)
                 dst = "" if msg.dst is None else ', "dst": %d' % msg.dst
                 lines.append(_send_format(msg.mtype, msg.size_bits, msg.src)
-                             % (t, node, dst, "null" if f is None else f))
+                             % (rt, node, dst, "null" if f is None else f))
                 ordinal[ref] = sent
                 sent += 1
                 count += 1
-            elif k == deliver_row and sends[ref][0].dst not in (None, node):
-                continue  # a copy its receiver drops unread
             else:  # a copy, or a transition naming its send or none
-                lines.append(bare % (kinds[k], t, node)
+                lines.append(bare % (kinds[k], rt, node)
                              if ref == _NO_REF and k != deliver_row else
-                             named % (kinds[k], t, node,
+                             named % (kinds[k], rt, node,
                                       ordinal.get(ref, "null")))
                 count += 1
             if count >= chunk:
@@ -482,8 +494,8 @@ class Simulation:
                  "_fresh_automata", "automata", "_heap", "_ran", "_seq",
                  "_record", "_rows", "_messages_total", "_bits_total",
                  "outputs", "_send_fanout", "_receivers", "_tx_free",
-                 "_last_fire", "_flush_pending", "_quantized", "now",
-                 "__weakref__")
+                 "_tx_queue", "_last_fire", "_flush_pending", "_quantized",
+                 "now", "__weakref__")
 
     def __init__(self, protocol, graph, values, *, fn=None, timing=None,
                  scheduler="lockstep", seed=0, size_model=None,
@@ -539,6 +551,8 @@ class Simulation:
         self._send_fanout: dict[int, int] = {}
         self._receivers: dict[int, tuple] = {}  # sorted live neighbors
         self._tx_free = {u: start_time for u in graph.uids}
+        # per node, its pending "tx" entries in order; the first is on the heap
+        self._tx_queue: dict[int, deque] = defaultdict(deque)
         self._last_fire = {u: start_time for u in graph.uids}  # random only
         self._flush_pending: set = set()
         self._quantized = SCHEDULERS[scheduler]
@@ -595,12 +609,20 @@ class Simulation:
         return ft
 
     def _transmit(self, uid, msgs, emit_t):
+        """Queue the transmissions of msgs, back to back.  Each takes its
+        number now and joins the node's FIFO, in the order of their starts
+        and numbers; only the FIFO's first sits on the heap, and the loop
+        pushes the next when it pops one, before the next could be due."""
+        queue = self._tx_queue[uid]
         for msg in msgs:
             start = max(emit_t, self._tx_free[uid])
             if self._quantized:
                 start = self.timing.boundary(start)
             self._tx_free[uid] = start + self.timing.d
-            self._push(start, _TX, "tx", uid, msg)
+            self._seq += 1
+            queue.append((start, _TX, self._seq, "tx", uid, msg))
+            if len(queue) == 1:
+                heapq.heappush(self._heap, queue[0])
 
     def _post_transition(self, uid, t):
         auto = self.automata[uid]
@@ -631,6 +653,7 @@ class Simulation:
         record, automata, outputs = self._record, self.automata, self.outputs
         kinds, times, nodes, refs = self._rows.appends
         rng, l, last_fire = self.rng, self.timing.l, self._last_fire
+        tx_queue = self._tx_queue
         processed = 0
         while heap:
             e = pop(heap)
@@ -673,6 +696,10 @@ class Simulation:
                 if e[6]:  # no latency, and every earlier transition fired
                     self._push(t, _FIRE, "react", e[6], e[5], span=e[6])
             elif kind == "tx":
+                queue = tx_queue[e[4]]
+                queue.popleft()
+                if queue:
+                    push(heap, queue[0])
                 self._do_tx(t, e[2], e[4], e[5])
             elif kind == "fire":
                 self._fire(t, e[4], e[5], e[6])
@@ -935,6 +962,38 @@ def validate_trace(trace: ExecutionTrace):
         raise TraceViolation(
             f"{sent} sends of {bits} bits recorded, the totals count "
             f"{trace.messages_total} of {trace.bits_total}")
+
+
+def trace_digest(trace: ExecutionTrace) -> str:
+    """The SHA-256 that says what "the same execution" means: every row's
+    kind, exact time and node, and its ref written as its send's ordinal,
+    read from the columns; each send's mtype, size, src, dst, receivers and
+    fan-out, in ordinal order; the message and bit totals; and the sorted
+    outputs.  It does not depend on how the engine numbers its sends, nor
+    on the platform's byte order.  Raises TraceViolation for a row naming
+    a send that the trace does not hold."""
+    rows = trace.events
+    ordinal = {ref: i for i, ref in enumerate(rows.sends)}  # in send order
+    ordinal[_NO_REF] = -1
+    try:
+        refs = array("q", map(ordinal.__getitem__, rows.ref))
+    except KeyError as err:
+        raise TraceViolation(f"a row names send {err.args[0]}, which the "
+                             f"trace does not hold") from None
+    h = hashlib.sha256(b"%d rows\n" % len(refs))
+    h.update(rows.kind)
+    for col in (rows.t, rows.node, refs):
+        if sys.byteorder != "little":
+            col = array(col.typecode, col)
+            col.byteswap()
+        h.update(col)
+    fanout = trace.send_fanout
+    h.update(repr([(msg.mtype, msg.size_bits, msg.src, msg.dst,
+                    tuple(receivers), fanout.get(ref))
+                   for ref, (msg, receivers) in rows.sends.items()]).encode())
+    h.update(f"\n{trace.messages_total} {trace.bits_total} "
+             f"{sorted(trace.outputs.items())!r}".encode())
+    return h.hexdigest()
 
 
 def _send_name(seen, ref) -> str:

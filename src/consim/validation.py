@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from . import bounds as bnd
 from .algorithms import ALGORITHMS
 from .averaging import AverageProtocol
-from .engine import ExecutionTrace, Simulation, TimingParams, TraceRows, run
+from .engine import (ExecutionTrace, Simulation, TimingParams, TraceRows, run,
+                     trace_digest)
 from .errors import WouldDisconnect
 from .flooding import FloodingProtocol
 from .functions import (MaxFunction, MeanFunction, MinFunction, VoteFunction,
@@ -488,14 +489,6 @@ def check_peak_against_brute_force(traces: int = 100) -> CheckResult:
                        f"{traces} random traces, sweep = endpoint sampling")
 
 
-def same_records(t1, t2) -> bool:
-    """Whether two traces hold the same records, even the copies no receiver
-    reads, which the export leaves out: the same columns, sends (each
-    message by its fields, with its receivers) and output values."""
-    a, b = t1.events, t2.events
-    return (a.columns, a.sends, a.values) == (b.columns, b.sends, b.values)
-
-
 def check_determinism(configs: int = 50) -> CheckResult:
     rng = random.Random(77)
     names = ("flooding", "ghs-token", "ghs-parallel", "hybrid")
@@ -510,7 +503,7 @@ def check_determinism(configs: int = 50) -> CheckResult:
         fn = MaxFunction(64)
         t1, t2 = (_run(factory(m, None), g, list(values), fn,
                        scheduler=sched, seed=trial) for _ in range(2))
-        if not same_records(t1, t2):
+        if trace_digest(t1) != trace_digest(t2):
             return CheckResult("properties.determinism", False,
                                f"{name} n={n} {sched} seed={trial} diverged")
     return CheckResult("properties.determinism", True,

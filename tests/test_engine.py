@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -16,15 +17,16 @@ from consim.cli import _single_report, build_parser
 from consim.cli import main as cli_main
 from consim.engine import (SCHEDULERS, Automaton, Event, ExecutionTrace,
                            Protocol, Simulation, TimingParams, TraceRows,
-                           run, validate_trace)
+                           run, trace_digest, validate_trace)
 from consim.errors import (ConfigError, DisconnectedGraph,
-                           InvariantViolation, NonTermination, NotHierarchical)
+                           InvariantViolation, NonTermination, NotHierarchical,
+                           TraceViolation)
 from consim.functions import MaxFunction, MeanFunction, MedianFunction
 from consim.hybrid import FailureExperiment
 from consim.messages import Message, SizeModel
 from consim.topology import TOPOLOGY_KINDS, Graph, make_topology
-from consim.validation import same_records
-from rows import rows_of
+from rows import (DELIVER, NO_REF, OUTPUT, SEND, TRANSITION, copies,
+                  rows_of)
 
 
 class PingOnce(Automaton):
@@ -69,21 +71,23 @@ def test_lockstep_delivers_at_round_boundary():
     g = make_topology("path", 3, seed=0)
     trace = _sim(g).run()
     validate_trace(trace)
-    for e in trace.events:
-        if e.kind == "send":
-            assert e.t == 0.0
-        if e.kind == "deliver":
-            assert e.t == pytest.approx(0.01)
+    rows = trace.events
+    assert {rows.t[i] for i in rows.indices_of(SEND)} == {0.0}
+    for t, _, _ in copies(rows):
+        assert t == pytest.approx(0.01)
 
 
 def test_adversarial_delay_is_exactly_d():
     g = make_topology("complete", 4, seed=0)
     trace = _sim(g, scheduler="adversarial").run()
     validate_trace(trace)
-    sends = {e.ref: e.t for e in trace.events if e.kind == "send"}
-    for e in trace.events:
-        if e.kind == "deliver":
-            assert e.t - sends[e.ref] == pytest.approx(0.01)
+    sends = _send_times(trace.events)
+    for t, _, ref in copies(trace.events):
+        assert t - sends[ref] == pytest.approx(0.01)
+
+
+def _send_times(rows):
+    return {rows.ref[i]: rows.t[i] for i in rows.indices_of(SEND)}
 
 
 def test_random_async_delays_in_window_with_sane_mean():
@@ -91,8 +95,8 @@ def test_random_async_delays_in_window_with_sane_mean():
     # of a real run: 40 * 39 copies, each with a delay of its own
     g = make_topology("complete", 40, seed=42)
     trace = _sim(g, scheduler="random", seed=42).run()
-    sends = {e.ref: e.t for e in trace.events if e.kind == "send"}
-    delays = [e.t - sends[e.ref] for e in trace.events if e.kind == "deliver"]
+    sends = _send_times(trace.events)
+    delays = [t - sends[ref] for t, _, ref in copies(trace.events)]
     assert len(delays) >= 1000
     assert all(0.0 < t <= 0.01 for t in delays)
     assert 0.004 <= sum(delays) / len(delays) <= 0.006
@@ -105,7 +109,9 @@ def test_random_async_trace_is_fair_and_within_bounds():
 
 
 def _outputs(trace):
-    return [(e.t, e.node, e.value) for e in trace.events if e.kind == "output"]
+    rows = trace.events
+    return [(rows.t[i], rows.node[i], rows.values[i])
+            for i in rows.indices_of(OUTPUT)]
 
 
 LEAN_CASES = pytest.mark.parametrize("algo, kind, n, seed", [
@@ -140,7 +146,7 @@ def _assert_lean_run_equals_recorded_run(algo, kind, n, seed, scheduler):
             scheduler=scheduler, seed=seed,
             timing=TimingParams(d=0.01, l=0.001), record_events=record)
         for record in (False, True))
-    assert {e.kind for e in lean.events} == {"output"}
+    assert set(lean.events.kind) == {OUTPUT}
     assert lean.outputs == recorded.outputs
     assert len(lean.outputs) == n
     assert (lean.messages_total, lean.bits_total) == (
@@ -152,11 +158,12 @@ def test_broadcast_fans_out_to_every_neighbor_once():
     g = make_topology("star", 6, seed=1)
     trace = _sim(g).run()
     hub = max(g.uids, key=g.degree)
-    hub_sends = [e for e in trace.events if e.kind == "send" and e.node == hub]
+    rows = trace.events
+    hub_sends = [rows.ref[i] for i in rows.indices_of(SEND)
+                 if rows.node[i] == hub]
     assert len(hub_sends) == 1
-    delivers = [e for e in trace.events
-                if e.kind == "deliver" and e.ref == hub_sends[0].ref]
-    assert sorted(e.node for e in delivers) == sorted(g.adj[hub])
+    assert sorted(nb for _, nb, ref in copies(rows)
+                  if ref == hub_sends[0]) == sorted(g.adj[hub])
 
 
 def test_determinism_bit_identical_replay():
@@ -201,13 +208,90 @@ def test_determinism_check_tells_apart_a_non_recipient_copy():
             messages_total=trace.messages_total, bits_total=trace.bits_total,
             send_fanout=trace.send_fanout)
 
-    assert same_records(trace, mutant(rows.sends[ref]))
+    assert trace_digest(mutant(rows.sends[ref])) == trace_digest(trace)
     for changed in (mutant(fewer), mutant(fewer, moved=True)):
         assert changed.to_jsonl() == trace.to_jsonl()
-        assert not same_records(trace, changed)
+        assert trace_digest(changed) != trace_digest(trace)
     # a message compares by its fields; the export shows this change
     bigger = Message(msg.mtype, msg.src, msg.size_bits + 1, dst=msg.dst)
-    assert not same_records(trace, mutant((bigger, receivers)))
+    assert trace_digest(mutant((bigger, receivers))) != trace_digest(trace)
+
+
+def _digest_cases():
+    g = make_topology("random_connected", 10, {"p": 0.4}, seed=3)
+    yield run(ALGORITHMS["flooding"].protocol(2, 1e-3), g, list(range(10)),
+              fn=MaxFunction(64), scheduler="random", seed=3)
+    g = make_topology("complete", 6, seed=2)
+    yield run(ALGORITHMS["hybrid"].protocol(2, 1e-3), g, list(range(6)),
+              fn=MaxFunction(64), scheduler="lockstep", seed=2)
+
+
+def _copy_trace(trace, relabel=lambda ref: ref):
+    """The trace with copies of its rows, send table, fan-out and outputs
+    that a test may change; `relabel` renames every ref."""
+    rows, out = trace.events, TraceRows()
+    for col, src in zip(out.columns[:3], rows.columns):
+        col.extend(src)
+    out.ref.extend(r if r == NO_REF else relabel(r) for r in rows.ref)
+    out.sends.update((relabel(r), send) for r, send in rows.sends.items())
+    out.values.update(rows.values)
+    return dataclasses.replace(
+        trace, events=out, outputs=dict(trace.outputs),
+        send_fanout={relabel(r): f for r, f in trace.send_fanout.items()})
+
+
+@pytest.mark.parametrize("trace", list(_digest_cases()),
+                         ids=["flooding-random", "hybrid-lockstep"])
+def test_trace_digest_sees_every_field(trace):
+    base = trace_digest(trace)
+    rows = trace.events
+    assert trace_digest(_copy_trace(trace)) == base
+    # refs renamed in their order: the same execution
+    assert trace_digest(_copy_trace(trace, lambda r: 3 * r + 1000)) == base
+    i = next(i for i in rows.indices_of(TRANSITION) if rows.ref[i] != NO_REF)
+    ref = rows.ref[i]
+    other = next(r for r in rows.sends if r != ref)
+    msg, receivers = rows.sends[ref]
+    uid = next(u for u in trace.graph.uids if u != rows.node[i])
+
+    def column(name, value):
+        return lambda c: getattr(c.events, name).__setitem__(i, value)
+
+    def send(**fields):
+        return lambda c: c.events.sends.__setitem__(
+            ref, (dataclasses.replace(msg, **fields), receivers))
+
+    def total(name):
+        return lambda c: setattr(c, name, getattr(c, name) + 1)
+
+    mutations = {
+        "kind": column("kind", DELIVER),
+        "time": column("t", rows.t[i] + 1e-9),
+        "node": column("node", uid),
+        "ref": column("ref", other),
+        "mtype": send(mtype=msg.mtype + "x"),
+        "size": send(size_bits=msg.size_bits + 1),
+        "dst": send(dst=receivers[0] if msg.dst is None else None),
+        "receivers": lambda c: c.events.sends.__setitem__(
+            ref, (msg, receivers[1:])),
+        "fanout": lambda c: c.send_fanout.__setitem__(
+            ref, c.send_fanout[ref] + 1),
+        "messages": total("messages_total"),
+        "bits": total("bits_total"),
+        "output": lambda c: c.outputs.__setitem__(uid, c.outputs[uid] + 1),
+    }
+    for name, mutate in mutations.items():
+        changed = _copy_trace(trace)
+        mutate(changed)
+        assert trace_digest(changed) != base, name
+
+
+def test_trace_digest_rejects_a_ref_with_no_send():
+    trace = next(_digest_cases())
+    changed = _copy_trace(trace)
+    changed.events.ref[-1] = max(trace.events.sends) + 1
+    with pytest.raises(TraceViolation, match="does not hold"):
+        trace_digest(changed)
 
 
 class DownClock(Protocol):
@@ -251,12 +335,12 @@ def test_link_down_transitions_never_precede_the_failure(scheduler, rounds):
     for _, _, t in proto.downs:
         assert at <= t <= at + max(timing.d, timing.l)
     # each node's first transition without a message is its start
-    started, fired = set(), []
-    for e in trace.events:
-        if e.kind == "transition" and e.msg is None:
-            if e.node in started:
-                fired.append(e.t)
-            started.add(e.node)
+    started, fired, rows = set(), [], trace.events
+    for i in rows.indices_of(TRANSITION):
+        if rows.ref[i] == NO_REF:
+            if rows.node[i] in started:
+                fired.append(rows.t[i])
+            started.add(rows.node[i])
     assert fired == [t for _, _, t in proto.downs]
 
 
@@ -309,12 +393,11 @@ def test_fifo_per_directed_link_under_random_scheduler():
     for seed in range(20):
         trace = run(TwoShotProtocol(), g, [0] * 5, fn=MaxFunction(32),
                     scheduler="random", seed=seed)
-        seen = {}
-        for e in trace.events:
-            if e.kind == "deliver":
-                key = (e.msg.src, e.node)
-                assert seen.get(key, -1.0) <= e.t
-                seen[key] = e.t
+        seen, sends = {}, trace.events.sends
+        for t, node, ref in copies(trace.events):
+            key = (sends[ref][0].src, node)
+            assert seen.get(key, -1.0) <= t
+            seen[key] = t
 
 
 def test_event_cap_raises_nontermination():
@@ -409,14 +492,19 @@ def _round_ping(protocol, scheduler="lockstep"):
                scheduler=scheduler, timing=TimingParams(d=0.01, l=0.001))
 
 
+def _times(trace):
+    """The times of the sends, and of the records that name a send."""
+    rows = trace.events
+    return ({rows.t[i] for i in rows.indices_of(SEND)},
+            {t for k, t, _, ref in rows.rows() if k != SEND and ref != NO_REF})
+
+
 def test_round_driven_broadcasts_land_at_the_next_boundary():
     trace = _round_ping(RoundPing())
     validate_trace(trace)
     assert sorted(trace.outputs.values()) == [1, 2, 3]
     assert trace.messages_total == 3 and sum(trace.send_fanout.values()) == 4
-    assert {e.t for e in trace.events if e.kind == "send"} == {0.0}
-    assert {e.t for e in trace.events
-            if e.kind != "send" and e.ref is not None} == {0.01}
+    assert _times(trace) == ({0.0}, {0.01})
 
 
 def test_boundary_is_the_first_multiple_of_d_not_before():
@@ -444,9 +532,7 @@ def test_round_driven_rounds_count_from_the_first_boundary():
     validate_trace(trace)
     assert seen == [(0, 0.02), (1, 0.03)]
     assert sorted(trace.outputs.values()) == [1, 2, 3]
-    assert {e.t for e in trace.events if e.kind == "send"} == {0.02}
-    assert {e.t for e in trace.events
-            if e.kind != "send" and e.ref is not None} == {0.03}
+    assert _times(trace) == ({0.02}, {0.03})
 
 
 @pytest.mark.parametrize("scheduler", ["random", "adversarial"])
@@ -828,17 +914,17 @@ def test_export_matches_json_dumps_on_failure_traces(scheduler):
     exp.fail_link((child, exp.automata[child].parent))
     exp.reconsensus()
     for trace in (exp.initial_trace, exp.repair_trace, exp.rerun_trace):
-        assert trace.events
+        assert trace.events.kind
         _assert_export_matches(trace)
     # the initial consensus has tagged messages, whose other copies go
     assert exp.initial_trace.to_jsonl().count('"deliver"') < sum(
-        e.kind == "deliver" for e in exp.initial_trace.events)
+        1 for _ in copies(exp.initial_trace.events))
 
 
 def test_export_of_lean_and_empty_traces():
     g = make_topology("cycle", 6, seed=1)
     lean = _sim(g, record_events=False).run()
-    assert {e.kind for e in lean.events} == {"output"}
+    assert set(lean.events.kind) == {OUTPUT}
     _assert_export_matches(lean)
     lean.events = rows_of()
     assert _schema1(lean.events) == "\n"
@@ -847,11 +933,13 @@ def test_export_of_lean_and_empty_traces():
 
 
 def test_export_of_hand_built_records():
-    # floats whose repr is long or exponent-form, a dst of 0, and an mtype
-    # that needs escaping and carries a %-format directive
+    # floats whose repr is long or exponent-form, zeros of both signs, which
+    # compare equal, a dst of 0, and an mtype that needs escaping and
+    # carries a %-format directive
     msg = Message('x."q"\\%s\n\u00e9', 0, 9, dst=0)
     rows = rows_of(("send", 1e-05, 0, 1, msg), ("deliver", 0.1 + 0.2, 3, 1),
                    ("transition", 1e16, 3, 1), ("transition", 0.0, 5),
+                   ("transition", -0.0, 5), ("transition", 0.0, 5),
                    ("output", 2, 3, 7),
                    # copies whose refs name no send
                    ("deliver", 0.5, 0, 2, Message("y", 3, 8, dst=0)),

@@ -26,7 +26,7 @@ def test_k3_max_all_output_five():
     g = make_topology("complete", 3, seed=0)
     trace = flood(g, [1, 5, 3], MaxFunction(32))
     assert set(trace.outputs.values()) == {5}
-    assert all(e.t <= 2 * D + 1e-12 for e in trace.events)
+    assert all(t <= 2 * D + 1e-12 for t in trace.events.t)
 
 
 def test_path3_max_within_three_rounds():

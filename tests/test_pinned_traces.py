@@ -1,16 +1,15 @@
-"""Replay pins: SHA-256 of the schema-1 rendering (one JSON line per event
-of `trace.events`, every copy included) plus the outputs of a few fixed
-executions.  A refactor that keeps these digests produces the same
-executions byte for byte; a change that alters them must say why and
+"""Replay pins: `trace_digest` of a few fixed executions, or for a case of
+several traces one SHA-256 over theirs.  A refactor that keeps these pins
+produces the same executions; a change that alters them must say why and
 re-pin."""
 
 import hashlib
-import json
 
 import pytest
 
 from consim.averaging import AverageProtocol
-from consim.engine import Automaton, Protocol, Simulation, TimingParams, run
+from consim.engine import (Automaton, Protocol, Simulation, TimingParams, run,
+                           trace_digest)
 from consim.errors import InvariantViolation, NonTermination, WouldDisconnect
 from consim.flooding import FloodingProtocol
 from consim.functions import MaxFunction, MeanFunction
@@ -19,31 +18,15 @@ from consim.ghs import (GhsMstProtocol, GhsParallelProtocol, GhsTokenProtocol,
                         root_tree)
 from consim.hybrid import FailureExperiment
 from consim.topology import edge_weight, fail_link, make_topology
+from rows import copies
 
 TIMING = TimingParams(d=0.01, l=0.001)
 
 
-def schema1(trace):
-    return "\n".join(json.dumps(e.to_record()) for e in trace.events) + "\n"
-
-
-def digest(traces):
-    h = hashlib.sha256()
-    for trace in traces:
-        h.update(schema1(trace).encode())
-        h.update(repr(sorted(trace.outputs.items())).encode())
-    return h.hexdigest()
-
-
-def full_digest(traces):
-    """digest() plus what the records leave out: every event's ref,
-    the per-send fan-out and the message and bit totals."""
-    h = hashlib.sha256(digest(traces).encode())
-    for trace in traces:
-        h.update(repr([e.ref for e in trace.events]).encode())
-        h.update(repr(sorted(trace.send_fanout.items())).encode())
-        h.update(f"{trace.messages_total} {trace.bits_total}".encode())
-    return h.hexdigest()
+def pin(traces):
+    """The SHA-256 of the traces' trace_digests, in order."""
+    return hashlib.sha256(" ".join(map(trace_digest, traces)).encode()
+                          ).hexdigest()
 
 
 def _single(make, kind, n, fn):
@@ -91,89 +74,89 @@ CASES = {
 
 PINS = {
     "flooding/lockstep":
-        "063076191b98f8194592fb3070f565d30b0975bffcbb564e6312a13340c87350",
+        "c87bd30daead705944e9daa7a8c8ea677eea702f3dc07e76fe6cfb286bd4a813",
     "flooding/random":
-        "5a09a7db46d15004e17005e9068861af8a09d4e9b61572eab03285df699ae782",
+        "3423532aea61e1cbfc680839ad60f098bc75b7fa7457f509ea92093034843954",
     "flooding/adversarial":
-        "063076191b98f8194592fb3070f565d30b0975bffcbb564e6312a13340c87350",
+        "c87bd30daead705944e9daa7a8c8ea677eea702f3dc07e76fe6cfb286bd4a813",
     "ghs-mst/lockstep":
-        "59f6124a9ca51483a3762e439c520ce6e7daef8a00431d57a540117e441769c4",
+        "d0e9e455b99e2e4e2268dc076ea7bf71f16df5a7b8c82ace1b63e5be3e1167f8",
     "ghs-mst/random":
-        "b0357f8065a1592ef5a819675c168a5f45e2a1fb64c3dee849b3734843ea84c0",
+        "b4a5e52a35f19b0660b9bf75405968b8cac59473a6739fbb690659e5f25d9302",
     "ghs-mst/adversarial":
-        "59f6124a9ca51483a3762e439c520ce6e7daef8a00431d57a540117e441769c4",
+        "d0e9e455b99e2e4e2268dc076ea7bf71f16df5a7b8c82ace1b63e5be3e1167f8",
     "ghs-parallel/lockstep":
-        "6875428b012efa0de12d04cad6c508890c843fc8db3bf2da68614e7fb2c604f8",
+        "d23fee6f2bb2ee98ef5985e9c830965324f326d63f4945d1f9b1b962595e56dd",
     "ghs-parallel/random":
-        "bc4aa970f203bcdfc34defdb0418a52eb723398cce1469fad599176b76f50f4f",
+        "fc2ce23234a0effe736f4b5f5e011b62bb2ae8093d2bbc59c1f32293079235d7",
     "ghs-parallel/adversarial":
-        "6875428b012efa0de12d04cad6c508890c843fc8db3bf2da68614e7fb2c604f8",
+        "d23fee6f2bb2ee98ef5985e9c830965324f326d63f4945d1f9b1b962595e56dd",
     "ghs-token/lockstep":
-        "632bbbf994d84150c65da2b5a982f75dc38d98063433919e5dcce2cdc19b497c",
+        "ae18bd4cdcb59ac217e0385fa9e8258d7ffd5279c86729b715612c018274df59",
     "ghs-token/random":
-        "54a19f87990d3197eeb8f31fcc7b5a15c26859ce7dd73723815f3e13c35fe89d",
+        "d2f2665147d675837f1dd9ff4dbe2fdbabe8f4963a0075ae492744973154e2c0",
     "ghs-token/adversarial":
-        "632bbbf994d84150c65da2b5a982f75dc38d98063433919e5dcce2cdc19b497c",
+        "ae18bd4cdcb59ac217e0385fa9e8258d7ffd5279c86729b715612c018274df59",
     "hybrid-m3-failure/lockstep":
-        "74ddd6087448dac28e59ebbb190a29b4a69d50ec4f9cf6b7e3aef842011565a4",
+        "893f6cfa643b2a82c5fbe73f10685de1fa05e861cc57591d8f897dd79e000b1f",
     # the rerun starts at 0.56 s, the first boundary a full window after
     # the repair's last record (0.5436 s)
     "hybrid-m3-failure/random":
-        "93a6e4c830768759e47faec1e3d45197cec1461c96b2b060f87a2722ba1025f6",
+        "84f96c2939526f784c0aa239b17a687b6c93dba53c692f145a1ea6ecea268857",
     "hybrid-m3-failure/adversarial":
-        "74ddd6087448dac28e59ebbb190a29b4a69d50ec4f9cf6b7e3aef842011565a4",
+        "893f6cfa643b2a82c5fbe73f10685de1fa05e861cc57591d8f897dd79e000b1f",
     "parallel-convergecast/lockstep":
-        "21387d58fe5543d8ffac2c37192fdea553654a710e168b51a289decfdf663b34",
+        "0064f26942fc206bc263f0aee2341862e428bce632cf239ea73ab1c77f7bb096",
     "parallel-convergecast/random":
-        "688543ef285ec4983842d246a23386858317729ec8e19fa2323a3c1bf3cab495",
+        "630b123fdddb82e4ff6eaa52a439e2741d57f8cc30aa642e0d57ca62584656e4",
     "parallel-convergecast/adversarial":
-        "21387d58fe5543d8ffac2c37192fdea553654a710e168b51a289decfdf663b34",
+        "0064f26942fc206bc263f0aee2341862e428bce632cf239ea73ab1c77f7bb096",
     "token-convergecast/lockstep":
-        "f2a27bb6c968b1c608fa55cb639e87a3e3e4930b607b076b0a2718131af8f3b1",
+        "f639a91ac1cdbb47efdea30467e07beaad355405b9299d82474fa4a1bd3fad09",
     "token-convergecast/random":
-        "58e55ed47686de23da22693b56014a122995c73a092df07c9436f86eb96c28b7",
+        "acfd7fe5132bfa3697228368b2fcb3ea6e48750bae68969b018cfe0c9120e30c",
     "token-convergecast/adversarial":
-        "f2a27bb6c968b1c608fa55cb639e87a3e3e4930b607b076b0a2718131af8f3b1",
+        "f639a91ac1cdbb47efdea30467e07beaad355405b9299d82474fa4a1bd3fad09",
 }
 
 
 AVERAGE_PINS = {
     "recorded":
-        "cda5c5fe37b65c95e46df7b2724b1558a65c326585831f42cc0ab212b4a0d937",
+        "6aac96dbc17ec83fdf0ce18d6a3f2ab38185c7fc75113be6886150f212bd25f2",
     "lean":
-        "2800bbdad953b7117573ac352d812dff6fc5c0803e16121911198bc72a85aa10",
-    # full_digest over n = 2, 5, 16 of one topology kind
+        "8534d3b997d24143c194af3c99833bafc111b4f9d2cfb7bd29819f03dba97b6e",
+    # pin over n = 2, 5, 16 of one topology kind
     "path/recorded":
-        "845ac6ebdb268185fff9f78b96e09e628ab10163125c31a48e1c7bfd3002d523",
+        "67f0fbe864c6b486b9bc344b570369e21cd9ba43705cded5bfd9ebd8c53ad79e",
     "path/lean":
-        "dc51ebfb7a38311eaea2a42194ff12c2f9ee215cdb5c3bad7cabf97aa98fda86",
+        "265a70ae22763de488175e719689b3cc098c5747864bc9480f96d232783ee01e",
     "cycle/recorded":
-        "f40d84fcbf4a3ef4bb8de61a77e49bbe2d6a7713cdfad04322609c09c812bc66",
+        "eb5484975d6d63e1bb9aaf758a99c00037e877c263c313c4a35acac9ece38a2a",
     "cycle/lean":
-        "f8fb08ef532f83c7bbb6d884a0e835f569ad7c837464cd8067b75119e8cd5a0f",
+        "a89239722d939ab01b2f77ec97a7c1db5246aae78f03fc6e2e900854f940e19b",
     "complete/recorded":
-        "13c15e885678ab57d0b86a3b21eb0b07823e926d941cd8d34768e64bb958ccbf",
+        "c1073304f5da58b23ab6451dc287fb79b20c81bcc7c0255cc5b6331ba8ba7a61",
     "complete/lean":
-        "415804e79d7cadfa908be9d861a14715a76d39da82fd684dca8a9f001789aa23",
+        "b8918d44b242b05acb4c3543725f71f3915a7353f8fb6084b4132f78c36d3391",
     "star/recorded":
-        "a1700cca5ef6b9680dcaeb9ed6fb38d17bfd82b6a6787be037a05cbdf747e231",
+        "e47c8d48d0b7ac83390a1f71733c4aeacd49c8df63c80e52ff3df79d72853661",
     "star/lean":
-        "f67be76def2b6f1d30a0cdbecb0f2976dce92935143ea709ca21f24ca37280d4",
+        "92e94efe11012b7b78016f95c9ffd3cc7825adfc1262cb0e0097787d73543d03",
     "random_connected/recorded":
-        "f67a66d8e7c77451b7e559ea84e7749090cd3315c1fb31617874d4a3f6aa672a",
+        "2a2aad954a7169a32d8178534fb56f48ac3a7f7b54c3823edf289829b4a1424e",
     "random_connected/lean":
-        "e0075c4661b432ffeaebf0c7a4db34065afefadef14d53c07c65a888bc685d70",
+        "64bb8c1e24b9b8377219ce9542e210651ce93fd45ab999ff03743b617aa4a82c",
 }
 
 # link-down runs end in the incomplete-neighborhood error: its text, the
-# round it is raised at and full_digest of the records up to it
+# round it is raised at and trace_digest of the records up to it
 AVERAGE_LINK_DOWN_PINS = {
     "2.3": ("lockstep round delivered an incomplete neighborhood", 4,
-            "e2e7cd546664f862b6b733495253456e9b1aebc6fe0cef23e4b4213e32cf399d"),
+            "7bfbd8d57b2c45058d48cce7a5e5cf80c2aaf9d4efc30f2557da7deaed6d2bf4"),
     "2.7": ("lockstep round delivered an incomplete neighborhood", 4,
-            "e2e7cd546664f862b6b733495253456e9b1aebc6fe0cef23e4b4213e32cf399d"),
+            "7bfbd8d57b2c45058d48cce7a5e5cf80c2aaf9d4efc30f2557da7deaed6d2bf4"),
     "3": ("lockstep round delivered an incomplete neighborhood", 4,
-           "6d5cfa6b24074eb5efd53ee00196630f9bd6bd26bceada16a9d672a5b5dfe8eb"),
+           "0c7ce4d8420b6c0a2f4e8f357448be5657428ed2e3acd065f788a04b459902bc"),
 }
 
 AVERAGE_KINDS = ("path", "cycle", "complete", "star", "random_connected")
@@ -182,7 +165,7 @@ AVERAGE_KINDS = ("path", "cycle", "complete", "star", "random_connected")
 @pytest.mark.parametrize("scheduler", ["lockstep", "random", "adversarial"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_digest_is_pinned(case, scheduler):
-    assert digest(CASES[case](scheduler)) == PINS[f"{case}/{scheduler}"]
+    assert pin(CASES[case](scheduler)) == PINS[f"{case}/{scheduler}"]
 
 
 def _average(kind, n, mode):
@@ -196,14 +179,14 @@ def _average(kind, n, mode):
 def test_average_digest_is_pinned(mode):
     # averaging runs under lockstep only; a lean run logs outputs alone
     trace = _average("random_connected", 14, mode)
-    assert digest([trace]) == AVERAGE_PINS[mode]
+    assert trace_digest(trace) == AVERAGE_PINS[mode]
 
 
 @pytest.mark.parametrize("mode", ["lean", "recorded"])
 @pytest.mark.parametrize("kind", AVERAGE_KINDS)
 def test_average_topology_digest_is_pinned(kind, mode):
     traces = [_average(kind, n, mode) for n in (2, 5, 16)]
-    assert full_digest(traces) == AVERAGE_PINS[f"{kind}/{mode}"]
+    assert pin(traces) == AVERAGE_PINS[f"{kind}/{mode}"]
 
 
 @pytest.mark.parametrize("at", sorted(AVERAGE_LINK_DOWN_PINS))
@@ -219,7 +202,7 @@ def test_average_link_down_is_pinned(at):
     with pytest.raises(InvariantViolation) as err:
         sim.run()
     got = (str(err.value), round(sim.now / TIMING.d),
-           full_digest([sim._trace()]))
+           trace_digest(sim._trace()))
     assert got == AVERAGE_LINK_DOWN_PINS[at]
 
 
@@ -288,11 +271,11 @@ ECHO_CAP_PINS = {23: "t=0.01", 24: "t=0.01", 25: "t=0.01", 27: "t=0.01",
 
 ECHO_PINS = {
     "lockstep":
-        "f4158ee8913a6c108437fa3b2fd7f5366ef93eba37e7cc1f4b9b323a7ac40551",
+        "c6bb907384480879753d8e7165b13cd8bb49a7b3a4088c12bf659fd5bb77c496",
     "random":
-        "45954d712cbb2a7790fa2d960cd5f5436a6136770e024f8ebb64bcc38f437b17",
+        "ab9ebb2b946335716f9a865ea7cbf8862922b1f518d796fe7407cb08b20b88cd",
     "adversarial":
-        "f4158ee8913a6c108437fa3b2fd7f5366ef93eba37e7cc1f4b9b323a7ac40551",
+        "c6bb907384480879753d8e7165b13cd8bb49a7b3a4088c12bf659fd5bb77c496",
 }
 
 
@@ -346,12 +329,12 @@ def test_random_event_cap_counts_every_copy_and_reaction(cap):
 def test_reactions_that_transmit_are_pinned(scheduler):
     # every reaction to an ask starts an answer, whose send record sits
     # between the transitions of one fan-out's receivers
-    assert full_digest([_echo(scheduler)]) == ECHO_PINS[scheduler]
+    assert trace_digest(_echo(scheduler)) == ECHO_PINS[scheduler]
 
 
 LINK_DOWN_FAN_OUT_PINS = {
-    "0.6": "613e0322ef1af981d5681ead3acbf1021dfa6efb01463f4beba7d30fb3012a91",
-    "1.6": "2accf71b89f8c367817f5cda849833602c582ba74edfa4af931b5ba73bf94275",
+    "0.6": "d24cdfc8338c210f372f51b94a95e300530817a4b8f6058a7a06a54e3c84c7d3",
+    "1.6": "dd51aa1261e40852802886e0cf5c68df51fe8a4325f2661af9639b2ff68d8d78",
 }
 
 
@@ -376,7 +359,8 @@ def test_link_down_in_flight_still_reaches_send_time_receivers(at, scheduler):
     down = float(at) * TIMING.d
     sim.schedule_link_down(u, v, at=down)
     trace = sim.run()
-    across = [e for e in trace.events if e.kind == "deliver" and e.t > down
-              and {e.node, e.msg.src} == {u, v}]
-    assert across and all(e.t < down + TIMING.d for e in across)
-    assert full_digest([trace]) == LINK_DOWN_FAN_OUT_PINS[at]
+    sends = trace.events.sends
+    across = [t for t, node, ref in copies(trace.events)
+              if t > down and {node, sends[ref][0].src} == {u, v}]
+    assert across and all(t < down + TIMING.d for t in across)
+    assert trace_digest(trace) == LINK_DOWN_FAN_OUT_PINS[at]

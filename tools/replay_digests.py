@@ -6,11 +6,11 @@ executions it covers replay byte for byte:
     PYTHONPATH=src python3 tools/replay_digests.py > after.txt
 
 Each line is `case sha256`, the digest covering every trace of the case:
-its schema-1 rendering (one `json.dumps(e.to_record())` line per event of
-`trace.events`, every copy included), its event count and last event, every event's ref, the
-per-send fan-out, the message and bit totals, the outputs, the per-phase
-peaks and, for a trace in which every node outputs, its CSV row.  A case
-that raises prints the error instead.
+its `consim.engine.trace_digest`, which is what "the same execution"
+means (the rows, each ref as its send's ordinal, the send table with its
+fan-out, the totals and the outputs), plus the per-phase peaks and, for a
+trace in which every node outputs, its CSV row.  A case that raises prints
+the error instead.
 
 Cases: every registry algorithm, and MST construction alone (`ghs-mst`,
 whose digest also covers the rooted tree it leaves), on every topology kind
@@ -24,11 +24,10 @@ intra- and cross-cluster edges).
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 
 from consim.algorithms import ALGORITHMS
-from consim.engine import SCHEDULERS, Simulation, TimingParams
+from consim.engine import SCHEDULERS, Simulation, TimingParams, trace_digest
 from consim.errors import ConsimError, WouldDisconnect
 from consim.functions import MaxFunction, get_function
 from consim.ghs import GhsMstProtocol, tree_from_automata
@@ -49,26 +48,14 @@ FAILURE_GRAPHS = (("random_connected", 10, 0.3, 0, 2),
                   ("complete", 9, None, 3, 3))
 
 
-def schema1(trace) -> str:
-    """Every record of the trace, one JSON object per line."""
-    return "\n".join(json.dumps(e.to_record()) for e in trace.events) + "\n"
-
-
 def _digest(traces, m=None, extra=None) -> str:
     h = hashlib.sha256()
     if extra is not None:
         h.update(repr(extra).encode())
     for trace in traces:
-        events = trace.events
-        h.update(schema1(trace).encode())
-        h.update(f"{len(events)} {events[-1] if events else None!r}".encode())
-        h.update(repr([e.ref for e in events]).encode())
-        h.update(repr(sorted(trace.send_fanout.items())).encode())
-        h.update(f"{trace.messages_total} {trace.bits_total}".encode())
-        h.update(repr(sorted(trace.outputs.items())).encode())
+        h.update(trace_digest(trace).encode())
         h.update(repr(peak_bandwidth_by_phase(trace)).encode())
-        outputs = sum(e.kind == "output" for e in events)
-        if outputs == trace.graph.n:
+        if len(trace.events.values) == trace.graph.n:  # every node output
             h.update(report_from_trace(trace, m=m).csv_row().encode())
     return h.hexdigest()
 
