@@ -9,8 +9,7 @@ recomputes the consensus with only the affected clusters redoing their
 aggregation work.
 """
 
-from consim import SizeModel, TimingParams, fail_link, make_topology, oracle
-from consim.errors import WouldDisconnect
+from consim import SizeModel, TimingParams, make_topology, oracle
 from consim.functions import MaxFunction
 from consim.hybrid import FailureExperiment, check_cluster_discipline, \
     cluster_map
@@ -28,17 +27,7 @@ print(f"initial clusters: { {c: sorted(mem) for c, mem in cluster_map(exp.automa
 print(f"initial outputs all equal oracle {oracle(fn, values)}:"
       f" {set(exp.initial_trace.outputs.values())}")
 
-def breakable(graph, e):
-    try:
-        fail_link(graph, e)
-        return True
-    except WouldDisconnect:
-        return False
-
-
-tree = sorted((min(u, a.parent), max(u, a.parent))
-              for u, a in exp.automata.items() if a.parent is not None)
-edge = next(e for e in tree if breakable(g, e))
+edge = exp.breakable_tree_edges()[0]
 print(f"\nfailing tree edge {edge} ...")
 repair = exp.fail_link(edge)
 print(f"repair traffic: {message_complexity(repair)} messages")

@@ -43,7 +43,7 @@ class AverageAutomaton(Automaton):
         self.estimate = round(Fraction(ctx.value) * (1 << frac_bits))
         self.inbox: list[int] = []
         # per-node constants: an estimate's size, and the update's divisor
-        self.msg_bits = ctx.size_model.size(n_uids=1, n_values=1)
+        self.msg_bits = ctx.size_model.wire["avg.estimate"][0]
         self.weights = len(ctx.neighbors) + 1
 
     def on_message(self, msg, src):

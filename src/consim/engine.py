@@ -415,6 +415,7 @@ class NodeContext:
         self.n = sim.graph.n
         self.fn = sim.fn
         self.size_model = sim.size_model
+        self._wire = sim.size_model.wire
         self.neighbors = tuple(sorted(sim.adj[uid]))
         # the live neighbor set, which the engine updates; automata only
         # read it.  Not the Simulation: no reference cycle
@@ -424,12 +425,14 @@ class NodeContext:
     def live_neighbors(self) -> tuple:
         return tuple(sorted(self.live))
 
-    def message(self, mtype, dst=None, payload=None, uids=0, values=0,
-                extra=0) -> Message:
-        """A message from this node, sized by the execution's size model
-        from its counts of UID-sized fields, values and extra bits."""
-        return Message(mtype, self.uid,
-                       self.size_model.size(uids, values, extra), dst, payload)
+    def message(self, mtype, dst=None, payload=None, items=0) -> Message:
+        """A message from this node, sized by the wire table; `items` is the
+        length of the list a list-carrying type holds."""
+        try:
+            fixed, per_item = self._wire[mtype]
+        except KeyError:
+            raise InvariantViolation(f"no WIRE entry for {mtype!r}") from None
+        return Message(mtype, self.uid, fixed + items * per_item, dst, payload)
 
     def request_flush(self):
         """Ask the engine for a deferred self-transition after the pending

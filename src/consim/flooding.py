@@ -26,7 +26,7 @@ class FloodingAutomaton(Automaton):
             self._emit_output()
             return []
         pair = (self.ctx.uid, self.known[self.ctx.uid])
-        return [self._pair_msg("flood.init", (pair,))]
+        return [self.ctx.message("flood.init", payload=(pair,), items=1)]
 
     def on_message(self, msg, src):
         new = []
@@ -51,11 +51,7 @@ class FloodingAutomaton(Automaton):
             return []
         pairs = tuple(self.fresh)
         self.fresh = []
-        return [self._pair_msg("flood.relay", pairs)]
-
-    def _pair_msg(self, mtype, pairs):
-        return self.ctx.message(mtype, payload=tuple(pairs), uids=len(pairs),
-                                values=len(pairs))
+        return [self.ctx.message("flood.relay", None, pairs, len(pairs))]
 
     def _emit_output(self):
         fn = self.ctx.fn

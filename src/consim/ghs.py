@@ -111,9 +111,6 @@ class TokenPass:
         self.idx = 0
         self.final = None
 
-    def _msg(self, mtype, dst, value=None):
-        return self.ctx.message(mtype, dst=dst, payload=value, uids=2, values=1)
-
     def start_compute(self, own_value):
         self.acc = own_value
         self.idx = 0
@@ -146,16 +143,17 @@ class TokenPass:
         """Pass the token to the next child; once every child is done, hand
         it back to the parent (a reply, or an ack that ends this node's
         relay pass) or, at the root, end the pass."""
+        message = self.ctx.message
         if self.idx < len(self.children):
             child = self.children[self.idx]
             if relay:
-                return [self._msg(self.m_relay, child, self.final)], None
-            return [self._msg(self.m_compute, child)], None
+                return [message(self.m_relay, child, self.final)], None
+            return [message(self.m_compute, child)], None
         if not relay:
             if self.parent is None:
                 return [], ("computed", self.acc)
-            return [self._msg(self.m_reply, self.parent, self.acc)], None
-        up = [] if self.parent is None else [self._msg(self.m_ack, self.parent)]
+            return [message(self.m_reply, self.parent, self.acc)], None
+        up = [] if self.parent is None else [message(self.m_ack, self.parent)]
         return up, ("terminated", self.final)
 
 
@@ -194,8 +192,8 @@ class GhsAutomaton(Automaton):
     def _w(self, peer):
         return edge_weight(self.ctx.uid, peer)
 
-    def _m(self, tag, **fields):
-        return self.ctx.message(f"{self.MSG_PREFIX}.{tag}", **fields)
+    def _m(self, tag, dst=None, payload=None):
+        return self.ctx.message(f"{self.MSG_PREFIX}.{tag}", dst, payload)
 
     def _branch_peers(self):
         return [p for p, s in self.edge_state.items() if s == BRANCH]
@@ -221,7 +219,7 @@ class GhsAutomaton(Automaton):
         # the level-0 connect every node opens with rides in its own compact
         # tag (level implicit), so the synchronized wakeup burst costs one
         # recipient UID per node
-        out.append(self._m("connect0", dst=best, payload=(0,), uids=1))
+        out.append(self._m("connect0", best, (0,)))
 
     def _finish_as_root(self, out):
         """The MST is final and this node is its root."""
@@ -286,9 +284,8 @@ class GhsAutomaton(Automaton):
         if level < self.level:
             # absorb the lower-level fragment
             self.edge_state[src] = BRANCH
-            out.append(self._m("initiate", dst=src,
-                               payload=(self.level, self.fname, self.state),
-                               uids=3))
+            out.append(self._m("initiate", src,
+                               (self.level, self.fname, self.state)))
             if self.state == FIND:
                 self.find_count += 1
         elif self.edge_state[src] == BASIC:
@@ -296,8 +293,7 @@ class GhsAutomaton(Automaton):
         else:
             # connect crossed ours on the same edge: merge at level + 1
             name = min(self.ctx.uid, src)
-            out.append(self._m("initiate", dst=src,
-                               payload=(self.level + 1, name, FIND), uids=3))
+            out.append(self._m("initiate", src, (self.level + 1, name, FIND)))
 
     def _on_initiate(self, msg, src, out):
         level, fname, state = msg.payload
@@ -311,8 +307,7 @@ class GhsAutomaton(Automaton):
         for peer in self._branch_peers():
             if peer == src:
                 continue
-            out.append(self._m("initiate", dst=peer,
-                               payload=(level, fname, state), uids=3))
+            out.append(self._m("initiate", peer, (level, fname, state)))
             if state == FIND:
                 self.find_count += 1
         if state == FIND:
@@ -327,8 +322,8 @@ class GhsAutomaton(Automaton):
         if self.test_peer is None:
             self._report(out)
         else:
-            out.append(self._m("test", dst=self.test_peer,
-                               payload=(self.level, self.fname), uids=3))
+            out.append(self._m("test", self.test_peer,
+                               (self.level, self.fname)))
 
     def _reopen(self, peer):
         """Set the edge to `peer` back to BASIC, for `_test` to try again."""
@@ -340,12 +335,12 @@ class GhsAutomaton(Automaton):
         if level > self.level:
             self._defer(msg, src)
         elif fname != self.fname:
-            out.append(self._m("accept", dst=src, uids=1))
+            out.append(self._m("accept", src))
         else:
             if self.edge_state[src] == BASIC:
                 self.edge_state[src] = REJECTED
             if self.test_peer != src:
-                out.append(self._m("reject", dst=src, uids=1))
+                out.append(self._m("reject", src))
             else:
                 self._test(out)
 
@@ -361,17 +356,14 @@ class GhsAutomaton(Automaton):
             self.edge_state[src] = REJECTED
         self._test(out)
 
-    REPORT_UIDS = 3  # recipient plus one edge weight
-
     def _report_payload(self):
         return (self.best_wt, 0)
 
     def _report(self, out):
         if self.find_count == 0 and self.test_peer is None:
             self.state = FOUND
-            out.append(self._m("report", dst=self.in_branch,
-                               payload=self._report_payload(),
-                               uids=self.REPORT_UIDS))
+            out.append(self._m("report", self.in_branch,
+                               self._report_payload()))
 
     def _on_report(self, msg, src, out):
         w, count = msg.payload
@@ -396,11 +388,10 @@ class GhsAutomaton(Automaton):
 
     def _change_root(self, out):
         if self.edge_state[self.best_peer] == BRANCH:
-            out.append(self._m("changeroot", dst=self.best_peer, uids=1))
+            out.append(self._m("changeroot", self.best_peer))
         else:
             self.edge_state[self.best_peer] = BRANCH
-            out.append(self._m("connect", dst=self.best_peer,
-                               payload=(self.level,), uids=2))
+            out.append(self._m("connect", self.best_peer, (self.level,)))
 
     def _halt(self, core_peer, out):
         self.halted = True
@@ -419,7 +410,7 @@ class GhsAutomaton(Automaton):
             self.output = self.root_uid
         if self.mode != "token" and self.children():
             # announce the root; doubles as the parallel aggregation kickoff
-            out.append(self._m("rooted", payload=(self.root_uid,), uids=1))
+            out.append(self._m("rooted", payload=(self.root_uid,)))
         if self.mode is not None:
             self._start_aggregation(out)
 
@@ -501,19 +492,6 @@ class TokenConvergecastAutomaton(Automaton):
         return msgs
 
 
-class TokenConvergecastProtocol(Protocol):
-    """Token traversal over an already-rooted tree."""
-
-    name = "token-convergecast"
-    hierarchical_only = True
-
-    def __init__(self, tree: dict[int, TreeInfo]):
-        self.tree = tree
-
-    def automaton(self, ctx):
-        return TokenConvergecastAutomaton(ctx, self.tree[ctx.uid])
-
-
 class ParallelConvergecastAutomaton(Automaton):
     def __init__(self, ctx, info: TreeInfo):
         super().__init__(ctx)
@@ -521,15 +499,12 @@ class ParallelConvergecastAutomaton(Automaton):
         self.pending = set(info.children)
         self.acc = ctx.fn.initial(ctx.value)
 
-    def _value_msg(self, tag, payload, dst=None):
-        return self.ctx.message(tag, dst=dst, payload=payload, uids=1, values=1)
-
     def on_start(self):
         if self.info.is_root and self.info.is_leaf:
             self.output = self.ctx.fn.decode(self.ctx.fn.finalize(self.acc))
             return []
         if self.info.is_leaf:
-            return [self._value_msg("agg.report", self.acc, dst=self.info.parent)]
+            return [self.ctx.message("agg.report", self.info.parent, self.acc)]
         return []
 
     def on_message(self, msg, src):
@@ -542,28 +517,35 @@ class ParallelConvergecastAutomaton(Automaton):
             if self.info.is_root:
                 final = fn.finalize(self.acc)
                 self.output = fn.decode(final)
-                return [self._value_msg("agg.result", final)]
-            return [self._value_msg("agg.report", self.acc, dst=self.info.parent)]
+                return [self.ctx.message("agg.result", payload=final)]
+            return [self.ctx.message("agg.report", self.info.parent, self.acc)]
         if msg.mtype == "agg.result":
             if src != self.info.parent or self.output is not None:
                 return []
             self.output = fn.decode(msg.payload)
             if not self.info.is_leaf:
-                return [self._value_msg("agg.result", msg.payload)]
+                return [self.ctx.message("agg.result", payload=msg.payload)]
         return []
 
 
-class ParallelConvergecastProtocol(Protocol):
-    """Parallel (leaves-first) convergecast over an already-rooted tree."""
+class TokenConvergecastProtocol(Protocol):
+    """Token traversal over an already-rooted tree."""
 
-    name = "parallel-convergecast"
+    name = "token-convergecast"
     hierarchical_only = True
+    aggregation = TokenConvergecastAutomaton
 
     def __init__(self, tree: dict[int, TreeInfo]):
         self.tree = tree
 
     def automaton(self, ctx):
-        return ParallelConvergecastAutomaton(ctx, self.tree[ctx.uid])
+        return self.aggregation(ctx, self.tree[ctx.uid])
+
+
+class ParallelConvergecastProtocol(TokenConvergecastProtocol):
+    """Parallel (leaves-first) convergecast over an already-rooted tree."""
+
+    name, aggregation = "parallel-convergecast", ParallelConvergecastAutomaton
 
 
 # -- extraction helpers ------------------------------------------------------

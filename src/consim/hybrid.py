@@ -47,11 +47,11 @@ import math
 from functools import reduce
 
 from .engine import REL_TOL, Protocol, Simulation
-from .errors import ConfigError, InvariantViolation, StaleRoutingEntry
+from .errors import (ConfigError, InvariantViolation, StaleRoutingEntry,
+                     WouldDisconnect)
 from .ghs import BRANCH, INF_W, GhsAutomaton, TokenPass
-from .topology import fail_link
+from .topology import edge_weight, fail_link
 
-EPOCH_BITS = 8  # phase-3/4 and recovery messages carry an epoch byte
 # in-cluster token pass: compute/reply fold the cluster value in phase 3,
 # relay/ack disseminate the global value in phase 4
 TOKEN_TYPES = ("p3.compute", "p3.reply", "p4.relay", "p4.ack")
@@ -59,7 +59,6 @@ TOKEN_TYPES = ("p3.compute", "p3.reply", "p4.relay", "p4.ack")
 
 class HybridAutomaton(GhsAutomaton):
     MSG_PREFIX = "p1"
-    REPORT_UIDS = 4  # recipient + edge weight + subtree count
 
     def __init__(self, ctx, m):
         super().__init__(ctx, mode=None)
@@ -147,7 +146,7 @@ class HybridAutomaton(GhsAutomaton):
         self.cluster_id = root_uid
         self.parent = parent
         if self.ctx.neighbors:
-            out.append(self._m("done", payload=(self.cluster_id,), uids=1))
+            out.append(self._m("done", payload=(self.cluster_id,)))
         self._drain(out)  # deferred connects/tests resolve under done rules
         self._maybe_count(out)
 
@@ -166,12 +165,11 @@ class HybridAutomaton(GhsAutomaton):
             # a fragment that kept merging ran into our finished cluster:
             # absorb it (the split phase trims any overshoot)
             self.edge_state[src] = BRANCH
-            out.append(self._m("absorb", dst=src,
-                               payload=(self.cluster_id,), uids=2))
+            out.append(self._m("absorb", src, (self.cluster_id,)))
             return True
         if tag == "test":
             # finished clusters answer any probe: the tester is never ours
-            out.append(self._m("accept", dst=src, uids=1))
+            out.append(self._m("accept", src))
             return True
         return False
 
@@ -217,15 +215,14 @@ class HybridAutomaton(GhsAutomaton):
         count = 1 + sum(self.child_counts.values())
         if self.is_root:
             self._begin_announce(self._take_back(count), out)
-        elif not self._cut_loose(count, "p2.cut", (count,), 2, 0, out):
+        elif not self._cut_loose(count, "p2.cut", (count,), out):
             cut_uid, cut_size = self.latest_cut or (None, 0)
-            out.append(self.ctx.message("p2.count", dst=self.parent,
-                                        payload=(count, cut_uid, cut_size),
-                                        uids=4))
+            out.append(self.ctx.message("p2.count", self.parent,
+                                        (count, cut_uid, cut_size)))
 
     # the splitting rule, shared by phase 2 and recovery
 
-    def _cut_loose(self, count, mtype, payload, uids, extra, out) -> bool:
+    def _cut_loose(self, count, mtype, payload, out) -> bool:
         """A branch of more than `cap` nodes starts a cluster of its own
         and tells its old parent (`mtype`); returns whether it did."""
         if count <= self.cap:
@@ -236,8 +233,7 @@ class HybridAutomaton(GhsAutomaton):
         self.cluster_id = self.ctx.uid
         self.cluster_size = count
         self.cluster_value = None
-        out.append(self.ctx.message(mtype, dst=self.old_parent,
-                                    payload=payload, uids=uids, extra=extra))
+        out.append(self.ctx.message(mtype, self.old_parent, payload))
         return True
 
     def _on_cut(self, child, size):
@@ -284,9 +280,8 @@ class HybridAutomaton(GhsAutomaton):
         self.disc_sent = False
         self.routing = {}
         if self.ctx.live_neighbors():
-            out.append(self.ctx.message(
-                "p3.announce", payload=(self.cluster_id, undo_uid, self.epoch),
-                uids=2, extra=EPOCH_BITS))
+            out.append(self.ctx.message("p3.announce", payload=(
+                self.cluster_id, undo_uid, self.epoch)))
         self._maybe_report_discovery(out)
 
     def _on_announce(self, msg, src, out):
@@ -354,9 +349,8 @@ class HybridAutomaton(GhsAutomaton):
             self._start_cluster_value(out)
         else:
             ids = tuple(sorted(self.routing))
-            out.append(self.ctx.message("p3.clusters", dst=self.parent,
-                                        payload=(ids, self.epoch),
-                                        uids=1 + len(ids), extra=EPOCH_BITS))
+            out.append(self.ctx.message("p3.clusters", self.parent,
+                                        (ids, self.epoch), len(ids)))
 
     def _on_clusters(self, msg, src, out):
         ids, epoch = msg.payload
@@ -423,15 +417,15 @@ class HybridAutomaton(GhsAutomaton):
         if all(hop == c for c, hop in self.routing.items()):
             # every neighbor cluster's root is a neighbor: one broadcast
             batch = self._pair_batch(cids)
-            out.append(self.ctx.message(
-                "p4.share", payload=(self.cluster_id, batch, self.epoch),
-                uids=1 + 2 * len(batch), values=len(batch), extra=EPOCH_BITS))
+            out.append(self.ctx.message("p4.share", None, (
+                self.cluster_id, batch, self.epoch), len(batch)))
             return
         for dest in sorted(self.routing):
             send = [c for c in cids if c != dest and self.pair_from[c] != dest]
             if send:
-                out.append(self._values_msg(self._hop(dest), (
-                    dest, self.cluster_id, self._pair_batch(send), self.epoch)))
+                batch = self._pair_batch(send)
+                out.append(self.ctx.message("p4.values", self._hop(dest), (
+                    dest, self.cluster_id, batch, self.epoch), len(batch)))
 
     def _hop(self, dest):
         hop = self.routing.get(dest)
@@ -439,14 +433,6 @@ class HybridAutomaton(GhsAutomaton):
             raise StaleRoutingEntry(
                 f"node {self.ctx.uid} has no route toward cluster {dest}")
         return hop
-
-    def _values_msg(self, dst, payload):
-        """A routed batch of (cluster, size, value) triples, payload
-        (dest cluster, source cluster, batch, epoch)."""
-        batch = payload[2]
-        return self.ctx.message("p4.values", dst=dst, payload=payload,
-                                uids=3 + 2 * len(batch), values=len(batch),
-                                extra=EPOCH_BITS)
 
     def _ingest_pairs(self, src_cluster, batch, out):
         new = []
@@ -502,15 +488,15 @@ class HybridAutomaton(GhsAutomaton):
             raise InvariantViolation(f"unknown message {mtype}")
 
     def _on_routed_values(self, msg, out):
+        """Ingest a routed batch at its cluster's root, else pass it on."""
         dest, src_cluster, batch, epoch = msg.payload
         if epoch != self.epoch:
             return
         if dest == self.cluster_id and self.is_root:
             self._ingest_pairs(src_cluster, batch, out)
-        elif dest == self.cluster_id:
-            out.append(self._values_msg(self.parent, msg.payload))
-        else:
-            out.append(self._values_msg(self._hop(dest), msg.payload))
+            return
+        hop = self.parent if dest == self.cluster_id else self._hop(dest)
+        out.append(self.ctx.message("p4.values", hop, msg.payload, len(batch)))
 
     # ------------------------------------------------------------------
     # recovery from a single link failure
@@ -538,7 +524,7 @@ class HybridAutomaton(GhsAutomaton):
         elif peer in self._members():
             # parent side: drop the branch and have the root recount
             self._reopen(peer)
-            self._recount("pf.branch_lost", (self.epoch,), 1, out)
+            self._recount("pf.branch_lost", (self.epoch,), out)
         else:
             # a non-tree edge or a cut boundary, on either side: no members
             # lost, and a cut across it stands
@@ -562,9 +548,7 @@ class HybridAutomaton(GhsAutomaton):
                     self.routing.pop(cid, None)
                     if self.parent is not None:
                         out.append(self.ctx.message(
-                            "pf.route_dead", dst=self.parent,
-                            payload=(cid, self.epoch), uids=2,
-                            extra=EPOCH_BITS))
+                            "pf.route_dead", self.parent, (cid, self.epoch)))
 
     def _pf_start_count(self, out, token=None):
         if token is None:
@@ -580,8 +564,7 @@ class HybridAutomaton(GhsAutomaton):
         self.latest_cut = None  # only cuts from this pass are undoable
         if self.pf_pending:
             out.append(self.ctx.message("pf.count_req",
-                                        payload=(token, self.epoch),
-                                        uids=3, extra=EPOCH_BITS))
+                                        payload=(token, self.epoch)))
         self._pf_maybe_report(out)
 
     def _pf_own_candidate(self):
@@ -604,12 +587,9 @@ class HybridAutomaton(GhsAutomaton):
         if not self.pf_initiator:
             # the splitting rule, re-applied during recovery
             if not self._cut_loose(count, "pf.cut",
-                                   (count, self.pf_token, self.epoch), 4,
-                                   EPOCH_BITS, out):
-                out.append(self.ctx.message(
-                    "pf.count", dst=self.parent,
-                    payload=(count, cand, self.pf_token, self.epoch),
-                    uids=6, extra=EPOCH_BITS))
+                                   (count, self.pf_token, self.epoch), out):
+                out.append(self.ctx.message("pf.count", self.parent, (
+                    count, cand, self.pf_token, self.epoch)))
             return
         # initiating root: decide what this part becomes; only a cut from
         # this very pass can be taken back
@@ -627,14 +607,11 @@ class HybridAutomaton(GhsAutomaton):
     def _pf_forward_join(self, cand, size, out):
         _w, x, y = cand
         if x == self.ctx.uid:
-            out.append(self.ctx.message("pf.join_req", dst=y,
-                                        payload=(size, self.epoch), uids=2,
-                                        extra=EPOCH_BITS))
+            out.append(self.ctx.message("pf.join_req", y, (size, self.epoch)))
         else:
             # the winning candidate propagated up through pf_cand_child
-            out.append(self.ctx.message("pf.join", dst=self.pf_cand_child,
-                                        payload=(cand, size, self.epoch),
-                                        uids=4, extra=EPOCH_BITS))
+            out.append(self.ctx.message("pf.join", self.pf_cand_child,
+                                        (cand, size, self.epoch)))
 
     def _on_pf(self, tag, msg, src, out):
         if tag == "count_req":
@@ -662,7 +639,7 @@ class HybridAutomaton(GhsAutomaton):
             self.pf_pending.discard(src)
             self._pf_maybe_report(out)
         elif tag == "branch_lost":
-            self._recount("pf.branch_lost", msg.payload, 1, out)
+            self._recount("pf.branch_lost", msg.payload, out)
         elif tag == "join":
             cand, size, _epoch = msg.payload
             self.pf_joining = True
@@ -670,12 +647,11 @@ class HybridAutomaton(GhsAutomaton):
         elif tag == "join_req":
             size, epoch = msg.payload
             self._attach(src)
-            out.append(self.ctx.message("pf.join_ack", dst=src,
-                                        payload=(self.cluster_id, epoch),
-                                        uids=2, extra=EPOCH_BITS))
+            out.append(self.ctx.message("pf.join_ack", src,
+                                        (self.cluster_id, epoch)))
             # absorbed nodes may push branches past the cap: the root
             # recounts and re-applies the splitting rule
-            self._recount("pf.size_up", (size, epoch), 2, out)
+            self._recount("pf.size_up", (size, epoch), out)
         elif tag == "join_ack":
             self._reroot(src, *msg.payload, out)
         elif tag == "adopt":
@@ -691,7 +667,7 @@ class HybridAutomaton(GhsAutomaton):
                     and self.cluster_id != cid:
                 self._rename(cid, epoch, "pf.newid", out)
         elif tag == "size_up":
-            self._recount("pf.size_up", msg.payload, 2, out)
+            self._recount("pf.size_up", msg.payload, out)
         elif tag == "route_dead":
             cid, _epoch = msg.payload
             self.disc_candidates.get(cid, set()).discard(src)
@@ -699,7 +675,7 @@ class HybridAutomaton(GhsAutomaton):
         else:
             raise InvariantViolation(f"unknown pf tag {tag}")
 
-    def _recount(self, mtype, payload, uids, out):
+    def _recount(self, mtype, payload, out):
         """Membership changed below this node: the root recounts its part,
         any other node passes the news toward the root."""
         self.cluster_value = None
@@ -707,9 +683,7 @@ class HybridAutomaton(GhsAutomaton):
             self.pf_initiator = True
             self._pf_start_count(out)
         else:
-            out.append(self.ctx.message(mtype, dst=self.parent,
-                                        payload=payload, uids=uids,
-                                        extra=EPOCH_BITS))
+            out.append(self.ctx.message(mtype, self.parent, payload))
 
     def _attach(self, peer):
         """Make the edge to `peer` a tree edge of this node's cluster."""
@@ -731,8 +705,7 @@ class HybridAutomaton(GhsAutomaton):
         below."""
         self.cluster_id = cid
         if self._members():
-            out.append(self.ctx.message(mtype, payload=(cid, epoch), uids=1,
-                                        extra=EPOCH_BITS))
+            out.append(self.ctx.message(mtype, payload=(cid, epoch)))
 
     # re-consensus epoch, started by the experiment driver ---------------
 
@@ -854,6 +827,19 @@ class FailureExperiment:
     @property
     def automata(self):
         return self.sim.automata
+
+    def breakable_tree_edges(self) -> list:
+        """Sorted forest edges whose removal keeps the graph connected."""
+        breakable = []
+        for edge in sorted({edge_weight(u, a.parent)
+                            for u, a in self.automata.items()
+                            if a.parent is not None}):
+            try:
+                fail_link(self.graph, edge)
+            except WouldDisconnect:
+                continue
+            breakable.append(edge)
+        return breakable
 
     def fail_link(self, edge, at=None):
         u, v = edge

@@ -37,7 +37,6 @@ from .algorithms import ALGORITHMS
 from .averaging import AverageProtocol
 from .engine import (ExecutionTrace, Simulation, TimingParams, TraceRows, run,
                      trace_digest)
-from .errors import WouldDisconnect
 from .flooding import FloodingProtocol
 from .functions import (MaxFunction, MeanFunction, MinFunction, VoteFunction,
                         get_function, oracle)
@@ -48,7 +47,7 @@ from .hybrid import FailureExperiment, HybridProtocol, check_cluster_discipline
 from .messages import Message, SizeModel
 from .metrics import (byte_complexity, message_complexity, peak_bandwidth,
                       peak_bandwidth_by_phase, time_complexity)
-from .topology import fail_link, kruskal_mst, make_topology
+from .topology import kruskal_mst, make_topology
 
 D = 0.01
 TIMING = TimingParams(d=D, l=D / 10)
@@ -403,19 +402,10 @@ def check_recovery(instances: int = 20) -> CheckResult:
                           seed=trial)
         values = [rng.randrange(1000) for _ in range(n)]
         exp = FailureExperiment(g, values, fn, m, timing=TIMING, seed=trial)
-        tree = {(min(u, a.parent), max(u, a.parent))
-                for u, a in exp.automata.items() if a.parent is not None}
-        breakable = []
-        for e in sorted(tree):
-            try:
-                fail_link(g, e)
-                breakable.append(e)
-            except WouldDisconnect:
-                pass
+        breakable = exp.breakable_tree_edges()
         if not breakable:
             continue
-        edge = breakable[rng.randrange(len(breakable))]
-        exp.fail_link(edge)
+        exp.fail_link(breakable[rng.randrange(len(breakable))])
         rerun = exp.reconsensus()
         want = oracle(fn, values)
         if set(rerun.outputs.values()) != {want}:

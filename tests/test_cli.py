@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from consim.cli import main
+from consim.cli import _single_report, build_parser, main
+from consim.functions import get_function, oracle
 from consim.metrics import CSV_HEADER
 
 
@@ -26,6 +28,35 @@ def test_run_emits_report_row(capsys):
     assert cells[0] == "flooding"
     assert cells[1] == "complete"
     assert cells[2] == "4"
+
+
+def test_run_out_writes_the_bytes_stdout_would_get(tmp_path, capsys):
+    argv = ("run", "--algo", "ghs-token", "--topo", "star", "--n", "6",
+            "--seed", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "row.csv"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+def test_init_values_reach_the_execution():
+    args = build_parser(0).parse_args([
+        "run", "--algo", "flooding", "--topo", "path", "--n", "3",
+        "--fn", "max", "--bits", "16", "--init-values", "5,900,2"])
+    _rows, trace = _single_report(args)
+    assert set(trace.outputs.values()) == {900}
+
+
+def test_seeded_vote_values_are_ballots():
+    args = build_parser(0).parse_args([
+        "run", "--algo", "ghs-parallel", "--topo", "complete", "--n", "7",
+        "--fn", "vote:3", "--seed", "4"])
+    _rows, trace = _single_report(args)
+    rng = random.Random(4 ^ 0xA5A5)  # the CLI's seeded draw
+    ballots = [rng.randrange(3) for _ in range(7)]
+    want = oracle(get_function("vote:3", 768), ballots)
+    assert set(trace.outputs.values()) == {want}
 
 
 def test_run_writes_trace_jsonl(tmp_path, capsys):
@@ -259,6 +290,15 @@ def test_config_file_given_with_equals_sign(tmp_path, capsys):
     assert code == 0
     cells = out.strip().splitlines()[1].split(",")
     assert cells[:3] == ["ghs-token", "star", "5"]
+
+
+def test_config_file_given_as_key_space_value(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("algo ghs-token\ntopo star\nn 5\nseed 8\n")
+    code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    cells = out.strip().splitlines()[1].split(",")
+    assert cells[:3] == ["ghs-token", "star", "5"] and cells[6] == "8"
 
 
 def test_config_flag_without_a_value_exits_2(capsys):
@@ -596,3 +636,14 @@ def test_analyze_refuses_other_files_with_exit_2(tmp_path, capsys, how):
     code, out, err = run_cli(capsys, "analyze", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("configuration error: not a schema-3 trace")
+
+
+def test_analyze_refuses_a_header_whose_fields_are_invalid(tmp_path, capsys):
+    records = _hybrid_records(tmp_path, capsys)
+    records[0]["d"] = -1
+    path = tmp_path / "bad-header.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: not a schema-3 trace: "
+                          "its header: timing parameters")

@@ -309,7 +309,8 @@ class DownClock(Protocol):
         class Node(Automaton):
             def on_start(self):
                 self.output = self.ctx.value
-                return [self.ctx.message("x.ping", uids=1)]
+                return [Message("x.ping", self.ctx.uid,
+                                self.ctx.size_model.size(n_uids=1))]
 
             def on_link_down(self, peer):
                 proto.downs.append((self.ctx.uid, peer, proto.sim.now))
@@ -462,7 +463,8 @@ def test_hierarchical_only_is_enforced_before_validate():
 
 class Answering(Automaton):
     def on_message(self, msg, src):
-        return [self.ctx.message("ping.answer")]
+        return [Message("ping.answer", self.ctx.uid,
+                        self.ctx.size_model.size())]
 
 
 class RoundPing(Protocol):
@@ -481,7 +483,8 @@ class RoundPing(Protocol):
             for a in automata.values():
                 a.output = a.ctx.value
             return True, []
-        return False, [(uid, automata[uid].ctx.message("ping.round"))
+        size = sim.size_model.size()
+        return False, [(uid, Message("ping.round", uid, size))
                        for uid in sorted(automata)
                        for _ in range(self.per_node)]
 

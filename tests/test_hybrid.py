@@ -184,11 +184,6 @@ def test_value_messages_route_hop_by_hop_with_no_duplication():
 # -- failure recovery --------------------------------------------------------
 
 
-def _tree_edges(automata):
-    return {(min(u, a.parent), max(u, a.parent))
-            for u, a in automata.items() if a.parent is not None}
-
-
 def test_recovery_after_tree_edge_failure():
     g = make_topology("random_connected", 12, {"p": 0.5}, seed=21)
     fn = MaxFunction(64)
@@ -196,12 +191,9 @@ def test_recovery_after_tree_edge_failure():
     exp = FailureExperiment(g, values, fn, m=3, timing=TIMING)
     want = oracle(fn, values)
     assert set(exp.initial_trace.outputs.values()) == {want}
-    tree = _tree_edges(exp.automata)
-    breakable = [e for e in tree
-                 if len(g.edges) > 1 and _still_connected(g, e)]
+    breakable = exp.breakable_tree_edges()
     assert breakable
-    edge = sorted(breakable)[0]
-    exp.fail_link(edge)
+    exp.fail_link(breakable[0])
     rerun = exp.reconsensus()
     assert set(rerun.outputs.values()) == {want}
     assert not check_cluster_discipline(exp.automata, 12, 3)
@@ -214,7 +206,7 @@ def test_recovery_puts_both_ends_of_a_failed_tree_edge_back_in_the_scan():
     g = make_topology("random_connected", 12, {"p": 0.5}, seed=21)
     values = [random.Random(21).randrange(500) for _ in range(12)]
     exp = FailureExperiment(g, values, MaxFunction(64), m=3, timing=TIMING)
-    edge = min(e for e in _tree_edges(exp.automata) if _still_connected(g, e))
+    edge = exp.breakable_tree_edges()[0]
     u, v = edge
     child, parent = (u, v) if exp.automata[u].parent == v else (v, u)
     ends = ((child, parent), (parent, child))
@@ -245,7 +237,7 @@ def test_recovery_after_non_tree_edge_failure_keeps_clusters():
     values = list(range(9))
     exp = FailureExperiment(g, values, fn, m=3, timing=TIMING)
     before = cluster_map(exp.automata)
-    tree = _tree_edges(exp.automata)
+    tree = exp.breakable_tree_edges()  # all of them: K9 has no bridge
     non_tree = sorted(e for e in g.edges if e not in tree)
     assert non_tree
     exp.fail_link(non_tree[0])
@@ -361,9 +353,7 @@ def test_rerun_starts_a_full_window_after_the_repair():
     # the first boundary not before one window after the repair's last one
     g = make_topology("random_connected", 14, {"p": 0.35}, seed=6)
     exp = _recovery_case(g, 3, "random", seed=6)
-    edge = next(e for e in sorted(_tree_edges(exp.automata))
-                if _still_connected(g, e))
-    exp.fail_link(edge)
+    exp.fail_link(exp.breakable_tree_edges()[0])
     exp.reconsensus()
     end, start = exp.repair_trace.last_time(), exp.sim.start_time
     assert end + TIMING.d <= start < end + 2 * TIMING.d
@@ -377,9 +367,7 @@ def test_small_half_rejoins_a_neighbor_cluster():
     fn = MaxFunction(64)
     values = list(range(12))
     exp = FailureExperiment(g, values, fn, m=4, timing=TIMING)
-    tree = sorted(_tree_edges(exp.automata))
-    edge = next(e for e in tree if _still_connected(g, e))
-    exp.fail_link(edge)
+    exp.fail_link(exp.breakable_tree_edges()[0])
     rerun = exp.reconsensus()
     assert set(rerun.outputs.values()) == {11}
     problems = check_cluster_discipline(exp.automata, 12, 4)

@@ -17,7 +17,8 @@ from consim.ghs import (GhsMstProtocol, GhsParallelProtocol, GhsTokenProtocol,
                         ParallelConvergecastProtocol, TokenConvergecastProtocol,
                         root_tree)
 from consim.hybrid import FailureExperiment
-from consim.topology import edge_weight, fail_link, make_topology
+from consim.messages import Message
+from consim.topology import fail_link, make_topology
 from rows import copies
 
 TIMING = TimingParams(d=0.01, l=0.001)
@@ -43,13 +44,7 @@ def _hybrid_failure(scheduler):
     g = make_topology("random_connected", 14, {"p": 0.35}, seed=6)
     exp = FailureExperiment(g, list(range(14)), MaxFunction(64), 3,
                             timing=TIMING, seed=6, scheduler=scheduler)
-    for edge in sorted(edge_weight(u, a.parent)
-                       for u, a in exp.automata.items() if a.parent is not None):
-        try:
-            exp.fail_link(edge)
-            break
-        except WouldDisconnect:
-            continue
+    exp.fail_link(exp.breakable_tree_edges()[0])
     exp.reconsensus()
     return [exp.initial_trace, exp.repair_trace, exp.rerun_trace]
 
@@ -214,7 +209,8 @@ class Chatter(Automaton):
 
     def on_start(self):
         self.output = self.ctx.value
-        return [self.ctx.message("chat.x", dst=self.ctx.uid, uids=1)] * 3
+        return [Message("chat.x", self.ctx.uid,
+                        self.ctx.size_model.size(n_uids=1), self.ctx.uid)] * 3
 
 
 class ChatterProtocol(Protocol):
@@ -246,11 +242,13 @@ class Echo(Automaton):
 
     def on_start(self):
         self.output = self.ctx.value
-        return [self.ctx.message("echo.ask", uids=1)]
+        return [Message("echo.ask", self.ctx.uid,
+                        self.ctx.size_model.size(n_uids=1))]
 
     def on_message(self, msg, src):
         if msg.mtype == "echo.ask":
-            return [self.ctx.message("echo.answer", uids=1)]
+            return [Message("echo.answer", self.ctx.uid,
+                            self.ctx.size_model.size(n_uids=1))]
         return []
 
 
