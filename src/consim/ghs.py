@@ -30,6 +30,9 @@ learns its position from the root's `ghs.rooted` flood; the token root
 starts when it halts, and a token non-root starts at its first
 `token.compute`, which is also how it learns that the MST is final.
 
+Each automaton routes a message by its full type through one class-level
+table, `HANDLERS`; a type it does not handle is an InvariantViolation.
+
 Aggregation schemes over a rooted tree:
 
   parallel convergecast  leaves send first; every node folds its children's
@@ -58,6 +61,7 @@ from .topology import edge_weight
 BASIC, BRANCH, REJECTED = "basic", "branch", "rejected"
 FIND, FOUND = "find", "found"
 INF_W = (float("inf"), float("inf"))
+TREE_TOKEN_TYPES = ("token.compute", "token.reply", "token.relay", "token.ack")
 
 
 @dataclass(frozen=True)
@@ -250,34 +254,11 @@ class GhsAutomaton(Automaton):
     # -- MST message handling ---------------------------------------------
 
     def _dispatch(self, msg, src, out):
-        prefix, tag = msg.mtype.split(".", 1)
-        if self.halted and self._handle_after_done(tag, msg, src, out):
-            return
-        if prefix != self.MSG_PREFIX:
-            self._on_aggregation(msg, src, out)
-        elif tag in ("connect", "connect0"):
-            self._on_connect(msg, src, out)
-        elif tag == "initiate":
-            self._on_initiate(msg, src, out)
-        elif tag == "test":
-            self._on_test(msg, src, out)
-        elif tag == "accept":
-            self._on_accept(src, out)
-        elif tag == "reject":
-            self._on_reject(src, out)
-        elif tag == "report":
-            self._on_report(msg, src, out)
-        elif tag == "changeroot":
-            self._change_root(out)
-        elif tag == "rooted":
-            self._on_rooted(msg, src, out)
-        else:
-            raise InvariantViolation(f"unknown message {msg.mtype}")
+        handler = self.HANDLERS.get(msg.mtype, GhsAutomaton._on_unknown)
+        handler(self, msg, src, out)
 
-    def _handle_after_done(self, tag, msg, src, out) -> bool:
-        """Hook for subclasses whose fragments stop while neighbors are
-        still merging; plain MST construction never sees this."""
-        return False
+    def _on_unknown(self, msg, src, out):
+        raise InvariantViolation(f"unknown message {msg.mtype}")
 
     def _on_connect(self, msg, src, out):
         level = msg.payload[0]
@@ -344,14 +325,14 @@ class GhsAutomaton(Automaton):
             else:
                 self._test(out)
 
-    def _on_accept(self, src, out):
+    def _on_accept(self, msg, src, out):
         self.test_peer = None
         if self._w(src) < self.best_wt:
             self.best_wt = self._w(src)
             self.best_peer = src
         self._report(out)
 
-    def _on_reject(self, src, out):
+    def _on_reject(self, msg, src, out):
         if self.edge_state[src] == BASIC:
             self.edge_state[src] = REJECTED
         self._test(out)
@@ -385,6 +366,9 @@ class GhsAutomaton(Automaton):
             self._change_root(out)
         elif peer_w == INF_W and self.best_wt == INF_W:
             self._halt(src, out)
+
+    def _on_changeroot(self, msg, src, out):
+        self._change_root(out)
 
     def _change_root(self, out):
         if self.edge_state[self.best_peer] == BRANCH:
@@ -430,6 +414,8 @@ class GhsAutomaton(Automaton):
 
     def _on_aggregation(self, msg, src, out):
         if self.agg is None:
+            if self.mode is None:  # MST construction alone aggregates nothing
+                self._on_unknown(msg, src, out)
             # a token non-root: the first compute arrival tells it the MST
             # is final
             self.halted = True
@@ -439,6 +425,17 @@ class GhsAutomaton(Automaton):
     def _forward(self, msgs, out):
         out.extend(msgs)
         self.output = self.agg.output
+
+    # message type -> handler(self, msg, src, out); MST_HANDLERS is keyed by
+    # the tag after the prefix, for hybrid's phase 1 to reuse under its own
+    MST_HANDLERS = {"connect0": _on_connect, "connect": _on_connect,
+                    "initiate": _on_initiate, "test": _on_test,
+                    "accept": _on_accept, "reject": _on_reject,
+                    "report": _on_report, "changeroot": _on_changeroot}
+    HANDLERS = {**{f"ghs.{tag}": h for tag, h in MST_HANDLERS.items()},
+                "ghs.rooted": _on_rooted,
+                **dict.fromkeys(TREE_TOKEN_TYPES, _on_aggregation),
+                "agg.report": _on_aggregation, "agg.result": _on_aggregation}
 
 
 class GhsMstProtocol(Protocol):
@@ -467,8 +464,7 @@ class TokenConvergecastAutomaton(Automaton):
     def __init__(self, ctx, info: TreeInfo):
         super().__init__(ctx)
         self.token = TokenPass(ctx, info.parent, info.children,
-                               ("token.compute", "token.reply",
-                                "token.relay", "token.ack"))
+                               TREE_TOKEN_TYPES)
         self.info = info
 
     def on_start(self):

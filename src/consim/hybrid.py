@@ -39,6 +39,9 @@ edge, oversized results re-run the splitting rule, and a failed non-tree
 edge just prunes routing candidates.  The experiment driver then starts a
 fresh announce/discovery/exchange epoch in which only clusters whose
 membership changed recompute their value.
+
+`HybridAutomaton.HANDLERS` routes each message type to its handler; phase 1
+reuses GHS's MST handlers under the `p1.` prefix.
 """
 
 from __future__ import annotations
@@ -160,33 +163,18 @@ class HybridAutomaton(GhsAutomaton):
         """Children that still belong to this cluster."""
         return tuple(u for u in self.children() if u not in self.cut_children)
 
-    def _handle_after_done(self, tag, msg, src, out) -> bool:
-        if tag in ("connect", "connect0"):
-            # a fragment that kept merging ran into our finished cluster:
-            # absorb it (the split phase trims any overshoot)
+    def _on_p1_connect(self, msg, src, out):
+        if not self.halted:
+            self._on_connect(msg, src, out)
+        else:  # absorb a fragment that kept merging; phase 2 trims overshoot
             self.edge_state[src] = BRANCH
             out.append(self._m("absorb", src, (self.cluster_id,)))
-            return True
-        if tag == "test":
-            # finished clusters answer any probe: the tester is never ours
-            out.append(self._m("accept", src))
-            return True
-        return False
 
-    def _dispatch(self, msg, src, out):
-        prefix, tag = msg.mtype.split(".", 1)
-        if prefix == "p1" and tag == "done":
-            self._on_p1_done(msg, src, out)
-        elif prefix == "p1" and tag == "absorb":
-            self._on_p1_absorb(msg, src, out)
-        elif prefix == "p2":
-            self._on_p2(tag, msg, src, out)
-        elif prefix in ("p3", "p4"):
-            self._on_later_phase(msg, src, out)
-        elif prefix == "pf":
-            self._on_pf(tag, msg, src, out)
-        else:
-            super()._dispatch(msg, src, out)
+    def _on_p1_test(self, msg, src, out):
+        if not self.halted:
+            self._on_test(msg, src, out)
+        else:  # finished clusters answer any probe: the tester is never ours
+            out.append(self._m("accept", src))
 
     def _on_p1_done(self, msg, src, out):
         self.neighbor_done.add(src)
@@ -236,7 +224,7 @@ class HybridAutomaton(GhsAutomaton):
         out.append(self.ctx.message(mtype, self.old_parent, payload))
         return True
 
-    def _on_cut(self, child, size):
+    def _note_cut(self, child, size):
         """The old parent's side of a cut: `child` left with `size` nodes."""
         self.child_counts[child] = 0
         self.cut_children.add(child)
@@ -254,16 +242,15 @@ class HybridAutomaton(GhsAutomaton):
         self.undo_exception = cut_uid
         return cut_uid
 
-    def _on_p2(self, tag, msg, src, out):
-        if tag == "count":
-            count, cut_uid, cut_size = msg.payload
-            self.child_counts[src] = count
-            if cut_uid is not None:
-                self.latest_cut = (cut_uid, cut_size)
-        elif tag == "cut":
-            self._on_cut(src, msg.payload[0])
-        else:
-            raise InvariantViolation(f"unknown p2 tag {tag}")
+    def _on_p2_count(self, msg, src, out):
+        count, cut_uid, cut_size = msg.payload
+        self.child_counts[src] = count
+        if cut_uid is not None:
+            self.latest_cut = (cut_uid, cut_size)
+        self._maybe_count(out)
+
+    def _on_p2_cut(self, msg, src, out):
+        self._note_cut(src, msg.payload[0])
         self._maybe_count(out)
 
     # ------------------------------------------------------------------
@@ -467,27 +454,18 @@ class HybridAutomaton(GhsAutomaton):
         self._flush_pairs(out)
         return out
 
-    def _on_later_phase(self, msg, src, out):
-        mtype = msg.mtype
-        if mtype == "p3.announce":
-            self._on_announce(msg, src, out)
-        elif mtype == "p3.clusters":
-            self._on_clusters(msg, src, out)
-        elif mtype in TOKEN_TYPES:
-            msgs, event = self._token().handle(msg, src)
-            out.extend(msgs)
-            self._token_event(event, out)
-        elif mtype == "p4.share":
-            src_cluster, batch, epoch = msg.payload
-            if self.is_root and epoch == self.epoch and \
-                    src_cluster != self.cluster_id:
-                self._ingest_pairs(src_cluster, batch, out)
-        elif mtype == "p4.values":
-            self._on_routed_values(msg, out)
-        else:
-            raise InvariantViolation(f"unknown message {mtype}")
+    def _on_token_pass(self, msg, src, out):
+        msgs, event = self._token().handle(msg, src)
+        out.extend(msgs)
+        self._token_event(event, out)
 
-    def _on_routed_values(self, msg, out):
+    def _on_share(self, msg, src, out):
+        src_cluster, batch, epoch = msg.payload
+        if self.is_root and epoch == self.epoch and \
+                src_cluster != self.cluster_id:
+            self._ingest_pairs(src_cluster, batch, out)
+
+    def _on_routed_values(self, msg, src, out):
         """Ingest a routed batch at its cluster's root, else pass it on."""
         dest, src_cluster, batch, epoch = msg.payload
         if epoch != self.epoch:
@@ -613,67 +591,72 @@ class HybridAutomaton(GhsAutomaton):
             out.append(self.ctx.message("pf.join", self.pf_cand_child,
                                         (cand, size, self.epoch)))
 
-    def _on_pf(self, tag, msg, src, out):
-        if tag == "count_req":
-            token, _epoch = msg.payload
-            if src == self.parent and self.edge_state.get(src) == BRANCH:
-                self.pf_initiator = False
-                self._pf_start_count(out, token=token)
-        elif tag == "count":
-            count, cand, token, _epoch = msg.payload
-            if token != self.pf_token:
-                return  # reply from a superseded counting pass
-            self.pf_count += count
-            if cand is not None:
-                cand = tuple(cand)
-                if self.pf_cand is None or cand < self.pf_cand:
-                    self.pf_cand = cand
-                    self.pf_cand_child = src
-            self.pf_pending.discard(src)
-            self._pf_maybe_report(out)
-        elif tag == "cut":
-            count, token, _epoch = msg.payload
-            if token != self.pf_token:
-                return
-            self._on_cut(src, count)
-            self.pf_pending.discard(src)
-            self._pf_maybe_report(out)
-        elif tag == "branch_lost":
-            self._recount("pf.branch_lost", msg.payload, out)
-        elif tag == "join":
-            cand, size, _epoch = msg.payload
-            self.pf_joining = True
-            self._pf_forward_join(tuple(cand), size, out)
-        elif tag == "join_req":
-            size, epoch = msg.payload
-            self._attach(src)
-            out.append(self.ctx.message("pf.join_ack", src,
-                                        (self.cluster_id, epoch)))
-            # absorbed nodes may push branches past the cap: the root
-            # recounts and re-applies the splitting rule
-            self._recount("pf.size_up", (size, epoch), out)
-        elif tag == "join_ack":
-            self._reroot(src, *msg.payload, out)
-        elif tag == "adopt":
-            cid, epoch = msg.payload
-            joined_half = not self.is_root or self.pf_joining
-            if self.edge_state.get(src) == BRANCH and joined_half \
-                    and self.cluster_id != cid:
-                # the joined half re-roots toward the attachment point
-                self._reroot(src, cid, epoch, out)
-        elif tag == "newid":
-            cid, epoch = msg.payload
-            if src == self.parent and self.edge_state.get(src) == BRANCH \
-                    and self.cluster_id != cid:
-                self._rename(cid, epoch, "pf.newid", out)
-        elif tag == "size_up":
-            self._recount("pf.size_up", msg.payload, out)
-        elif tag == "route_dead":
-            cid, _epoch = msg.payload
-            self.disc_candidates.get(cid, set()).discard(src)
-            self._route_repair(src, [cid], out)
-        else:
-            raise InvariantViolation(f"unknown pf tag {tag}")
+    def _on_count_req(self, msg, src, out):
+        token, _epoch = msg.payload
+        if src == self.parent and self.edge_state.get(src) == BRANCH:
+            self.pf_initiator = False
+            self._pf_start_count(out, token=token)
+
+    def _on_pf_count(self, msg, src, out):
+        count, cand, token, _epoch = msg.payload
+        if token != self.pf_token:
+            return  # reply from a superseded counting pass
+        self.pf_count += count
+        if cand is not None:
+            cand = tuple(cand)
+            if self.pf_cand is None or cand < self.pf_cand:
+                self.pf_cand = cand
+                self.pf_cand_child = src
+        self.pf_pending.discard(src)
+        self._pf_maybe_report(out)
+
+    def _on_pf_cut(self, msg, src, out):
+        count, token, _epoch = msg.payload
+        if token != self.pf_token:
+            return
+        self._note_cut(src, count)
+        self.pf_pending.discard(src)
+        self._pf_maybe_report(out)
+
+    def _on_join(self, msg, src, out):
+        cand, size, _epoch = msg.payload
+        self.pf_joining = True
+        self._pf_forward_join(tuple(cand), size, out)
+
+    def _on_join_req(self, msg, src, out):
+        size, epoch = msg.payload
+        self._attach(src)
+        out.append(self.ctx.message("pf.join_ack", src,
+                                    (self.cluster_id, epoch)))
+        # absorbed nodes may push branches past the cap: the root recounts
+        # and re-applies the splitting rule
+        self._recount("pf.size_up", (size, epoch), out)
+
+    def _on_join_ack(self, msg, src, out):
+        self._reroot(src, *msg.payload, out)
+
+    def _on_adopt(self, msg, src, out):
+        cid, epoch = msg.payload
+        joined_half = not self.is_root or self.pf_joining
+        if self.edge_state.get(src) == BRANCH and joined_half \
+                and self.cluster_id != cid:
+            # the joined half re-roots toward the attachment point
+            self._reroot(src, cid, epoch, out)
+
+    def _on_newid(self, msg, src, out):
+        cid, epoch = msg.payload
+        if src == self.parent and self.edge_state.get(src) == BRANCH \
+                and self.cluster_id != cid:
+            self._rename(cid, epoch, "pf.newid", out)
+
+    def _on_route_dead(self, msg, src, out):
+        cid, _epoch = msg.payload
+        self.disc_candidates.get(cid, set()).discard(src)
+        self._route_repair(src, [cid], out)
+
+    def _on_recount(self, msg, src, out):
+        """pf.branch_lost or pf.size_up: pass the news on toward the root."""
+        self._recount(msg.mtype, msg.payload, out)
 
     def _recount(self, mtype, payload, out):
         """Membership changed below this node: the root recounts its part,
@@ -721,6 +704,23 @@ class HybridAutomaton(GhsAutomaton):
         undo, self.pf_undo = self.pf_undo, None
         self._begin_announce(undo, out)
         return out
+
+    HANDLERS = {
+        # MST construction, but a finished cluster answers connects and tests
+        **{f"p1.{tag}": h for tag, h in GhsAutomaton.MST_HANDLERS.items()},
+        "p1.connect0": _on_p1_connect, "p1.connect": _on_p1_connect,
+        "p1.test": _on_p1_test,
+        "p1.done": _on_p1_done, "p1.absorb": _on_p1_absorb,
+        "p2.count": _on_p2_count, "p2.cut": _on_p2_cut,
+        "p3.announce": _on_announce, "p3.clusters": _on_clusters,
+        **dict.fromkeys(TOKEN_TYPES, _on_token_pass),
+        "p4.share": _on_share, "p4.values": _on_routed_values,
+        "pf.count_req": _on_count_req, "pf.count": _on_pf_count,
+        "pf.cut": _on_pf_cut, "pf.join": _on_join, "pf.join_req": _on_join_req,
+        "pf.join_ack": _on_join_ack, "pf.adopt": _on_adopt,
+        "pf.newid": _on_newid, "pf.route_dead": _on_route_dead,
+        "pf.branch_lost": _on_recount, "pf.size_up": _on_recount,
+    }
 
 
 class HybridProtocol(Protocol):
@@ -851,6 +851,9 @@ class FailureExperiment:
         elif not (done - d * REL_TOL <= at < math.inf):
             raise ConfigError(f"a link failure at t={at!r} must be finite and "
                               f"not before the consensus ends at t={done!r}")
+        grid = self.sim.timing.boundary(at)
+        if abs(grid - at) <= d * REL_TOL:  # a boundary up to rounding
+            at = grid
         repair = self._continue(at)
         repair.schedule_link_down(u, v, at)
         self.repair_trace = repair.run()

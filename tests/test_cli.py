@@ -242,6 +242,18 @@ def test_failure_at_the_printed_consensus_end_is_accepted(capsys):
         assert rows == ["hybrid", "hybrid-repair", "hybrid-rerun"]
 
 
+@pytest.mark.parametrize("at", [(), ("--fail-at", "0.41")])
+def test_a_repair_that_takes_no_time_reports_zero(capsys, at):
+    # the failure time (by default done + d) lies a rounding error off the
+    # boundary, 0.42 or 0.41, at which the repair's transitions run
+    code, out, _ = run_cli(capsys, "run", "--algo", "hybrid", "--m", "2",
+                           "--topo", "complete", "--n", "6", "--seed", "2",
+                           "--fail", "9,11", *at)
+    assert code == 0
+    assert out.strip().splitlines()[2] == \
+        "hybrid-repair,complete,6,768,0.01,2,2,0.0,0,0.0,0.0"
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("algo = flooding\ntopo = complete\nn = 5\nfn = max\n"
@@ -341,6 +353,27 @@ def test_malformed_input_is_a_configuration_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("--bits", "0"), "bit budget must be positive"),
+    (("--fn", "vote:1"), "vote needs at least two candidates"),
+    (("--fn", "vote:3", "--bits", "2"),
+     "bit budget too small for the candidate count"),
+])
+def test_a_function_refuses_its_parameters(capsys, argv, text):
+    code, out, err = run_cli(capsys, "run", *argv)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"configuration error: {text}"
+
+
+def test_a_tally_that_outgrows_its_bits_fails_the_run(capsys):
+    # a star's centre folds 7 ballots, more than a 1-bit tally holds
+    code, out, err = run_cli(capsys, "run", "--fn", "vote:3", "--bits", "3",
+                             "--algo", "ghs-parallel", "--topo", "star",
+                             "--n", "8")
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: tally overflow"
 
 
 def test_zero_latency_in_a_config_file_is_a_configuration_error(tmp_path,
@@ -647,3 +680,30 @@ def test_analyze_refuses_a_header_whose_fields_are_invalid(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("configuration error: not a schema-3 trace: "
                           "its header: timing parameters")
+
+
+@pytest.mark.parametrize("how, text", [
+    ("duplicate uid", "duplicate UIDs"),
+    ("self loop", "self loop"),
+    ("unknown uid", "edge references unknown UID"),
+    ("reversed edge", "edges must be stored as (min, max)"),
+])
+def test_analyze_refuses_a_header_whose_graph_is_invalid(tmp_path, capsys,
+                                                         how, text):
+    records = _hybrid_records(tmp_path, capsys)
+    head = records[0]
+    uids, (a, b), *rest = head["uids"], *head["edges"]
+    if how == "duplicate uid":
+        head["uids"] = uids[:-1] + [uids[0]]
+    elif how == "self loop":
+        head["edges"].append([a, a])
+    elif how == "unknown uid":
+        head["edges"].append([a, max(uids) + 1])
+    else:
+        head["edges"] = [[b, a], *rest]
+    path = tmp_path / "bad-graph.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.strip() == ("configuration error: not a schema-3 trace: "
+                           f"its header: {text}")

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import weakref
 
 import pytest
@@ -1005,22 +1004,35 @@ def test_export_pieces_are_bounded_by_records(scheduler, monkeypatch):
     assert "".join(pieces) == _reference_jsonl(trace)
 
 
+_EXPORT_PEAK = """
+import tracemalloc
+from consim.algorithms import ALGORITHMS
+from consim.engine import run
+from consim.functions import MaxFunction
+from consim.topology import make_topology
+g = make_topology("random_connected", 55, {"p": 0.2}, seed=1)
+trace = run(ALGORITHMS["flooding"].protocol(2, 1e-3), g, list(range(55)),
+            fn=MaxFunction(64), scheduler="random", seed=1)
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+exported = trace.to_jsonl()
+peak = tracemalloc.get_traced_memory()[1]
+print(peak - before, len(exported), exported.count("\\n"))
+"""
+
+
 def test_export_string_is_held_once():
     # to_jsonl appends each piece to the one string it returns, so the
     # export is never held twice: the pieces are small next to it.  A
-    # tracer or profiler turns CPython 3.11's in-place append off.
-    g = make_topology("random_connected", 55, {"p": 0.2}, seed=1)
-    trace = run(ALGORITHMS["flooding"].protocol(2, 1e-3), g, list(range(55)),
-                fn=MaxFunction(64), scheduler="random", seed=1)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        exported = trace.to_jsonl()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before <= 1.5 * len(exported)
-    assert exported.count("\n") >= 10 * engine._JSONL_CHUNK  # pieces
+    # tracer or profiler turns CPython 3.11's in-place append off, so the
+    # export is measured in a fresh interpreter, which none is tracing.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _EXPORT_PEAK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak, length, lines = map(int, proc.stdout.split())
+    assert peak <= 1.5 * length
+    assert lines >= 10 * engine._JSONL_CHUNK  # pieces
 
 
 # -- the column store and its Event view --------------------------------------

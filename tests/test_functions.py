@@ -4,8 +4,9 @@ import random
 import pytest
 
 from consim.errors import DomainOverflow, InvalidParams, NotHierarchical
-from consim.functions import (MaxFunction, MeanFunction, MedianFunction,
-                              MinFunction, VoteFunction, get_function, oracle)
+from consim.functions import (ConsensusFunction, MaxFunction, MeanFunction,
+                              MedianFunction, MinFunction, VoteFunction,
+                              get_function, oracle)
 
 
 def fold(fn, raws, order=None):
@@ -131,6 +132,21 @@ def test_median_is_non_hierarchical():
     with pytest.raises(NotHierarchical):
         med.combine(med.initial(1), med.initial(2))
     assert oracle(med, [5, 1, 9]) == 5
+
+
+def test_function_guards():
+    vote = VoteFunction(128, 3)
+    with pytest.raises(DomainOverflow, match="wrong arity"):
+        vote.finalize((1, 0))
+    with pytest.raises(DomainOverflow, match="wrong arity"):
+        vote.combine((1, 0, 0), (0, 1))
+    with pytest.raises(NotHierarchical):
+        MedianFunction(32).finalize(3)
+    assert oracle(MinFunction(8), [5, 1, 9]) == 1
+    with pytest.raises(InvalidParams, match="at least one value"):
+        oracle(MaxFunction(8), [])
+    with pytest.raises(InvalidParams, match="no oracle for"):
+        oracle(ConsensusFunction(8), [1])
 
 
 def test_get_function_parsing():

@@ -8,10 +8,10 @@ from consim.errors import (ConfigError, InvariantViolation, NotHierarchical,
                            WouldDisconnect)
 from consim.functions import (MaxFunction, MeanFunction, MedianFunction,
                               VoteFunction, oracle)
-from consim.ghs import BASIC
+from consim.ghs import BASIC, BRANCH
 from consim.hybrid import (FailureExperiment, HybridAutomaton, HybridProtocol,
                            branch_sizes, check_cluster_discipline, cluster_map)
-from consim.messages import SizeModel
+from consim.messages import Message, SizeModel
 from consim.metrics import (byte_complexity, message_complexity,
                             peak_bandwidth, peak_bandwidth_by_phase,
                             time_complexity)
@@ -94,14 +94,14 @@ def test_absorb_adopts_a_node_still_in_phase_1(scheduler, monkeypatch):
     # an absorb that reaches a node before the done flood does is its
     # adoption into the finished cluster, and its entry into phase 2
     adoptions = []
-    on_absorb = HybridAutomaton._on_p1_absorb
+    on_absorb = HybridAutomaton.HANDLERS["p1.absorb"]
 
     def counting(self, msg, src, out):
         if not self.halted:
             adoptions.append(self.ctx.uid)
         return on_absorb(self, msg, src, out)
 
-    monkeypatch.setattr(HybridAutomaton, "_on_p1_absorb", counting)
+    monkeypatch.setitem(HybridAutomaton.HANDLERS, "p1.absorb", counting)
     g = make_topology("random_connected", 16, {"p": 0.3}, seed=5)
     fn = MaxFunction(64)
     values = list(range(16))
@@ -111,6 +111,27 @@ def test_absorb_adopts_a_node_still_in_phase_1(scheduler, monkeypatch):
     validate_trace(trace)
     assert trace.outputs == {u: oracle(fn, values) for u in g.uids}
     assert not check_cluster_discipline(sim.automata, 16, 2)
+
+
+@pytest.mark.parametrize("mtype, payload, reply", [
+    ("p1.connect0", (0,), "p1.absorb"),
+    ("p1.connect", (2,), "p1.absorb"),
+    ("p1.test", (2, 99), "p1.accept"),
+])
+def test_a_finished_cluster_absorbs_connects_and_accepts_tests(mtype, payload,
+                                                               reply):
+    g = make_topology("path", 4, seed=0)
+    _trace, sim = run_hybrid(g, [1, 2, 3, 4], MaxFunction(64), m=2,
+                             keep_sim=True)
+    node = sim.automata[g.uids[0]]
+    peer = node.ctx.neighbors[0]
+    msg = Message(mtype, peer, sim.size_model.size(n_uids=1), g.uids[0],
+                  payload)
+    out = node.on_message(msg, peer)
+    absorb = (node.cluster_id,) if reply == "p1.absorb" else None
+    assert [(m.mtype, m.dst, m.payload) for m in out] == \
+        [(reply, peer, absorb)]
+    assert node.edge_state[peer] == BRANCH
 
 
 def test_mean_and_vote_supported():

@@ -1,6 +1,9 @@
 """The wire table: every message type a shipped protocol sends is declared
 in `messages.WIRE`, each is declared there once, and a message of any other
-type is refused, both by `NodeContext.message` and by the protocols."""
+type is refused, both by `NodeContext.message` and by the protocols, whose
+`HANDLERS` tables route exactly the types they are sent."""
+
+import itertools
 
 import pytest
 
@@ -8,10 +11,12 @@ from consim.algorithms import ALGORITHMS
 from consim.engine import SCHEDULERS, Simulation, TimingParams, run
 from consim.errors import InvariantViolation, WouldDisconnect
 from consim.functions import MaxFunction, get_function
-from consim.ghs import (GhsMstProtocol, ParallelConvergecastProtocol,
+from consim.ghs import (GhsAutomaton, GhsMstProtocol,
+                        ParallelConvergecastProtocol,
                         TokenConvergecastProtocol, root_tree)
-from consim.hybrid import FailureExperiment, HybridProtocol
-from consim.messages import EPOCH_BITS, WIRE, Message, SizeModel
+from consim.hybrid import FailureExperiment, HybridAutomaton, HybridProtocol
+from consim.messages import (EPOCH_BITS, WIRE, Message, SizeModel,
+                             uid_bits_for_pool)
 from consim.topology import TOPOLOGY_KINDS, fail_link, make_topology
 
 TIMING = TimingParams(d=0.01, l=0.001)
@@ -22,10 +27,6 @@ FAILURE_GRAPHS = (("random_connected", 10, 0.3, 0, 2),
                   ("random_connected", 14, 0.3, 1, 2),
                   ("cycle", 12, None, 13, 4),
                   ("complete", 9, None, 3, 3))
-
-
-def _sent_types(traces):
-    return {msg.mtype for trace in traces for _, msg in trace.events.sent()}
 
 
 def _single_runs():
@@ -66,10 +67,30 @@ def _failure_runs():
             yield from (exp.initial_trace, exp.repair_trace, exp.rerun_trace)
 
 
-def test_the_wire_table_declares_exactly_the_types_the_protocols_send():
-    sent = _sent_types(_single_runs()) | _sent_types(_failure_runs())
-    assert sorted(WIRE) == sorted(sent)
+@pytest.fixture(scope="module")
+def sent():
+    """Protocol name -> the message types its executions send."""
+    sent: dict = {}
+    for trace in itertools.chain(_single_runs(), _failure_runs()):
+        sent.setdefault(trace.config["protocol"], set()).update(
+            msg.mtype for _, msg in trace.events.sent())
+    return sent
+
+
+def test_the_wire_table_declares_exactly_the_types_the_protocols_send(sent):
+    assert sorted(WIRE) == sorted(set().union(*sent.values()))
     assert len(WIRE) == 49
+
+
+@pytest.mark.parametrize("automaton, protocols", [
+    (GhsAutomaton, ("ghs-mst", "ghs-parallel", "ghs-token")),
+    (HybridAutomaton, ("hybrid",)),
+])
+def test_an_automaton_routes_exactly_the_types_it_is_sent(sent, automaton,
+                                                           protocols):
+    received = set().union(*(sent[name] for name in protocols))
+    assert set(automaton.HANDLERS) <= set(WIRE)
+    assert sorted(automaton.HANDLERS) == sorted(received)
 
 
 def test_a_size_model_turns_the_table_into_fixed_and_per_item_bits():
@@ -85,6 +106,19 @@ def test_a_size_model_turns_the_table_into_fixed_and_per_item_bits():
         assert per_item == (5 * item[0] + 64 * item[1] if item else 0), mtype
 
 
+def test_sizes_must_be_positive():
+    with pytest.raises(ValueError, match="message size must be positive"):
+        Message("ghs.accept", 1, 0)
+    with pytest.raises(ValueError, match="message size must be positive"):
+        Message("ghs.accept", 1, -8)
+    for fields in ({"uid_bits": 0, "value_bits": 8},
+                   {"uid_bits": 4, "value_bits": -1}):
+        with pytest.raises(ValueError, match="must be positive"):
+            SizeModel(**fields)
+    assert uid_bits_for_pool(1) == 1  # one UID still takes a bit
+    assert uid_bits_for_pool(2) == 1
+
+
 def test_a_message_of_an_undeclared_type_is_refused():
     g = make_topology("path", 3, seed=0)
     sim = Simulation(GhsMstProtocol(), g, [0, 0, 0], fn=None, timing=TIMING)
@@ -97,9 +131,14 @@ def test_a_message_of_an_undeclared_type_is_refused():
 
 @pytest.mark.parametrize("protocol, mtype, text", [
     (GhsMstProtocol(), "ghs.bogus", "unknown message ghs.bogus"),
-    (HybridProtocol(2), "p2.bogus", "unknown p2 tag bogus"),
+    (HybridProtocol(2), "p2.bogus", "unknown message p2.bogus"),
     (HybridProtocol(2), "p3.bogus", "unknown message p3.bogus"),
-    (HybridProtocol(2), "pf.bogus", "unknown pf tag bogus"),
+    (HybridProtocol(2), "pf.bogus", "unknown message pf.bogus"),
+    # another protocol's type, and a type of no protocol
+    (HybridProtocol(2), "token.ack", "unknown message token.ack"),
+    (HybridProtocol(2), "ghs.test", "unknown message ghs.test"),
+    (GhsMstProtocol(), "agg.report", "unknown message agg.report"),
+    (GhsMstProtocol(), "x.y", "unknown message x.y"),
 ])
 def test_a_protocol_refuses_a_message_type_it_does_not_handle(protocol, mtype,
                                                               text):
