@@ -31,7 +31,8 @@ starts when it halts, and a token non-root starts at its first
 `token.compute`, which is also how it learns that the MST is final.
 
 Each automaton routes a message by its full type through one class-level
-table, `HANDLERS`; a type it does not handle is an InvariantViolation.
+table, `HANDLERS`; a type it does not handle is an InvariantViolation.  Each
+pipeline's table holds the MST types plus only its own aggregation's.
 
 Aggregation schemes over a rooted tree:
 
@@ -162,14 +163,14 @@ class TokenPass:
 
 
 class GhsAutomaton(Automaton):
-    """MST construction, optionally chained into one of the aggregation
-    schemes (mode None, "parallel" or "token")."""
+    """MST construction; the pipelines' subclasses chain it into the
+    aggregation automaton they name as AGGREGATION."""
 
     MSG_PREFIX = "ghs"
+    AGGREGATION = None
 
-    def __init__(self, ctx, mode=None):
+    def __init__(self, ctx):
         super().__init__(ctx)
-        self.mode = mode
         self.state = "sleep"
         self.level = 0
         self.fname = ctx.uid
@@ -248,9 +249,6 @@ class GhsAutomaton(Automaton):
                 if len(self.deferred) == before:
                     progress = True
 
-    def _defer(self, msg, src):
-        self.deferred.append((msg, src))
-
     # -- MST message handling ---------------------------------------------
 
     def _dispatch(self, msg, src, out):
@@ -270,7 +268,7 @@ class GhsAutomaton(Automaton):
             if self.state == FIND:
                 self.find_count += 1
         elif self.edge_state[src] == BASIC:
-            self._defer(msg, src)
+            self.deferred.append((msg, src))
         else:
             # connect crossed ours on the same edge: merge at level + 1
             name = min(self.ctx.uid, src)
@@ -314,7 +312,7 @@ class GhsAutomaton(Automaton):
     def _on_test(self, msg, src, out):
         level, fname = msg.payload
         if level > self.level:
-            self._defer(msg, src)
+            self.deferred.append((msg, src))
         elif fname != self.fname:
             out.append(self._m("accept", src))
         else:
@@ -356,7 +354,7 @@ class GhsAutomaton(Automaton):
             self.count_acc += count
             self._report(out)
         elif self.state == FIND:
-            self._defer(msg, src)
+            self.deferred.append((msg, src))
         else:
             self._core_decide(w, count, src, out)
 
@@ -389,13 +387,13 @@ class GhsAutomaton(Automaton):
     def _after_halt(self, out):
         """Runs once this node knows the MST is final and who its root is:
         at the root when it halts, elsewhere on the root's `rooted` flood
-        (which the token pipeline never sends)."""
-        if self.mode is None:
-            self.output = self.root_uid
-        if self.mode != "token" and self.children():
+        (which the token pipeline, whose table lacks it, never sends)."""
+        if "ghs.rooted" in self.HANDLERS and self.children():
             # announce the root; doubles as the parallel aggregation kickoff
             out.append(self._m("rooted", payload=(self.root_uid,)))
-        if self.mode is not None:
+        if self.AGGREGATION is None:
+            self.output = self.root_uid
+        else:
             self._start_aggregation(out)
 
     def _on_rooted(self, msg, src, out):
@@ -406,16 +404,12 @@ class GhsAutomaton(Automaton):
         self._after_halt(out)
 
     def _start_aggregation(self, out):
-        aggregation = {"parallel": ParallelConvergecastAutomaton,
-                       "token": TokenConvergecastAutomaton}[self.mode]
-        self.agg = aggregation(self.ctx, TreeInfo(self.ctx.uid, self.in_branch,
-                                                  self.children()))
+        self.agg = self.AGGREGATION(self.ctx, TreeInfo(
+            self.ctx.uid, self.in_branch, self.children()))
         self._forward(self.agg.on_start(), out)
 
     def _on_aggregation(self, msg, src, out):
         if self.agg is None:
-            if self.mode is None:  # MST construction alone aggregates nothing
-                self._on_unknown(msg, src, out)
             # a token non-root: the first compute arrival tells it the MST
             # is final
             self.halted = True
@@ -433,31 +427,7 @@ class GhsAutomaton(Automaton):
                     "accept": _on_accept, "reject": _on_reject,
                     "report": _on_report, "changeroot": _on_changeroot}
     HANDLERS = {**{f"ghs.{tag}": h for tag, h in MST_HANDLERS.items()},
-                "ghs.rooted": _on_rooted,
-                **dict.fromkeys(TREE_TOKEN_TYPES, _on_aggregation),
-                "agg.report": _on_aggregation, "agg.result": _on_aggregation}
-
-
-class GhsMstProtocol(Protocol):
-    """MST construction only; every node outputs the root UID.  A pipeline
-    chains it into the aggregation named by its `mode`."""
-
-    name, mode = "ghs-mst", None
-
-    def automaton(self, ctx):
-        return GhsAutomaton(ctx, mode=self.mode)
-
-
-class GhsParallelProtocol(GhsMstProtocol):
-    """MST construction chained into a parallel convergecast."""
-
-    name, mode, hierarchical_only = "ghs-parallel", "parallel", True
-
-
-class GhsTokenProtocol(GhsMstProtocol):
-    """MST construction chained into the bandwidth-frugal token traversal."""
-
-    name, mode, hierarchical_only = "ghs-token", "token", True
+                "ghs.rooted": _on_rooted}
 
 
 class TokenConvergecastAutomaton(Automaton):
@@ -515,13 +485,49 @@ class ParallelConvergecastAutomaton(Automaton):
                 self.output = fn.decode(final)
                 return [self.ctx.message("agg.result", payload=final)]
             return [self.ctx.message("agg.report", self.info.parent, self.acc)]
-        if msg.mtype == "agg.result":
-            if src != self.info.parent or self.output is not None:
-                return []
-            self.output = fn.decode(msg.payload)
-            if not self.info.is_leaf:
-                return [self.ctx.message("agg.result", payload=msg.payload)]
-        return []
+        if msg.mtype != "agg.result":
+            raise InvariantViolation(f"unknown message {msg.mtype}")
+        if src != self.info.parent or self.output is not None:
+            return []
+        self.output = fn.decode(msg.payload)
+        if self.info.is_leaf:
+            return []
+        return [self.ctx.message("agg.result", payload=msg.payload)]
+
+
+class GhsParallelAutomaton(GhsAutomaton):
+    AGGREGATION = ParallelConvergecastAutomaton
+    HANDLERS = {**GhsAutomaton.HANDLERS, **dict.fromkeys(
+        ("agg.report", "agg.result"), GhsAutomaton._on_aggregation)}
+
+
+class GhsTokenAutomaton(GhsAutomaton):
+    AGGREGATION = TokenConvergecastAutomaton  # the token carries the news
+    HANDLERS = {**{t: h for t, h in GhsAutomaton.HANDLERS.items()
+                   if t != "ghs.rooted"},
+                **dict.fromkeys(TREE_TOKEN_TYPES, GhsAutomaton._on_aggregation)}
+
+
+class GhsMstProtocol(Protocol):
+    """MST construction only; every node outputs the root UID.  A pipeline
+    chains it into an aggregation through its `node` automaton."""
+
+    name, node = "ghs-mst", GhsAutomaton
+
+    def automaton(self, ctx):
+        return self.node(ctx)
+
+
+class GhsParallelProtocol(GhsMstProtocol):
+    """MST construction chained into a parallel convergecast."""
+
+    name, node, hierarchical_only = "ghs-parallel", GhsParallelAutomaton, True
+
+
+class GhsTokenProtocol(GhsMstProtocol):
+    """MST construction chained into the bandwidth-frugal token traversal."""
+
+    name, node, hierarchical_only = "ghs-token", GhsTokenAutomaton, True
 
 
 class TokenConvergecastProtocol(Protocol):

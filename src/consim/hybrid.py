@@ -64,7 +64,7 @@ class HybridAutomaton(GhsAutomaton):
     MSG_PREFIX = "p1"
 
     def __init__(self, ctx, m):
-        super().__init__(ctx, mode=None)
+        super().__init__(ctx)
         n = ctx.n
         self.threshold = math.ceil(n / m)
         self.cap = max(1, n // m)          # cut when a branch exceeds this
@@ -123,11 +123,8 @@ class HybridAutomaton(GhsAutomaton):
     def _wakeup(self, out):
         if self.threshold > 1:
             super()._wakeup(out)
-        else:
-            self._finish_as_root(out)
-
-    def _finish_as_root(self, out):
-        self._finalize_p1(self.ctx.uid, None, out)
+        else:  # ceil(n/m) = 1: every node roots a cluster of its own
+            self._finalize_p1(self.ctx.uid, None, out)
 
     def _report_payload(self):
         return (self.best_wt, 1 + self.count_acc)
@@ -184,9 +181,8 @@ class HybridAutomaton(GhsAutomaton):
             self._maybe_count(out)
 
     def _on_p1_absorb(self, msg, src, out):
-        if self.halted:
-            return  # already adopted via the done flood
-        self._finalize_p1(msg.payload[0], src, out)
+        if not self.halted:  # else already adopted via the done flood
+            self._finalize_p1(msg.payload[0], src, out)
 
     # ------------------------------------------------------------------
     # phase 2: descendant counting and splitting
@@ -195,9 +191,8 @@ class HybridAutomaton(GhsAutomaton):
     def _maybe_count(self, out):
         """Phase 2 starts once this node and all its neighbors are done."""
         if (not self.halted or self.p2_reported
-                or len(self.neighbor_done) < len(self.ctx.neighbors)):
-            return
-        if any(c not in self.child_counts for c in self.children()):
+                or len(self.neighbor_done) < len(self.ctx.neighbors)
+                or any(c not in self.child_counts for c in self.children())):
             return
         self.p2_reported = True
         count = 1 + sum(self.child_counts.values())
@@ -342,7 +337,8 @@ class HybridAutomaton(GhsAutomaton):
     def _on_clusters(self, msg, src, out):
         ids, epoch = msg.payload
         if epoch != self.epoch or src not in self._members():
-            return
+            raise InvariantViolation(  # members report in the parent's epoch
+                f"p3.clusters from non-member {src} or epoch {epoch}")
         for cid in ids:
             if cid != self.cluster_id:
                 self.disc_candidates.setdefault(cid, set()).add(src)
@@ -434,8 +430,7 @@ class HybridAutomaton(GhsAutomaton):
             self._check_global(out)
 
     def _check_global(self, out):
-        if self.global_final is not None:
-            return
+        # sizes reach n with the last triple in, so a later new one overshoots
         total = sum(size for size, _ in self.value_table.values())
         if total < self.ctx.n:
             return
@@ -469,7 +464,8 @@ class HybridAutomaton(GhsAutomaton):
         """Ingest a routed batch at its cluster's root, else pass it on."""
         dest, src_cluster, batch, epoch = msg.payload
         if epoch != self.epoch:
-            return
+            raise InvariantViolation(  # each hop's route is from this epoch
+                f"p4.values of epoch {epoch} in epoch {self.epoch}")
         if dest == self.cluster_id and self.is_root:
             self._ingest_pairs(src_cluster, batch, out)
             return
@@ -611,10 +607,7 @@ class HybridAutomaton(GhsAutomaton):
         self._pf_maybe_report(out)
 
     def _on_pf_cut(self, msg, src, out):
-        count, token, _epoch = msg.payload
-        if token != self.pf_token:
-            return
-        self._note_cut(src, count)
+        self._note_cut(src, msg.payload[0])  # a superseded pass's cut stands
         self.pf_pending.discard(src)
         self._pf_maybe_report(out)
 
@@ -690,12 +683,10 @@ class HybridAutomaton(GhsAutomaton):
         if self._members():
             out.append(self.ctx.message(mtype, payload=(cid, epoch)))
 
-    # re-consensus epoch, started by the experiment driver ---------------
+    # re-consensus epoch, kicked at each root not awaiting release --------
 
     def begin_epoch(self, epoch):
         out = []
-        if not self.is_root or self.awaiting_release:
-            return out
         self.epoch = epoch
         self.global_final = None
         self.value_table = {}
@@ -707,9 +698,10 @@ class HybridAutomaton(GhsAutomaton):
 
     HANDLERS = {
         # MST construction, but a finished cluster answers connects and tests
+        # (a level-0 connect, sent at wakeup, is resolved before its receiver
+        # can halt)
         **{f"p1.{tag}": h for tag, h in GhsAutomaton.MST_HANDLERS.items()},
-        "p1.connect0": _on_p1_connect, "p1.connect": _on_p1_connect,
-        "p1.test": _on_p1_test,
+        "p1.connect": _on_p1_connect, "p1.test": _on_p1_test,
         "p1.done": _on_p1_done, "p1.absorb": _on_p1_absorb,
         "p2.count": _on_p2_count, "p2.cut": _on_p2_cut,
         "p3.announce": _on_announce, "p3.clusters": _on_clusters,

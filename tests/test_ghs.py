@@ -81,7 +81,7 @@ def test_mst_message_sizes_capped_at_flag_plus_three_uids():
             assert msg.size_bits <= cap, msg.mtype
 
 
-def test_ghs_build_mst_helper():
+def test_run_mst_tree_from_automata_is_the_kruskal_tree():
     g = make_topology("cycle", 9, seed=4)
     sim, _trace = run_mst(g, seed=4)
     tree = tree_from_automata(sim.automata)

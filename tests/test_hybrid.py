@@ -2,8 +2,11 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from consim.engine import Simulation, TimingParams, run, validate_trace
+from consim.engine import (SCHEDULERS, Simulation, TimingParams, run,
+                           trace_digest, validate_trace)
 from consim.errors import (ConfigError, InvariantViolation, NotHierarchical,
                            WouldDisconnect)
 from consim.functions import (MaxFunction, MeanFunction, MedianFunction,
@@ -15,7 +18,7 @@ from consim.messages import Message, SizeModel
 from consim.metrics import (byte_complexity, message_complexity,
                             peak_bandwidth, peak_bandwidth_by_phase,
                             time_complexity)
-from consim.topology import Graph, fail_link, make_topology
+from consim.topology import TOPOLOGY_KINDS, Graph, fail_link, make_topology
 
 D = 0.01
 TIMING = TimingParams(d=D, l=D / 10)
@@ -114,7 +117,6 @@ def test_absorb_adopts_a_node_still_in_phase_1(scheduler, monkeypatch):
 
 
 @pytest.mark.parametrize("mtype, payload, reply", [
-    ("p1.connect0", (0,), "p1.absorb"),
     ("p1.connect", (2,), "p1.absorb"),
     ("p1.test", (2, 99), "p1.accept"),
 ])
@@ -132,6 +134,30 @@ def test_a_finished_cluster_absorbs_connects_and_accepts_tests(mtype, payload,
     assert [(m.mtype, m.dst, m.payload) for m in out] == \
         [(reply, peer, absorb)]
     assert node.edge_state[peer] == BRANCH
+
+
+@st.composite
+def hybrid_configs(draw):
+    n = draw(st.integers(2, 14))
+    return (draw(st.sampled_from(TOPOLOGY_KINDS)), n, draw(st.integers(1, n)),
+            draw(st.sampled_from(sorted(SCHEDULERS))),
+            draw(st.integers(0, 2**16)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(config=hybrid_configs())
+def test_every_m_reaches_consensus_with_disciplined_clusters(config):
+    kind, n, m, scheduler, seed = config
+    g = make_topology(kind, n, {"p": 0.35}, seed=seed)
+    fn = MaxFunction(64)
+    values = [(7 * i + seed) % 41 for i in range(n)]
+    trace, sim = run_hybrid(g, values, fn, m, scheduler=scheduler, seed=seed,
+                            keep_sim=True)
+    assert trace.outputs == dict.fromkeys(g.uids, oracle(fn, values))
+    validate_trace(trace)
+    assert not check_cluster_discipline(sim.automata, n, m)
+    again = run_hybrid(g, values, fn, m, scheduler=scheduler, seed=seed)
+    assert trace_digest(again) == trace_digest(trace)
 
 
 def test_mean_and_vote_supported():
@@ -328,6 +354,36 @@ def test_small_half_joins_through_the_child_that_found_the_candidate(scheduler):
     _fail_and_recover(exp, (1, 11))
     assert any(msg.mtype == "pf.join"
                for _, msg in exp.repair_trace.events.sent())
+
+
+def test_a_cut_from_a_superseded_counting_pass_still_counts(monkeypatch):
+    # node 17 cuts loose in a recount pass that node 1 has since restarted;
+    # the cut must stand, for 17 answers no later pass: dropping it left
+    # node 1 waiting for 17, and the rerun never output
+    stale = []
+    on_cut = HybridAutomaton.HANDLERS["pf.cut"]
+
+    def counting(self, msg, src, out):
+        if msg.payload[1] != self.pf_token:
+            stale.append((self.ctx.uid, src))
+        return on_cut(self, msg, src, out)
+
+    monkeypatch.setitem(HybridAutomaton.HANDLERS, "pf.cut", counting)
+    g = make_topology("random_connected", 11, {"p": 0.15}, seed=899841)
+    exp = _recovery_case(g, 4, "random", seed=899841)
+    _fail_and_recover(exp, (4, 13))
+    assert stale == [(1, 17)]
+
+
+def test_a_link_failure_during_discovery_is_the_typed_error():
+    # the failed link's entry outlives it until on_link_down: the discovery
+    # gate must not open on that count and read a live neighbor it lacks
+    g = make_topology("random_connected", 10, {"p": 0.35}, seed=0)
+    sim = Simulation(HybridProtocol(2), g, list(range(10)), fn=MaxFunction(64),
+                     timing=TIMING, seed=0)
+    sim.schedule_link_down(9, 11, at=22 * D)
+    with pytest.raises(InvariantViolation, match="before node 9 output"):
+        sim.run()
 
 
 def test_link_down_before_output_is_rejected_promptly():

@@ -11,8 +11,9 @@ from consim.algorithms import ALGORITHMS
 from consim.engine import SCHEDULERS, Simulation, TimingParams, run
 from consim.errors import InvariantViolation, WouldDisconnect
 from consim.functions import MaxFunction, get_function
-from consim.ghs import (GhsAutomaton, GhsMstProtocol,
-                        ParallelConvergecastProtocol,
+from consim.ghs import (GhsAutomaton, GhsMstProtocol, GhsParallelAutomaton,
+                        GhsParallelProtocol, GhsTokenAutomaton,
+                        GhsTokenProtocol, ParallelConvergecastProtocol,
                         TokenConvergecastProtocol, root_tree)
 from consim.hybrid import FailureExperiment, HybridAutomaton, HybridProtocol
 from consim.messages import (EPOCH_BITS, WIRE, Message, SizeModel,
@@ -20,6 +21,7 @@ from consim.messages import (EPOCH_BITS, WIRE, Message, SizeModel,
 from consim.topology import TOPOLOGY_KINDS, fail_link, make_topology
 
 TIMING = TimingParams(d=0.01, l=0.001)
+PATH4 = make_topology("path", 4, seed=0)
 # (kind, n, p, seed, m): between them, failing each of their edges sends
 # every recovery message type
 FAILURE_GRAPHS = (("random_connected", 10, 0.3, 0, 2),
@@ -83,8 +85,10 @@ def test_the_wire_table_declares_exactly_the_types_the_protocols_send(sent):
 
 
 @pytest.mark.parametrize("automaton, protocols", [
-    (GhsAutomaton, ("ghs-mst", "ghs-parallel", "ghs-token")),
+    (GhsAutomaton, ("ghs-mst",)),
     (HybridAutomaton, ("hybrid",)),
+    (GhsParallelAutomaton, ("ghs-parallel",)),
+    (GhsTokenAutomaton, ("ghs-token",)),
 ])
 def test_an_automaton_routes_exactly_the_types_it_is_sent(sent, automaton,
                                                            protocols):
@@ -139,6 +143,12 @@ def test_a_message_of_an_undeclared_type_is_refused():
     (HybridProtocol(2), "ghs.test", "unknown message ghs.test"),
     (GhsMstProtocol(), "agg.report", "unknown message agg.report"),
     (GhsMstProtocol(), "x.y", "unknown message x.y"),
+    # each pipeline routes only its own aggregation's types
+    (GhsParallelProtocol(), "token.compute", "unknown message token.compute"),
+    (GhsTokenProtocol(), "agg.report", "unknown message agg.report"),
+    (GhsTokenProtocol(), "ghs.rooted", "unknown message ghs.rooted"),
+    (ParallelConvergecastProtocol(root_tree(PATH4, PATH4.uids[0])), "x.y",
+     "unknown message x.y"),
 ])
 def test_a_protocol_refuses_a_message_type_it_does_not_handle(protocol, mtype,
                                                               text):

@@ -18,12 +18,18 @@ under every scheduler at n = 9 and 17, averaging both recorded and lean,
 averaging again started off the grid at START (its rounds count from the
 first boundary after it), and hybrid failure experiments that fail, one at
 a time, every breakable edge of a few graphs (tree edges, cut boundaries,
-intra- and cross-cluster edges).
+intra- and cross-cluster edges).  Three families come after these, so
+that the lines above keep their places: hybrid at m = 1, 2, ceil(n/2) and
+n (m = n is the singleton end of the trade-off, where phase 1 halts at
+wakeup) on the same graphs under every scheduler; ABSORB, a run in which a
+`p1.absorb` adopts a node that is still in phase 1; and every registry
+algorithm on a single node, with a hierarchical function.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 
 from consim.algorithms import ALGORITHMS
@@ -46,6 +52,8 @@ FAILURE_GRAPHS = (("random_connected", 10, 0.3, 0, 2),
                   ("random_connected", 14, 0.3, 1, 2),
                   ("cycle", 12, None, 13, 4),
                   ("complete", 9, None, 3, 3))
+# (kind, n, p, topology seed, m, simulation seed) of the `hybrid-absorb` case
+ABSORB = ("random_connected", 17, 0.3, 2, 2, 4)
 
 
 def _digest(traces, m=None, extra=None) -> str:
@@ -67,11 +75,12 @@ def _line(name, execute, *args):
         return f"{name} error {type(err).__name__}: {err}"
 
 
-def _single(algo, g, values, fn, sched, mode, start=0.0):
-    sim = Simulation(ALGORITHMS[algo].protocol(3, 1e-3), g, values, fn=fn,
-                     timing=TIMING, scheduler=sched, seed=g.n,
+def _single(algo, g, values, fn, sched, mode, start=0.0, m=3, seed=None):
+    sim = Simulation(ALGORITHMS[algo].protocol(m, 1e-3), g, values, fn=fn,
+                     timing=TIMING, scheduler=sched,
+                     seed=g.n if seed is None else seed,
                      record_events=mode == "recorded", start_time=start)
-    return _digest([sim.run()], 3 if algo == "hybrid" else None)
+    return _digest([sim.run()], m if algo == "hybrid" else None)
 
 
 def _mst(g, sched):
@@ -143,15 +152,43 @@ def failure_cases():
                             edge)
 
 
+def hybrid_m_cases():
+    fn = get_function(FUNCTIONS["hybrid"], 128)
+    for kind, n, g, values in _graphs(fn):
+        for m in (1, 2, math.ceil(n / 2), n):
+            for sched in sorted(SCHEDULERS):
+                yield _line(f"hybrid@m{m}/{kind}/{n}/{sched}", _single,
+                            "hybrid", g, values, fn, sched, "recorded", 0.0, m)
+
+
+def absorb_cases():
+    kind, n, p, topo_seed, m, seed = ABSORB
+    g = make_topology(kind, n, {"p": p}, seed=topo_seed)
+    values = [(7 * i + 3) % 31 for i in range(n)]
+    fn = get_function(FUNCTIONS["hybrid"], 128)
+    for sched in sorted(SCHEDULERS):
+        yield _line(f"hybrid-absorb/{kind}/{n}/{sched}", _single, "hybrid", g,
+                    values, fn, sched, "recorded", 0.0, m, seed)
+
+
+def single_node_cases():
+    g = make_topology("path", 1, seed=0)
+    for algo in sorted(ALGORITHMS):
+        fn = get_function("mean" if algo == "average" else "max", 128)
+        for sched in sorted(SCHEDULERS):
+            yield _line(f"single-node/{algo}/{sched}", _single, algo, g, [5],
+                        fn, sched, "recorded", 0.0, 1)
+
+
+# in print order; a new family goes at the end, so no earlier line moves
+FAMILIES = (single_cases, start_cases, mst_cases, failure_cases,
+            hybrid_m_cases, absorb_cases, single_node_cases)
+
+
 def main() -> int:
-    for line in single_cases():
-        print(line)
-    for line in start_cases():
-        print(line)
-    for line in mst_cases():
-        print(line)
-    for line in failure_cases():
-        print(line)
+    for family in FAMILIES:
+        for line in family():
+            print(line)
     return 0
 
 
