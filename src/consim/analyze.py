@@ -1,8 +1,9 @@
 """Read a schema-3 JSONL trace back into an ExecutionTrace, held as columns
 as a run holds it, and run `consim run`'s validate_trace and
-report_from_trace on it.  The reader checks only the format: the header,
-record kinds and keys, finite numbers, refs, where tagged copies are
-written, and each record's node, which the graph has and a send's src is.
+report_from_trace on it.  The reader checks only the format: the header
+(whose n, b and flag_bits must restate its uids and size model), record
+kinds and keys, finite numbers, refs, where tagged copies are written, and
+each record's node, which the graph has and a send's src is.
 
     consim analyze trace.jsonl
 """
@@ -33,8 +34,13 @@ def _trace(head) -> ExecutionTrace:
     if not (isinstance(head, dict) and head.get("kind") == "header"
             and head.get("schema") == TRACE_SCHEMA):
         raise _not_schema("the first record is not its header")
+    sm = head["size_model"]
+    for k, got, want in (("n", head["n"], len(head["uids"])),
+                         ("b", head["b"], sm["value_bits"]),
+                         ("flag_bits", sm["flag_bits"], SizeModel.flag_bits)):
+        if got != want:
+            raise _not_schema(f"its header: {k} is {got!r}, not {want!r}")
     try:
-        sm = head["size_model"]
         return ExecutionTrace(
             events=TraceRows(), outputs={},
             config={k: head[k] for k in ("protocol", "algo", "scheduler",

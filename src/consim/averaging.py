@@ -37,10 +37,9 @@ def div_round_half_even(num: int, den: int) -> int:
 
 
 class AverageAutomaton(Automaton):
-    def __init__(self, ctx, frac_bits):
+    def __init__(self, ctx):
         super().__init__(ctx)
-        self.frac = frac_bits
-        self.estimate = round(Fraction(ctx.value) * (1 << frac_bits))
+        self.estimate = round(Fraction(ctx.value) * (1 << ctx.fn.final_frac))
         self.inbox: list[int] = []
         # per-node constants: an estimate's size, and the update's divisor
         self.msg_bits = ctx.size_model.wire["avg.estimate"][0]
@@ -51,13 +50,13 @@ class AverageAutomaton(Automaton):
         return ()
 
     def estimate_value(self) -> float:
-        return self.estimate / (1 << self.frac)
+        return self.ctx.fn.decode(self.estimate)
 
 
 class AverageProtocol(Protocol):
     """Needs fn=mean; rejects everything else at validation time."""
 
-    name = "average"
+    name, node = "average", AverageAutomaton
     round_driven = True
 
     def __init__(self, eps: float = 1e-3):
@@ -68,9 +67,6 @@ class AverageProtocol(Protocol):
     def validate(self, graph, fn):
         if fn is None or fn.name != "mean":
             raise ConfigError("the averaging algorithm only computes the mean")
-
-    def automaton(self, ctx):
-        return AverageAutomaton(ctx, ctx.fn.bits - 64)
 
     def _fixed_point(self, sim) -> float:
         """Limit of the iteration: degree-weighted mean (plain mean when the
@@ -101,11 +97,10 @@ class AverageProtocol(Protocol):
             estimates.append(est)
             sends.append((uid, Message("avg.estimate", uid, a.msg_bits, None,
                                        est)))
-        # estimate_value is monotone in the estimate, so the two extreme
-        # estimates are the farthest from the target; every node of an
-        # execution has the same fractional bits
-        scale = 1 << a.frac
-        worst = max(abs(est / scale - self._target)
+        # decode is monotone in the estimate, so the two extreme estimates
+        # are the farthest from the target
+        decode = sim.fn.decode
+        worst = max(abs(decode(est) - self._target)
                     for est in (min(estimates), max(estimates)))
         if worst <= self.eps * self._spread:
             for a in automata.values():

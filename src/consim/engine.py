@@ -465,11 +465,12 @@ class Protocol:
     """Factory for a family of automata, one per node."""
 
     name = "?"
+    node = None  # the Automaton class each node runs
     hierarchical_only = False  # needs a commutative, associative combine
     round_driven = False  # sends only at round boundaries; lockstep only
 
     def automaton(self, ctx: NodeContext) -> Automaton:
-        raise NotImplementedError
+        return self.node(ctx)
 
     def on_round_boundary(self, automata, r, sim):
         """Round-driven protocols only: returns (halted, [(uid, Message)])."""

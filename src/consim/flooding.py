@@ -65,7 +65,4 @@ class FloodingAutomaton(Automaton):
 
 
 class FloodingProtocol(Protocol):
-    name = "flooding"
-
-    def automaton(self, ctx):
-        return FloodingAutomaton(ctx)
+    name, node = "flooding", FloodingAutomaton

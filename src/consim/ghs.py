@@ -514,9 +514,6 @@ class GhsMstProtocol(Protocol):
 
     name, node = "ghs-mst", GhsAutomaton
 
-    def automaton(self, ctx):
-        return self.node(ctx)
-
 
 class GhsParallelProtocol(GhsMstProtocol):
     """MST construction chained into a parallel convergecast."""
@@ -535,19 +532,19 @@ class TokenConvergecastProtocol(Protocol):
 
     name = "token-convergecast"
     hierarchical_only = True
-    aggregation = TokenConvergecastAutomaton
+    node = TokenConvergecastAutomaton
 
     def __init__(self, tree: dict[int, TreeInfo]):
         self.tree = tree
 
     def automaton(self, ctx):
-        return self.aggregation(ctx, self.tree[ctx.uid])
+        return self.node(ctx, self.tree[ctx.uid])
 
 
 class ParallelConvergecastProtocol(TokenConvergecastProtocol):
     """Parallel (leaves-first) convergecast over an already-rooted tree."""
 
-    name, aggregation = "parallel-convergecast", ParallelConvergecastAutomaton
+    name, node = "parallel-convergecast", ParallelConvergecastAutomaton
 
 
 # -- extraction helpers ------------------------------------------------------

@@ -99,10 +99,8 @@ class HybridAutomaton(GhsAutomaton):
         self.pair_from: dict[int, int] = {}
         self.pending_pairs: list = []
         self.p4_ready = False
-        self.global_final = None
         # recovery
         self.pf_active = False
-        self.pf_initiator = False
         self.pf_joining = False
         self.pf_pending: set = set()
         self.pf_count = 0
@@ -437,11 +435,11 @@ class HybridAutomaton(GhsAutomaton):
         if total != self.ctx.n:
             raise InvariantViolation("cluster sizes overshoot the node count")
         fn = self.ctx.fn
-        self.global_final = fn.finalize(reduce(
+        final = fn.finalize(reduce(
             fn.combine, [self.value_table[c][1] for c in sorted(self.value_table)]))
-        self.output = fn.decode(self.global_final)
+        self.output = fn.decode(final)
         # built here when the cluster value was reused and no compute ran
-        msgs, _event = self._token().start_relay(self.global_final)
+        msgs, _event = self._token().start_relay(final)
         out.extend(msgs)
 
     def on_flush(self):
@@ -482,7 +480,6 @@ class HybridAutomaton(GhsAutomaton):
                 f"link to {peer} failed before node {self.ctx.uid} output; "
                 f"hybrid recovers only after consensus completes")
         out = []
-        self.neighbor_done.discard(peer)
         self._note_cluster(peer, None)
         touched = [cid for cid, cands in self.disc_candidates.items()
                    if peer in cands]
@@ -492,7 +489,6 @@ class HybridAutomaton(GhsAutomaton):
             # child side of a broken tree edge: we lead the lower half
             self._reopen(peer)
             self.parent = None
-            self.pf_initiator = True
             self.cluster_value = None
             self._pf_start_count(out)
         elif peer in self._members():
@@ -558,7 +554,7 @@ class HybridAutomaton(GhsAutomaton):
         cand = self._pf_own_candidate()
         if self.pf_cand is not None and (cand is None or self.pf_cand < cand):
             cand = self.pf_cand
-        if not self.pf_initiator:
+        if self.pf_token[0] != self.ctx.uid:  # a pass an ancestor started
             # the splitting rule, re-applied during recovery
             if not self._cut_loose(count, "pf.cut",
                                    (count, self.pf_token, self.epoch), out):
@@ -567,7 +563,6 @@ class HybridAutomaton(GhsAutomaton):
             return
         # initiating root: decide what this part becomes; only a cut from
         # this very pass can be taken back
-        self.pf_initiator = False
         undo = self._take_back(count)
         if undo is not None:
             self.pf_undo = undo
@@ -590,7 +585,6 @@ class HybridAutomaton(GhsAutomaton):
     def _on_count_req(self, msg, src, out):
         token, _epoch = msg.payload
         if src == self.parent and self.edge_state.get(src) == BRANCH:
-            self.pf_initiator = False
             self._pf_start_count(out, token=token)
 
     def _on_pf_count(self, msg, src, out):
@@ -656,7 +650,6 @@ class HybridAutomaton(GhsAutomaton):
         any other node passes the news toward the root."""
         self.cluster_value = None
         if self.is_root:
-            self.pf_initiator = True
             self._pf_start_count(out)
         else:
             out.append(self.ctx.message(mtype, self.parent, payload))
@@ -688,7 +681,6 @@ class HybridAutomaton(GhsAutomaton):
     def begin_epoch(self, epoch):
         out = []
         self.epoch = epoch
-        self.global_final = None
         self.value_table = {}
         self.pair_from = {}
         self.pending_pairs = []
@@ -796,12 +788,14 @@ def check_cluster_discipline(automata, n, m) -> list[str]:
 
 
 class FailureExperiment:
-    """Run to completion, fail one link, repair, then recompute.
+    """Run to completion, fail one link, repair, then recompute; later
+    failures repeat the last two steps.
 
-    Keeps the three traces (initial consensus, structural repair, renewed
-    consensus) plus the shared automata for structural inspection.  The
-    failure is injected after the first consensus completes; recovering an
-    execution that is still mid-flight is out of scope.
+    Keeps the initial consensus's trace, the latest failure's structural
+    repair and its renewed consensus (None until `reconsensus` runs), plus
+    the shared automata for structural inspection.  Each failure is
+    injected after the latest consensus completes; recovering an execution
+    that is still mid-flight is out of scope.
     """
 
     def __init__(self, graph, values, fn, m, *, timing=None, seed=0,
@@ -834,9 +828,11 @@ class FailureExperiment:
         return breakable
 
     def fail_link(self, edge, at=None):
+        if self.repair_trace is not None and self.rerun_trace is None:
+            raise ConfigError("the pending repair needs its reconsensus first")
         u, v = edge
         failed_graph = fail_link(self.graph, edge)  # raises if it disconnects
-        done = self.initial_trace.last_output_time()
+        done = (self.rerun_trace or self.initial_trace).last_output_time()
         d = self.sim.timing.d  # done, a float k * d, may round up
         if at is None:
             at = done + d
@@ -848,19 +844,20 @@ class FailureExperiment:
             at = grid
         repair = self._continue(at)
         repair.schedule_link_down(u, v, at)
-        self.repair_trace = repair.run()
+        self.repair_trace, self.rerun_trace = repair.run(), None
         self.graph = failed_graph
         self.sim = repair
         return self.repair_trace
 
     def reconsensus(self):
+        if self.repair_trace is None or self.rerun_trace is not None:
+            raise ConfigError("reconsensus needs a link failure first")
         epoch = 1 + max(a.epoch for a in self.sim.automata.values())
         for a in self.sim.automata.values():
             a.output = None
-        repair = self.repair_trace
-        end = None if repair is None else repair.last_time()
-        start = self.sim.start_time if end is None else end + self.sim.timing.d
-        start = self.sim.timing.boundary(start)  # a full window on, at least
+        # a full window after the repair's last record, at least
+        start = self.sim.timing.boundary(self.repair_trace.last_time()
+                                         + self.sim.timing.d)
         rerun = self._continue(start)
         for uid, a in self.sim.automata.items():  # in uid order
             if a.parent is None and not a.awaiting_release:

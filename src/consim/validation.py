@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from . import bounds as bnd
 from .algorithms import ALGORITHMS
 from .averaging import AverageProtocol
-from .engine import (ExecutionTrace, Simulation, TimingParams, TraceRows, run,
-                     trace_digest)
+from .engine import (SCHEDULERS, ExecutionTrace, Simulation, TimingParams,
+                     TraceRows, run, trace_digest)
 from .flooding import FloodingProtocol
 from .functions import (MaxFunction, MeanFunction, MinFunction, VoteFunction,
                         get_function, oracle)
@@ -144,13 +144,13 @@ def check_token_invariants(trees: int = 50) -> CheckResult:
 
 def check_mst_oracle(graphs: int = 100) -> CheckResult:
     rng = random.Random(31)
-    schedulers = ("lockstep", "random", "adversarial")
     for trial in range(graphs):
         n = rng.randrange(2, 51)
         p = rng.choice([0.15, 0.3, 0.6, 1.0])
         g = make_topology("random_connected", n, {"p": p}, seed=trial)
         sim = Simulation(GhsMstProtocol(), g, [0] * n, fn=None, timing=TIMING,
-                         scheduler=schedulers[trial % 3], seed=trial)
+                         scheduler=tuple(SCHEDULERS)[trial % len(SCHEDULERS)],
+                         seed=trial)
         sim.run()
         if mst_edges(sim.automata) != kruskal_mst(g):
             return CheckResult("mst.kruskal-equivalence", False,
@@ -182,7 +182,6 @@ def _mismatch(fn, values, trace) -> str | None:
 
 def check_consensus_matrix(n: int = 8, seeds: int = 5) -> CheckResult:
     topologies = ("path", "cycle", "star", "complete", "random")
-    schedulers = ("lockstep", "random", "adversarial")
     fns = ("max", "mean", "vote:3")
     rng = random.Random(55)
     runs = 0
@@ -192,7 +191,7 @@ def check_consensus_matrix(n: int = 8, seeds: int = 5) -> CheckResult:
             for fname in fns:
                 fn = get_function(fname, 128)
                 span = (0, 3) if fname.startswith("vote") else (10, 100)
-                for sched in schedulers:
+                for sched in SCHEDULERS:
                     for seed in range(seeds):
                         g = _matrix_graph(topo, n, seed)
                         values = [rng.randrange(*span) for _ in range(n)]
@@ -487,7 +486,7 @@ def check_determinism(configs: int = 50) -> CheckResult:
         factory = ALGORITHMS[name].protocol
         n = rng.randrange(2, 16)
         m = rng.randrange(1, n + 1)
-        sched = ("lockstep", "random", "adversarial")[trial % 3]
+        sched = tuple(SCHEDULERS)[trial % len(SCHEDULERS)]
         g = make_topology("random_connected", n, {"p": 0.5}, seed=trial)
         values = [rng.randrange(100) for _ in range(n)]
         fn = MaxFunction(64)
@@ -504,33 +503,25 @@ def check_determinism(configs: int = 50) -> CheckResult:
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_oracles() -> list[CheckResult]:
-    return [check_mst_oracle(), check_consensus_matrix(), check_recovery()]
-
-
-def suite_invariants() -> list[CheckResult]:
-    return [check_token_invariants(), check_operator_algebra(),
-            check_peak_against_brute_force(), check_determinism()]
-
-
-def suite_bounds() -> list[CheckResult]:
-    out = [check_headline_average(), check_headline_flooding(),
-           check_headline_token(), check_ceiling_average(),
-           check_ceiling_flooding(), check_ceiling_parallel_convergecast()]
-    out += check_ceiling_hybrid_phases()
-    out += [check_token_tightness(), check_interpolation(),
-            check_time_flooding(), check_time_token_growth(),
-            check_time_average_mixing()]
-    return out
-
-
 SUITES = {
-    "oracles": suite_oracles,
-    "invariants": suite_invariants,
-    "bounds": suite_bounds,
+    "oracles": (check_mst_oracle, check_consensus_matrix, check_recovery),
+    "invariants": (check_token_invariants, check_operator_algebra,
+                   check_peak_against_brute_force, check_determinism),
+    "bounds": (check_headline_average, check_headline_flooding,
+               check_headline_token, check_ceiling_average,
+               check_ceiling_flooding, check_ceiling_parallel_convergecast,
+               check_ceiling_hybrid_phases, check_token_tightness,
+               check_interpolation, check_time_flooding,
+               check_time_token_growth, check_time_average_mixing),
 }
 
 
 def run_suites(which: str = "all") -> list[CheckResult]:
-    names = list(SUITES) if which == "all" else [which]
-    return [res for name in names for res in SUITES[name]()]
+    """Each named suite's checks in table order; a check returns one
+    CheckResult or a list of them."""
+    out = []
+    for name in (SUITES if which == "all" else [which]):
+        for check in SUITES[name]:
+            res = check()
+            out += res if isinstance(res, list) else [res]
+    return out

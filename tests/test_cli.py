@@ -687,13 +687,23 @@ def test_analyze_refuses_a_header_whose_fields_are_invalid(tmp_path, capsys):
     ("self loop", "self loop"),
     ("unknown uid", "edge references unknown UID"),
     ("reversed edge", "edges must be stored as (min, max)"),
+    # fields that restate the graph and the size model
+    ("node count", "n is 99, not 6"),
+    ("value bits", "b is 1234, not 768"),
+    ("flag bits", "flag_bits is 9, not 8"),
 ])
 def test_analyze_refuses_a_header_whose_graph_is_invalid(tmp_path, capsys,
                                                          how, text):
     records = _hybrid_records(tmp_path, capsys)
     head = records[0]
     uids, (a, b), *rest = head["uids"], *head["edges"]
-    if how == "duplicate uid":
+    if how == "node count":
+        head["n"] = 99
+    elif how == "value bits":
+        head["b"] = 1234
+    elif how == "flag bits":
+        head["size_model"]["flag_bits"] = 9
+    elif how == "duplicate uid":
         head["uids"] = uids[:-1] + [uids[0]]
     elif how == "self loop":
         head["edges"].append([a, a])

@@ -437,6 +437,39 @@ def test_rerun_starts_a_full_window_after_the_repair():
     assert start == TIMING.boundary(start)
 
 
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_a_later_failure_follows_the_latest_consensus(scheduler):
+    # a second failure is timed from the first rerun, not from the initial
+    # consensus, which ended 0.44 s before that rerun's last record
+    g = make_topology("random_connected", 14, {"p": 0.35}, seed=6)
+    exp = FailureExperiment(g, list(range(14)), MaxFunction(64), 3,
+                            timing=TIMING, seed=6, scheduler=scheduler)
+    traces = [exp.initial_trace]
+    for _ in range(2):
+        traces.append(exp.fail_link(exp.breakable_tree_edges()[0]))
+        traces.append(exp.reconsensus())
+        assert traces[-1].outputs == dict.fromkeys(
+            g.uids, oracle(exp.fn, range(14)))
+        assert not check_cluster_discipline(exp.automata, 14, 3)
+    for before, after in zip(traces, traces[1:]):
+        validate_trace(before)
+        assert after.config["start_time"] >= before.last_time()
+    validate_trace(traces[-1])
+
+
+def test_failure_experiment_steps_run_in_order():
+    g = make_topology("random_connected", 14, {"p": 0.35}, seed=6)
+    exp = _recovery_case(g, 3, "lockstep", seed=6)
+    with pytest.raises(ConfigError, match="needs a link failure first"):
+        exp.reconsensus()
+    exp.fail_link(exp.breakable_tree_edges()[0])
+    with pytest.raises(ConfigError, match="needs its reconsensus first"):
+        exp.fail_link(exp.breakable_tree_edges()[0])
+    exp.reconsensus()
+    with pytest.raises(ConfigError, match="needs a link failure first"):
+        exp.reconsensus()
+
+
 def test_small_half_rejoins_a_neighbor_cluster():
     # cycle: break a tree edge near a cluster boundary; the lone half must
     # end up attached to some adjacent cluster and sizes stay disciplined

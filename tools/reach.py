@@ -19,7 +19,8 @@ run, each line it lists in `ghs.py`, `hybrid.py`, `flooding.py` and
     `_on_clusters` and `_on_routed_values`, `on_link_down` before output,
     `DuplicateUidConflict` in flooding, averaging's incomplete round, and
     the `ConfigError`s of `AverageProtocol`, `HybridProtocol` and
-    `FailureExperiment.fail_link`;
+    `FailureExperiment` (`fail_link`'s time, and the order errors of
+    `fail_link` and `reconsensus`);
   - a checker or helper that no replay case calls (tests, `consim
     validate` and the demos do): `root_tree`, `GhsAutomaton.is_root`, the
     two standalone convergecast protocols, `mst_edges`, `cluster_map`,
