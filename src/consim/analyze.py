@@ -40,6 +40,9 @@ def _trace(head) -> ExecutionTrace:
                          ("flag_bits", sm["flag_bits"], SizeModel.flag_bits)):
         if got != want:
             raise _not_schema(f"its header: {k} is {got!r}, not {want!r}")
+    for k in ("start_time", "d", "l"):
+        if type(head[k]) not in (int, float):
+            raise _not_schema(f"its header: {k} is {head[k]!r}, not a number")
     try:
         return ExecutionTrace(
             events=TraceRows(), outputs={},
@@ -101,4 +104,4 @@ def analyze(lines) -> ComplexityReport:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _not_schema(f"{type(exc).__name__}: {exc}") from None
     validate_trace(trace)
-    return report_from_trace(trace, m=trace.config["m"])
+    return report_from_trace(trace)

@@ -80,10 +80,9 @@ def _execution_report(args) -> tuple[list[ComplexityReport], object]:
     graph, fn, timing = _build(args)
     values = _values(args, graph, fn)
     protocol = _algorithm(args).protocol(args.m, args.eps)
-    m = args.m if args.algo == "hybrid" else None
     trace = run(protocol, graph, values, fn=fn, timing=timing,
                 scheduler=args.sched, seed=args.seed, event_cap=args.event_cap)
-    return [report_from_trace(trace, m=m)], trace
+    return [report_from_trace(trace)], trace
 
 
 def _single_report(args) -> tuple[list[ComplexityReport], object]:
@@ -104,19 +103,18 @@ def _single_report(args) -> tuple[list[ComplexityReport], object]:
                             seed=args.seed, scheduler=args.sched)
     exp.fail_link((u, v), at=args.fail_at)
     rerun = exp.reconsensus()
-    m = args.m
-    rows = [report_from_trace(exp.initial_trace, algo="hybrid", m=m)]
+    rows = [report_from_trace(exp.initial_trace)]
     repair = exp.repair_trace
     start, end = repair.config.get("start_time", 0.0), repair.last_time()
     rows.append(ComplexityReport(
         algo="hybrid-repair", topology=args.topo, n=args.n,
-        b_bits=args.bits, d_s=args.d, m=m, seed=args.seed,
+        b_bits=args.bits, d_s=args.d, m=args.m, seed=args.seed,
         time_s=0.0 if end is None else end - start,
         messages=message_complexity(repair),
         bits=byte_complexity(repair),
         peak_bps=peak_bandwidth(repair)))
     rerun.config["algo"] = "hybrid-rerun"  # its row's label, in its file too
-    rows.append(report_from_trace(rerun, m=m))
+    rows.append(report_from_trace(rerun))
     return rows, exp.rerun_trace
 
 

@@ -584,6 +584,9 @@ class Simulation:
         heapq.heappush(self._heap, (t, prio, seq, *entry))
 
     def schedule_link_down(self, u, v, at: float):
+        """Driver hook: fail the graph's link u-v at time `at`."""
+        if v not in self.graph.adj.get(u, ()):
+            raise ConfigError(f"no link {u}-{v} in the graph")
         self._push(self._hook_time(at), _LINKDOWN, "linkdown", u, v)
 
     def schedule_kick(self, uid, method: str, args=(), at=None):
@@ -880,11 +883,11 @@ def run(protocol, graph, values, **kwargs) -> ExecutionTrace:
 
 def validate_trace(trace: ExecutionTrace):
     """Check the structural invariants every fair execution must satisfy:
-    chronological order; complete per-neighbor fan-out, each delay in
-    (0, d]; at most one copy of a send at a node, and for each copy its
-    node may react to, one transition on it within l; disjoint per-node
-    transmission windows; one output per node; and totals that count the
-    recorded sends, if any.
+    chronological order from the start time; complete per-neighbor
+    fan-out, each delay in (0, d]; at most one copy of a send at a node,
+    and for each copy its node may react to, one transition on it within
+    l; disjoint per-node transmission windows; one output per node; and
+    totals that count the recorded sends, if any.
     `tol`, d * REL_TOL, absorbs float rounding at the upper ends and in the
     ordering checks; any positive delay is a valid draw.  Raises
     TraceViolation, an AssertionError, on the first violation, explicitly,
@@ -892,7 +895,7 @@ def validate_trace(trace: ExecutionTrace):
     d, l = trace.timing.d, trace.timing.l
     tol = d * REL_TOL
     table = trace.events.sends
-    last_t = never = -math.inf
+    last_t, never = trace.config.get("start_time", 0.0), -math.inf
     seen: dict[int, list] = {}  # [start, sender, copies, got_from[sender]]
     node_send_end: dict[int, float] = {}
     got_from = defaultdict(dict)  # sender -> node -> last start it got

@@ -183,14 +183,13 @@ class GhsAutomaton(Automaton):
         self.find_count = 0
         self.count_acc = 0  # subtree size accumulator (used by subclasses)
         self.deferred: list = []
-        self.halted = False
         self.root_uid: int | None = None
         self.agg: Automaton | None = None  # aggregation over the final tree
 
     @property
     def is_root(self) -> bool:
-        """A halted node with no parent edge roots the MST."""
-        return self.halted and self.in_branch is None
+        """The MST's root is the node that names itself its root."""
+        return self.root_uid == self.ctx.uid
 
     # -- small helpers ---------------------------------------------------
 
@@ -228,7 +227,6 @@ class GhsAutomaton(Automaton):
 
     def _finish_as_root(self, out):
         """The MST is final and this node is its root."""
-        self.halted = True
         self.root_uid = self.ctx.uid
         self._after_halt(out)
 
@@ -376,7 +374,6 @@ class GhsAutomaton(Automaton):
             out.append(self._m("connect", self.best_peer, (self.level,)))
 
     def _halt(self, core_peer, out):
-        self.halted = True
         if self.ctx.uid > core_peer:  # the higher core endpoint is the root
             self.in_branch = None  # the core peer becomes a child of the root
             self._finish_as_root(out)
@@ -399,7 +396,6 @@ class GhsAutomaton(Automaton):
     def _on_rooted(self, msg, src, out):
         if src != self.in_branch or self.root_uid is not None:
             return
-        self.halted = True
         self.root_uid = msg.payload[0]
         self._after_halt(out)
 
@@ -412,7 +408,6 @@ class GhsAutomaton(Automaton):
         if self.agg is None:
             # a token non-root: the first compute arrival tells it the MST
             # is final
-            self.halted = True
             self._start_aggregation(out)
         self._forward(self.agg.on_message(msg, src), out)
 

@@ -13,9 +13,10 @@ Phase 1  grow a forest of minimum-weight trees with the MST machinery, but
          phase 2 once it and all its neighbors are done.
 Phase 2  leaves-to-root descendant counting.  A non-root node whose branch
          exceeds floor(n/m) cuts loose and becomes a provisional cluster
-         root; counting reports carry the cutting node's UID and branch size
-         so the original root can undo the most recent adjacent cut if its
-         own cluster would drop below ceil(n/(2m)).
+         root; counting reports carry the UID and branch size of the latest
+         cut the sender heard of, its child's or one passed up from any
+         depth, so the original root can undo the latest cut in its tree,
+         adjacent or not, if its own cluster would drop below ceil(n/(2m)).
 Phase 3  every cluster announces its id with one broadcast per node (the
          flood also releases or reabsorbs provisional cut roots), then a
          leaves-up convergecast reports which foreign clusters each branch
@@ -70,6 +71,7 @@ class HybridAutomaton(GhsAutomaton):
         self.cap = max(1, n // m)          # cut when a branch exceeds this
         self.floor_size = math.ceil(n / (2 * m))
         # phase 1 results
+        self.halted = False
         self.parent: int | None = None
         self.cluster_id: int | None = None
         self.neighbor_done: set = set()  # neighbors whose done flag came

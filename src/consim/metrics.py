@@ -119,7 +119,7 @@ def report_from_trace(trace, algo: str | None = None,
         n=trace.graph.n,
         b_bits=trace.size_model.value_bits,
         d_s=trace.timing.d,
-        m=m,
+        m=trace.config.get("m") if m is None else m,
         seed=trace.config.get("seed", 0),
         time_s=time_complexity(trace),
         messages=message_complexity(trace),

@@ -100,7 +100,8 @@ def check_headline_flooding() -> CheckResult:
 
 def check_headline_token() -> CheckResult:
     peak = _peak(GhsTokenProtocol(), "star", 100, MaxFunction(B_HEADLINE))
-    formulas = {mode: bnd.ghs_token_bandwidth(100, B_HEADLINE, D, mode)
+    bound = ALGORITHMS["ghs-token"].bound
+    formulas = {mode: bound(100, B_HEADLINE, D, None, mode)
                 for mode in bnd.MODES}
     offs = {mode: (peak - f) / f for mode, f in formulas.items()}
     ok = any(abs(v) <= 0.15 for v in offs.values())
@@ -235,22 +236,21 @@ def _stability(name, ratios) -> CheckResult:
     return CheckResult(name, ok, detail)
 
 
-def _ratios(protocol, kind, fn, formula) -> list[float]:
-    """Measured peak over the closed-form ceiling, per n in NS."""
-    return [_peak(protocol, kind, n, fn) / formula(n, B_HEADLINE, D)
-            for n in NS]
+def _ratios(algo, kind, fn) -> list[float]:
+    """Measured peak over the registry's ceiling, per n in NS."""
+    protocol, bound = ALGORITHMS[algo]
+    return [_peak(protocol(None, 1e-3), kind, n, fn)
+            / bound(n, B_HEADLINE, D, None, "ceil_log2") for n in NS]
 
 
 def check_ceiling_average() -> CheckResult:
     return _stability("ceiling.average", _ratios(
-        AverageProtocol(eps=1e-3), "complete", MeanFunction(B_HEADLINE),
-        bnd.average_bandwidth))
+        "average", "complete", MeanFunction(B_HEADLINE)))
 
 
 def check_ceiling_flooding() -> CheckResult:
     return _stability("ceiling.flooding", _ratios(
-        FloodingProtocol(), "complete", MaxFunction(B_HEADLINE),
-        bnd.flooding_bandwidth))
+        "flooding", "complete", MaxFunction(B_HEADLINE)))
 
 
 def check_ceiling_parallel_convergecast() -> CheckResult:
@@ -260,8 +260,8 @@ def check_ceiling_parallel_convergecast() -> CheckResult:
         hub = max(g.uids, key=g.degree)
         trace = _run(ParallelConvergecastProtocol(root_tree(g, hub)), g,
                      list(range(n)), MaxFunction(B_HEADLINE))
-        ratios.append(peak_bandwidth(trace)
-                      / bnd.average_bandwidth(n, B_HEADLINE, D))
+        ratios.append(peak_bandwidth(trace) / ALGORITHMS["ghs-parallel"]
+                      .bound(n, B_HEADLINE, D, None, "ceil_log2"))
     return _stability("ceiling.parallel-convergecast", ratios)
 
 
@@ -282,8 +282,7 @@ def check_ceiling_hybrid_phases(m: int = 2) -> list[CheckResult]:
 def check_token_tightness() -> CheckResult:
     """The bandwidth-frugal pipeline sits within a constant factor of the
     (n log n + b)/d expression on both sides at desk scale."""
-    ratios = _ratios(GhsTokenProtocol(), "star", MaxFunction(B_HEADLINE),
-                     bnd.ghs_token_bandwidth)
+    ratios = _ratios("ghs-token", "star", MaxFunction(B_HEADLINE))
     ok = all(0.4 <= r <= 2.5 for r in ratios)
     return CheckResult("ceiling.token-tightness", ok,
                        f"peak/formula per n: {['%.3f' % r for r in ratios]}")

@@ -604,6 +604,8 @@ def _mutate(records, how):
     elif how == "send from another node":
         send = _sends(r)[0]
         send["src"] = next(u for u in r[0]["uids"] if u != send["node"])
+    elif how == "record before the start":
+        r[0]["start_time"] = 1e308
     return r
 
 
@@ -625,6 +627,7 @@ def _mutate(records, how):
     ("output off the graph", "not in the graph"),
     ("kick off the graph", "transition at node"),
     ("send from another node", "a send at node"),
+    ("record before the start", "out of chronological order"),
 ])
 def test_analyze_fails_a_broken_check_with_exit_1(tmp_path, capsys, how,
                                                   text):
@@ -641,7 +644,8 @@ def test_analyze_fails_a_broken_check_with_exit_1(tmp_path, capsys, how,
 
 @pytest.mark.parametrize("how", ["schema 1", "empty", "old schema",
                                  "not json", "no time", "unknown kind",
-                                 "NaN time", "NaN start", "Infinity time"])
+                                 "NaN time", "NaN start", "Infinity time",
+                                 "string start", "null start", "boolean d"])
 def test_analyze_refuses_other_files_with_exit_2(tmp_path, capsys, how):
     records = _hybrid_records(tmp_path, capsys)
     lines = [json.dumps(r) for r in records]
@@ -664,6 +668,12 @@ def test_analyze_refuses_other_files_with_exit_2(tmp_path, capsys, how):
         lines[0] = json.dumps(dict(records[0], start_time=float("nan")))
     elif how == "Infinity time":
         lines[-1] = json.dumps(dict(records[-1], t=float("inf")))
+    elif how == "string start":
+        lines[0] = json.dumps(dict(records[0], start_time="x"))
+    elif how == "null start":
+        lines[0] = json.dumps(dict(records[0], start_time=None))
+    elif how == "boolean d":
+        lines[0] = json.dumps(dict(records[0], d=True))
     path = tmp_path / "other.jsonl"
     path.write_text("".join(ln + "\n" for ln in lines))
     code, out, err = run_cli(capsys, "analyze", str(path))

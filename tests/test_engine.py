@@ -621,6 +621,16 @@ def test_kick_of_an_unknown_method_is_rejected_when_scheduled():
     assert sim.run().to_jsonl() == _sim(g).run().to_jsonl()
 
 
+@pytest.mark.parametrize("u, v", [(99, 4), (4, 5), (4, 99), (4, 4)])
+def test_link_down_of_a_pair_that_is_not_a_link_is_rejected(u, v):
+    # P4 has uids 4, 1, 5, 2: an unknown node, a non-neighbour, a self pair
+    g = make_topology("path", 4, seed=0)
+    sim = _sim(g)
+    with pytest.raises(ConfigError, match=f"no link {u}-{v} in the graph"):
+        sim.schedule_link_down(u, v, at=0.005)
+    assert sim.run().to_jsonl() == _sim(g).run().to_jsonl()
+
+
 def test_a_second_run_is_rejected_and_the_first_trace_kept():
     g = make_topology("cycle", 6, seed=1)
     sim = _sim(g)

@@ -1,5 +1,6 @@
 import random
 import zlib
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -505,3 +506,27 @@ def test_branch_sizes_of_a_hand_built_forest():
 def test_branch_sizes_rejects_parent_pointer_cycles(parents):
     with pytest.raises(InvariantViolation, match="form a cycle"):
         branch_sizes({u: _Node(p) for u, p in parents.items()})
+
+
+# the path 1 <- 2 <- 3 <- 4 as one cluster: at n = 4, m = 2 the cap is 2
+# and node 2's branch of 3 is over it
+_PATH_CLUSTER = {1: (1, None), 2: (1, 1), 3: (1, 2), 4: (1, 3)}
+
+
+@pytest.mark.parametrize("forest, undo, problem", [
+    ({1: (5, None), 2: (5, 1), 3: (3, None), 4: (3, 3)}, None,
+     "cluster 5 does not contain its root"),
+    ({1: (1, 2), 2: (2, None), 3: (2, 2), 4: (2, 3)}, None,
+     "root 1 has a parent"),
+    ({1: (1, None), 2: (1, 1), 3: (3, None), 4: (1, 3)}, None,
+     "node 4 of cluster 1 has parent 3"),
+    (_PATH_CLUSTER, None, "non-root node 2 keeps a branch of 3 > 2"),
+    (_PATH_CLUSTER, 2, None),  # the root took node 2's cut back
+])
+def test_cluster_discipline_of_a_hand_built_forest(forest, undo, problem):
+    # uid -> (cluster_id, parent); the root records the undo exception
+    automata = {u: SimpleNamespace(cluster_id=cid, parent=p,
+                                   undo_exception=undo if p is None else None)
+                for u, (cid, p) in forest.items()}
+    assert check_cluster_discipline(automata, 4, 2) == \
+        ([] if problem is None else [problem])

@@ -116,6 +116,16 @@ def test_report_row_shape():
     assert rep.peak_bps == pytest.approx(77_500)
 
 
+@pytest.mark.parametrize("algo, m", [("hybrid", 3), ("flooding", None)])
+def test_report_row_takes_its_m_from_its_trace(algo, m):
+    # the registry passes m to every factory; only hybrid's protocol keeps it
+    g = make_topology("cycle", 6, seed=1)
+    trace = run(ALGORITHMS[algo].protocol(3, None), g, list(range(6)),
+                fn=MaxFunction(64), timing=TimingParams(d=0.01, l=0.001))
+    assert report_from_trace(trace).m == m
+    assert report_from_trace(trace, m=5).m == 5
+
+
 # averaging is round-driven and runs under lockstep only
 CASES = [(algo, sched) for algo in sorted(ALGORITHMS)
          for sched in (["lockstep"] if algo == "average"

@@ -56,7 +56,7 @@ FAILURE_GRAPHS = (("random_connected", 10, 0.3, 0, 2),
 ABSORB = ("random_connected", 17, 0.3, 2, 2, 4)
 
 
-def _digest(traces, m=None, extra=None) -> str:
+def _digest(traces, extra=None) -> str:
     h = hashlib.sha256()
     if extra is not None:
         h.update(repr(extra).encode())
@@ -64,7 +64,7 @@ def _digest(traces, m=None, extra=None) -> str:
         h.update(trace_digest(trace).encode())
         h.update(repr(peak_bandwidth_by_phase(trace)).encode())
         if len(trace.events.values) == trace.graph.n:  # every node output
-            h.update(report_from_trace(trace, m=m).csv_row().encode())
+            h.update(report_from_trace(trace).csv_row().encode())
     return h.hexdigest()
 
 
@@ -80,7 +80,7 @@ def _single(algo, g, values, fn, sched, mode, start=0.0, m=3, seed=None):
                      timing=TIMING, scheduler=sched,
                      seed=g.n if seed is None else seed,
                      record_events=mode == "recorded", start_time=start)
-    return _digest([sim.run()], m if algo == "hybrid" else None)
+    return _digest([sim.run()])
 
 
 def _mst(g, sched):
@@ -96,7 +96,7 @@ def _failure(g, values, m, seed, sched, edge):
                             seed=seed, scheduler=sched)
     exp.fail_link(edge)
     exp.reconsensus()
-    return _digest([exp.initial_trace, exp.repair_trace, exp.rerun_trace], m)
+    return _digest([exp.initial_trace, exp.repair_trace, exp.rerun_trace])
 
 
 def _graphs(fn):
