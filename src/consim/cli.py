@@ -24,8 +24,8 @@ import sys
 
 from . import bounds as bnd
 from .algorithms import ALGORITHMS
-from .analyze import analyze
-from .engine import SCHEDULERS, TimingParams, run
+from .engine import (SCHEDULERS, ExecutionTrace, TimingParams, run,
+                     validate_trace)
 from .errors import (ConfigError, ConsimError, DomainOverflow, InvalidParams,
                      NotHierarchical, WouldDisconnect)
 from .functions import get_function
@@ -138,7 +138,9 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     with open(args.file) as fh:
-        report = analyze(fh)
+        trace = ExecutionTrace.from_jsonl(fh)
+    validate_trace(trace)
+    report = report_from_trace(trace)
     sys.stdout.write(CSV_HEADER + "\n" + report.csv_row() + "\n")
     return 0
 

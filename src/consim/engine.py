@@ -68,7 +68,8 @@ send ordinals, so it does not depend on how the engine numbers its sends.
 The export writes schema 3: a header with the configuration and the graph,
 then the records.  A copy or a message transition names its send by the
 send's ordinal in the file.  Of a tagged message's copies only the one to
-dst, the only receiver that may react, is written.
+dst, the only receiver that may react, is written.  ExecutionTrace.from_jsonl
+reads the file back into columns as a run holds them, checking the format.
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any
 
-from .errors import (ConfigError, DisconnectedGraph, InvariantViolation,
-                     NonTermination, NotHierarchical, TraceViolation)
+from .errors import (ConfigError, ConsimError, DisconnectedGraph,
+                     InvariantViolation, NonTermination, NotHierarchical,
+                     TraceViolation)
 from .messages import Message, SizeModel
 from .topology import Graph
 
@@ -284,6 +286,84 @@ def _send_format(mtype, size_bits, src) -> str:
             + '%s, "fanout": %s}')
 
 
+def _not_schema(why) -> ConfigError:
+    return ConfigError(f"not a schema-{TRACE_SCHEMA} trace: {why}")
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _trace(head) -> ExecutionTrace:
+    """A trace with the header's configuration and no records yet; the
+    header's n, b and flag_bits must restate its uids and size model."""
+    if not (isinstance(head, dict) and head.get("kind") == "header"
+            and head.get("schema") == TRACE_SCHEMA):
+        raise _not_schema("the first record is not its header")
+    sm = head["size_model"]
+    for k, got, want in (("n", head["n"], len(head["uids"])),
+                         ("b", head["b"], sm["value_bits"]),
+                         ("flag_bits", sm["flag_bits"], SizeModel.flag_bits)):
+        if got != want:
+            raise _not_schema(f"its header: {k} is {got!r}, not {want!r}")
+    null = type(None)  # written for a field a hand-built config lacks
+    for k, types, what in (
+            *((k, (int, float), "a number") for k in ("start_time", "d", "l")),
+            ("seed", (int,), "an int"), ("topology", (str,), "a string"),
+            ("m", (int, null), "an int or null"),
+            *((k, (str, null), "a string or null")
+              for k in ("protocol", "algo", "scheduler", "fn"))):
+        if type(head[k]) not in types:
+            raise _not_schema(f"its header: {k} is {head[k]!r}, not {what}")
+    try:
+        return ExecutionTrace(
+            events=TraceRows(), outputs={},
+            config={k: head[k] for k in ("protocol", "algo", "scheduler",
+                                         "seed", "start_time", "fn", "m")},
+            timing=TimingParams(head["d"], head["l"]),
+            size_model=SizeModel(sm["uid_bits"], sm["value_bits"]),
+            graph=Graph(tuple(head["uids"]),
+                        frozenset(map(tuple, head["edges"])),
+                        kind=head["topology"]),
+            messages_total=head["messages"], bits_total=head["bits"])
+    except ConsimError as exc:
+        raise _not_schema(f"its header: {exc}") from None
+
+
+def _read(trace, records):
+    """Append the records to the trace's rows; a send's ref is its ordinal.
+    Only an untagged send has all its copies in the file, and a fan-out."""
+    rows, fanout, uids = trace.events, trace.send_fanout, set(trace.graph.uids)
+    for rec in records:
+        kind, t, node = rec["kind"], rec["t"], rec["node"]
+        if node not in uids:
+            raise TraceViolation(f"{kind} at node {node!r}, not in the graph")
+        if kind == "send":
+            msg = Message(rec["msg_type"], rec["src"], rec["size_bits"],
+                          dst=rec.get("dst"))
+            if msg.src != node:
+                raise TraceViolation(f"a send at node {node} from {msg.src!r}")
+            ref = len(rows.sends)
+            rows.send(t, node, ref, msg, ())
+            if rec["fanout"] is not None and msg.dst is None:
+                fanout[ref] = rec["fanout"]
+        elif kind == "output":
+            rows.output(t, node, None)
+        elif kind == "transition" and "ref" not in rec:
+            rows.add(kind, t, node)
+        elif kind in ("deliver", "transition"):
+            ref = rec["ref"]
+            if not (type(ref) is int and 0 <= ref < len(rows.sends)):
+                raise TraceViolation(f"{kind} references an unknown send")
+            dst = rows.sends[ref][0].dst
+            if kind == "deliver" and dst not in (None, node):
+                raise TraceViolation(f"copy for node {dst} recorded at "
+                                     f"node {node}")
+            rows.add(kind, t, node, ref)
+        else:
+            raise _not_schema(f"unknown record kind {kind!r}")
+
+
 @dataclass
 class ExecutionTrace:
     """Time-ordered event log of one fair execution plus its configuration.
@@ -386,6 +466,20 @@ class ExecutionTrace:
         if lines:
             lines.append("")
             yield "\n".join(lines)
+
+    @classmethod
+    def from_jsonl(cls, lines) -> ExecutionTrace:
+        """The trace of a schema-3 export, given as its lines.  Checks the
+        format only: raises ConfigError if they are not one, TraceViolation
+        at a record whose ref or node no execution writes."""
+        loads = functools.partial(json.loads, parse_constant=_not_json)
+        lines = iter(lines)
+        try:
+            trace = _trace(loads(next(lines, "null")))
+            _read(trace, map(loads, lines))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise _not_schema(f"{type(exc).__name__}: {exc}") from None
+        return trace
 
     def to_jsonl(self) -> str:
         """The whole export as one string.  `out` is its only reference, so
@@ -777,8 +871,7 @@ class Simulation:
         order."""
         automata, record = self.automata, self._record
         kinds, times, nodes, refs = self._rows.appends
-        items = iter(batch)
-        for item in items:
+        for item in batch:
             msg, ref, _, reactors = item
             src = msg.src
             for uid in reactors:
@@ -787,16 +880,17 @@ class Simulation:
                     kinds(_ROW_TRANSITION), times(t), nodes(uid), refs(ref)
                 msgs = auto.on_message(msg, src)
                 if msgs:
-                    return self._answer(t, seq, item, uid, msgs, items)
+                    return self._answer(t, seq, item, uid, msgs)
                 elif auto.output is not None or auto.ctx._flush_requested:
                     self._post_transition(uid, t)  # else it would do nothing
 
-    def _answer(self, t, seq, item, uid, msgs, items):
+    def _answer(self, t, seq, item, uid, msgs):
         """A reaction in a batch transmits, maybe starting at t, before the
-        next reaction; so the rest of the batch, the reactors after `uid`
-        and the `items` left, goes back on the heap, counted already, under
-        the batch's number seq: no other entry holds a number in the span
-        the batch reserved, so it keeps its place."""
+        next reaction; so the reactors after `uid` go back on the heap,
+        counted already, under the batch's number seq: no other entry holds
+        a number in the span the batch reserved, so they keep their place.
+        Only a round-driven protocol's round batches several items, and its
+        reactions may not transmit (the error below): no item follows."""
         if self.protocol.round_driven:
             raise InvariantViolation(
                 f"node {uid} answered a round delivery with messages;"
@@ -805,10 +899,9 @@ class Simulation:
         self._post_transition(uid, t)
         msg, ref, receivers, reactors = item
         later = reactors[reactors.index(uid) + 1:]
-        rest = [(msg, ref, receivers, later)] if later else []
-        rest += items
-        if rest:
-            heapq.heappush(self._heap, (t, _FIRE, seq, "react", 0, rest))
+        if later:
+            heapq.heappush(self._heap, (t, _FIRE, seq, "react", 0,
+                                        [(msg, ref, receivers, later)]))
 
     def _do_linkdown(self, t, u, v):
         if v in self.adj[u]:

@@ -9,10 +9,11 @@ whatever the per-neighbor delivery jitter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .engine import REL_TOL
-from .errors import IncompleteTrace
+from .errors import ConfigError, IncompleteTrace
 
 
 def peak_bandwidth(trace) -> float:
@@ -27,7 +28,8 @@ def peak_bandwidth(trace) -> float:
 
 def _sweep(sent, d: float) -> float:
     """Peak of the summed constant-rate windows of `sent`'s (t, size_bits)
-    sends."""
+    sends; a ConfigError if it overflows, which no floor on d rules out
+    for every size."""
     # endpoint times and rates in two lists, ordered by a stable index
     # sort, so that endpoints at one time are summed in send order; floats
     # and ints are not tracked by the garbage collector, tuples would be
@@ -49,6 +51,8 @@ def _sweep(sent, d: float) -> float:
             level += rates[order[i]]
             i += 1
         peak = max(peak, level)
+    if not math.isfinite(peak):
+        raise ConfigError(f"d={d!r} is too small: the peak rate overflows")
     return peak
 
 

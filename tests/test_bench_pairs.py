@@ -39,6 +39,30 @@ def test_the_bound_holds_in_the_metric_s_direction(tool, better, change,
     assert out["within_bound"] is within
 
 
+TEN = [10.0] * 10
+
+
+@pytest.mark.parametrize("better, parent, change, verdict", [
+    ("lower", TEN, [13.0] * 10, "worse"),  # 30% up, the bound is 25%
+    ("higher", TEN, [7.0] * 10, "worse"),
+    # the parent's IQR is 40% of its median: a 30% gain is unresolved
+    # unless every change run beats every parent run
+    ("lower", [6.0, 8.0, 10.0, 12.0, 14.0], [7.0] * 5, "unresolved"),
+    ("lower", [6.0, 8.0, 10.0, 12.0, 14.0], [5.5] * 5, "better"),
+    # 9 wins of 10, a tie counting for neither
+    ("lower", TEN, [9.0] * 9 + [10.0], "better"),
+    ("higher", TEN, [11.0] * 9 + [10.0], "better"),
+    ("lower", TEN, [9.0] * 8 + [10.0, 11.0], "unchanged"),
+    ("lower", TEN, [11.0] * 10, "unchanged"),
+    # every pair won, but the medians differ by less than the parent's IQR
+    ("lower", [9.0, 11.0] * 5, [7.5, 9.5] * 5, "unchanged"),
+])
+def test_a_metric_summary_gives_a_verdict(tool, better, parent, change,
+                                          verdict):
+    out = tool.summarize_metric(parent, change, 0.25, better)
+    assert out["verdict"] == verdict
+
+
 def test_a_workload_summary_sums_each_side(tool):
     def run(value, attempted, failed=0):
         return {"correct": failed == 0, "attempted": attempted,

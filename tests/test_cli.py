@@ -348,6 +348,9 @@ def test_config_file_values_are_converted_like_flags(tmp_path, capsys):
      "--workers", "0"),
     ("sweep", "--axis", "n", "--values", "3,4", "--topo", "path",
      "--workers", "-2"),
+    # no floor on d keeps bits / d finite for every b
+    ("run", "--algo", "flooding", "--topo", "path", "--n", "3",
+     "--init-values", "5,9,2", "--bits", "8", "--d", "1e-320"),
 ])
 def test_malformed_input_is_a_configuration_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -645,7 +648,9 @@ def test_analyze_fails_a_broken_check_with_exit_1(tmp_path, capsys, how,
 @pytest.mark.parametrize("how", ["schema 1", "empty", "old schema",
                                  "not json", "no time", "unknown kind",
                                  "NaN time", "NaN start", "Infinity time",
-                                 "string start", "null start", "boolean d"])
+                                 "string start", "null start", "boolean d",
+                                 "list m", "string seed", "boolean seed",
+                                 "integer topology", "object fn"])
 def test_analyze_refuses_other_files_with_exit_2(tmp_path, capsys, how):
     records = _hybrid_records(tmp_path, capsys)
     lines = [json.dumps(r) for r in records]
@@ -674,6 +679,16 @@ def test_analyze_refuses_other_files_with_exit_2(tmp_path, capsys, how):
         lines[0] = json.dumps(dict(records[0], start_time=None))
     elif how == "boolean d":
         lines[0] = json.dumps(dict(records[0], d=True))
+    elif how == "list m":
+        lines[0] = json.dumps(dict(records[0], m=[1]))
+    elif how == "string seed":
+        lines[0] = json.dumps(dict(records[0], seed="abc"))
+    elif how == "boolean seed":
+        lines[0] = json.dumps(dict(records[0], seed=True))
+    elif how == "integer topology":
+        lines[0] = json.dumps(dict(records[0], topology=7))
+    elif how == "object fn":
+        lines[0] = json.dumps(dict(records[0], fn={"x": 1}))
     path = tmp_path / "other.jsonl"
     path.write_text("".join(ln + "\n" for ln in lines))
     code, out, err = run_cli(capsys, "analyze", str(path))

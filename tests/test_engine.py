@@ -11,7 +11,6 @@ import pytest
 
 from consim import engine
 from consim.algorithms import ALGORITHMS
-from consim.analyze import analyze
 from consim.cli import _single_report, build_parser
 from consim.cli import main as cli_main
 from consim.engine import (SCHEDULERS, Automaton, Event, ExecutionTrace,
@@ -23,6 +22,7 @@ from consim.errors import (ConfigError, DisconnectedGraph,
 from consim.functions import MaxFunction, MeanFunction, MedianFunction
 from consim.hybrid import FailureExperiment
 from consim.messages import Message, SizeModel
+from consim.metrics import report_from_trace
 from consim.topology import TOPOLOGY_KINDS, Graph, make_topology
 from rows import (DELIVER, NO_REF, OUTPUT, SEND, TRANSITION, copies,
                   rows_of)
@@ -789,7 +789,8 @@ def test_validate_trace_rejects(sends, text):
         validate_trace(trace)
     # its file fails the same check with the same message
     with pytest.raises(AssertionError, match=re.escape(text)):
-        analyze(trace.to_jsonl().splitlines())
+        validate_trace(ExecutionTrace.from_jsonl(
+            trace.to_jsonl().splitlines()))
 
 
 def test_validate_trace_rejects_a_second_copy_that_replaces_a_missing_one():
@@ -811,7 +812,8 @@ def test_validate_trace_rejects_a_second_copy_that_replaces_a_missing_one():
     with pytest.raises(AssertionError, match=re.escape(text)):
         validate_trace(trace)
     with pytest.raises(AssertionError, match=re.escape(text)):
-        analyze(trace.to_jsonl().splitlines())
+        validate_trace(ExecutionTrace.from_jsonl(
+            trace.to_jsonl().splitlines()))
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
@@ -820,8 +822,9 @@ def test_a_run_before_time_zero_validates_in_memory_and_as_a_file(scheduler):
     g = make_topology("cycle", 6, seed=1)
     trace = _sim(g, scheduler=scheduler, start_time=-5.0).run()
     validate_trace(trace)
-    assert analyze(trace.to_jsonl().splitlines()).messages == \
-        trace.messages_total > 0
+    copy = ExecutionTrace.from_jsonl(trace.to_jsonl().splitlines())
+    validate_trace(copy)
+    assert report_from_trace(copy).messages == trace.messages_total > 0
 
 
 def test_validate_trace_rejects_late_delivery_at_small_d():
@@ -913,6 +916,22 @@ def test_export_matches_json_dumps_per_record(algo, scheduler):
                 scheduler=scheduler, seed=5,
                 timing=TimingParams(d=0.01, l=0.001))
     _assert_export_matches(trace)
+
+
+@pytest.mark.parametrize("start", [0.0, 0.0137])  # on and off the grid
+@pytest.mark.parametrize("algo, scheduler", _algorithm_scheduler_cases())
+def test_from_jsonl_restores_the_header(algo, scheduler, start):
+    g = make_topology("random_connected", 12, {"p": 0.3}, seed=5)
+    fn = MeanFunction(128) if algo == "average" else MaxFunction(64)
+    trace = run(ALGORITHMS[algo].protocol(3, 1e-3), g,
+                [(5 * i + 2) % 23 for i in range(12)], fn=fn,
+                scheduler=scheduler, seed=5, start_time=start,
+                timing=TimingParams(d=0.01, l=0.003))
+    copy = ExecutionTrace.from_jsonl(trace.to_jsonl().splitlines())
+    for k in ("timing", "size_model", "graph", "messages_total",
+              "bits_total"):
+        assert getattr(copy, k) == getattr(trace, k), k
+    assert copy.config == dict(trace.config, algo=trace.config["protocol"])
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))

@@ -16,7 +16,12 @@ one entry per workload:
   relative_change (change median / parent median - 1), within_bound (that
   change against the metric's bound, in its `better` direction),
   parent_iqr_frac (the parent's interquartile range over its median),
-  pairs_change_lower (pairs whose change run read lower) and the runs.
+  pairs_change_lower (pairs whose change run read lower), the runs and a
+  verdict: "worse" outside the bound; else "unresolved" when the parent's
+  IQR fraction exceeds the bound and not every change run beats every
+  parent run; else "better" when the change wins at least 9 in 10 pairs,
+  ties counting for neither, and the medians differ by more than the
+  parent's IQR in its favour; else "unchanged".
 
 Only BENCHMARK.json is read from this checkout; nothing is written into
 it.  A run that exits non-zero stops the tool with its stderr.
@@ -43,12 +48,35 @@ def quartiles(values) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def verdict(summary, bound, better="lower") -> str:
+    """A metric summary's verdict, in the metric's `better` direction: see
+    the module docstring."""
+    parent, change = summary["parent"], summary["change"]
+    parent_runs, change_runs = summary["parent_runs"], summary["change_runs"]
+    sign = 1 if better == "lower" else -1
+
+    def beats(c, p):
+        return sign * (p - c) > 0
+
+    iqr = parent["q3"] - parent["q1"]
+    if not summary["within_bound"]:
+        return "worse"
+    if iqr / parent["median"] > bound and not all(
+            beats(c, p) for c in change_runs for p in parent_runs):
+        return "unresolved"
+    wins = sum(map(beats, change_runs, parent_runs))
+    if (10 * wins >= 9 * len(parent_runs)
+            and sign * (parent["median"] - change["median"]) > iqr):
+        return "better"
+    return "unchanged"
+
+
 def summarize_metric(parent_runs, change_runs, bound, better="lower") -> dict:
-    """Both sides' quartiles and the comparison of their medians; the runs
-    are paired by index."""
+    """Both sides' quartiles, the comparison of their medians and its
+    verdict; the runs are paired by index."""
     parent, change = quartiles(parent_runs), quartiles(change_runs)
     rel = change["median"] / parent["median"] - 1
-    return {
+    out = {
         "parent": parent, "change": change,
         "relative_change": round(rel, 5),
         "within_bound": rel <= bound if better == "lower" else rel >= -bound,
@@ -58,6 +86,8 @@ def summarize_metric(parent_runs, change_runs, bound, better="lower") -> dict:
                                                         change_runs)),
         "parent_runs": list(parent_runs), "change_runs": list(change_runs),
     }
+    out["verdict"] = verdict(out, bound, better)
+    return out
 
 
 def summarize(runs, spec, seed) -> dict:
