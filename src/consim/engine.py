@@ -57,8 +57,10 @@ transition and output, and one per landing item.  A row names its message
 by ref, the sequence number of its send.  Under the quantized schedulers
 every copy of a send lands at one time, in receiver order, so a landing
 row stands for all of them and its receivers are kept once, with the send;
-under the random scheduler each copy is a row of its own.  A trace is
-built only as rows, and carries its message and bit totals.
+under the random scheduler each copy is a row of its own.  A row is 17
+bytes: kind 1, t 8, and node and ref int32 (ref -1 for none); a uid or a
+recorded send's ref that does not fit 32 bits is a ConsimError.  A trace
+is built only as rows, and carries its message and bit totals.
 ExecutionTrace.events also reads as a sequence that expands rows into
 Events on demand; the JSONL export, validate_trace and the metrics read the
 columns directly.  trace_digest says when two traces are the same
@@ -151,7 +153,8 @@ TRACE_SCHEMA = 3  # the version the export writes in its header
 # receiver of its send, in receiver order, all at the row's time
 _ROW_SEND, _ROW_DELIVER, _ROW_TRANSITION, _ROW_OUTPUT, _ROW_LAND = range(5)
 _KINDS = ("send", "deliver", "transition", "output")
-_NO_REF = -(1 << 63)  # the ref column's None
+_NO_REF = -1  # the ref column's None; a send's ref is never negative
+_I32 = 1 << 31  # the node and ref columns hold ints in [-_I32, _I32)
 
 
 class TraceRows(Sequence):
@@ -172,7 +175,7 @@ class TraceRows(Sequence):
 
     def __init__(self):
         self.columns = (self.kind, self.t, self.node, self.ref) = (
-            bytearray(), array("d"), array("q"), array("q"))
+            bytearray(), array("d"), array("i"), array("i"))
         self.appends = tuple(c.append for c in self.columns)
         self.sends: dict[int, tuple] = {}
         self.values: dict[int, Any] = {}
@@ -238,23 +241,18 @@ class TraceRows(Sequence):
         row = bisect_right(starts, start) - 1
         skip = start - starts[row]
         for i in range(row, len(self.kind)):
-            if self.kind[i] == _ROW_LAND:
-                t, ref = self.t[i], self.ref[i]
+            k, t, node, ref = (column[i] for column in self.columns)
+            if k == _ROW_LAND:
                 msg, receivers = self.sends[ref]
                 for nb in receivers[skip:]:
                     yield Event("deliver", t, nb, msg, ref)
                 skip = 0
+            elif k == _ROW_OUTPUT:
+                yield Event("output", t, node, value=self.values[i])
+            elif ref == _NO_REF:
+                yield Event(_KINDS[k], t, node)
             else:
-                yield self.record(i)
-
-    def record(self, i) -> Event:
-        """The Event of row i, which is not a landing."""
-        k, t, node, ref = self.kind[i], self.t[i], self.node[i], self.ref[i]
-        if k == _ROW_OUTPUT:
-            return Event("output", t, node, value=self.values[i])
-        if ref == _NO_REF:
-            return Event(_KINDS[k], t, node)
-        return Event(_KINDS[k], t, node, self.sends[ref][0], ref)
+                yield Event(_KINDS[k], t, node, self.sends[ref][0], ref)
 
     def indices_of(self, kind) -> list:
         """The indices of the rows of `kind`, found by a scan in C."""
@@ -276,14 +274,14 @@ class TraceRows(Sequence):
 
 
 @functools.lru_cache(maxsize=1024)
-def _send_format(mtype, size_bits, src) -> str:
-    """The JSONL %-format of a send of a message with these fields, taking
-    (repr of t, node, its dst field or "", fanout); cached by the fields,
-    which a sender's sends share whatever their dst."""
-    fields = {"msg_type": mtype, "size_bits": size_bits, "src": src}
+def _send_format(mtype, size_bits) -> str:
+    """The JSONL %-format of a send of a message of this type and size,
+    taking (repr of t, node, src, its dst field or "", fanout); cached by
+    type and size, which sends share whatever their sender and dst."""
+    fields = {"msg_type": mtype, "size_bits": size_bits}
     return ('{"kind": "send", "t": %s, "node": %d, '
             + json.dumps(fields)[1:-1].replace("%", "%%")
-            + '%s, "fanout": %s}')
+            + ', "src": %d%s, "fanout": %s}')
 
 
 def _not_schema(why) -> ConfigError:
@@ -292,6 +290,22 @@ def _not_schema(why) -> ConfigError:
 
 def _not_json(name):
     raise ValueError(f"{name} is not a JSON number")
+
+
+_NULL, _INT, _NUM = type(None), ((int,), "an int"), ((int, float), "a number")
+_TIME = (("t", *_NUM),)  # a record's
+
+
+def _typed(where, rec, fields):
+    """Refuse the first (key, types, what) with rec[key] of no type in types."""
+    for k, types, what in fields:
+        if type(rec[k]) not in types:
+            raise _not_schema(f"{where}: {k} is {rec[k]!r}, not {what}")
+
+
+def _int32(where, k, v):  # a uid or node: what a node column holds
+    if type(v) is not int or not -_I32 <= v < _I32:
+        raise _not_schema(f"{where}: {k} is {v!r}, not a 32-bit int")
 
 
 def _trace(head) -> ExecutionTrace:
@@ -306,15 +320,15 @@ def _trace(head) -> ExecutionTrace:
                          ("flag_bits", sm["flag_bits"], SizeModel.flag_bits)):
         if got != want:
             raise _not_schema(f"its header: {k} is {got!r}, not {want!r}")
-    null = type(None)  # written for a field a hand-built config lacks
-    for k, types, what in (
-            *((k, (int, float), "a number") for k in ("start_time", "d", "l")),
-            ("seed", (int,), "an int"), ("topology", (str,), "a string"),
-            ("m", (int, null), "an int or null"),
-            *((k, (str, null), "a string or null")
-              for k in ("protocol", "algo", "scheduler", "fn"))):
-        if type(head[k]) not in types:
-            raise _not_schema(f"its header: {k} is {head[k]!r}, not {what}")
+    _typed("its header", {**head, **sm}, (  # the size model's fields too
+        *((k, *_NUM) for k in ("start_time", "d", "l")),
+        *((k, *_INT) for k in ("seed", "messages", "bits", "uid_bits",
+                               "value_bits")),
+        ("m", (int, _NULL), "an int or null"), ("topology", (str,), "a string"),
+        *((k, (str, _NULL), "a string or null")
+          for k in ("protocol", "algo", "scheduler", "fn"))))
+    for u in head["uids"]:
+        _int32("its header", "a uid", u)
     try:
         return ExecutionTrace(
             events=TraceRows(), outputs={},
@@ -336,9 +350,16 @@ def _read(trace, records):
     rows, fanout, uids = trace.events, trace.send_fanout, set(trace.graph.uids)
     for rec in records:
         kind, t, node = rec["kind"], rec["t"], rec["node"]
+        where = f"a {kind} record"
+        _typed(where, rec, _TIME)
+        _int32(where, "node", node)
         if node not in uids:
             raise TraceViolation(f"{kind} at node {node!r}, not in the graph")
         if kind == "send":
+            _typed("a send record", rec, (
+                ("msg_type", (str,), "a string"), ("size_bits", *_INT),
+                ("src", *_INT), ("fanout", (int, _NULL), "an int or null"),
+                *((("dst", *_INT),) if "dst" in rec else ())))
             msg = Message(rec["msg_type"], rec["src"], rec["size_bits"],
                           dst=rec.get("dst"))
             if msg.src != node:
@@ -446,10 +467,10 @@ class ExecutionTrace:
                                           ordinal[ref]))
                     count += 1
             elif k == send_row:
-                msg, f = sends[ref][0], fanout.get(ref)
+                msg, f = sends[ref][0], fanout.get(ref, "null")
                 dst = "" if msg.dst is None else ', "dst": %d' % msg.dst
-                lines.append(_send_format(msg.mtype, msg.size_bits, msg.src)
-                             % (rt, node, dst, "null" if f is None else f))
+                lines.append(_send_format(msg.mtype, msg.size_bits)
+                             % (rt, node, msg.src, dst, f))
                 ordinal[ref] = sent
                 sent += 1
                 count += 1
@@ -601,6 +622,9 @@ class Simulation:
                  record_events=True):
         if graph.n > 1 and not graph.is_connected():
             raise DisconnectedGraph("refusing to simulate a disconnected graph")
+        for u in graph.uids:  # a lean run writes them too, in output rows
+            if not -_I32 <= u < _I32:
+                raise ConfigError(f"uid {u} does not fit a 32-bit node column")
         self.protocol = protocol
         self.graph = graph
         self.values = self._normalize_values(graph, values)
@@ -836,6 +860,9 @@ class Simulation:
                         else (dst,) if dst in adj else ())
             bits += msg.size_bits
             if record:
+                if ref >= _I32:
+                    raise NonTermination(f"send {ref} passes {_I32 - 1}, the "
+                                         f"last ref a trace can record")
                 self._rows.send(t, uid, ref, msg, receivers)
                 self._send_fanout[ref] = len(receivers)
             batch.append((msg, ref, receivers, reactors))
@@ -953,14 +980,10 @@ class Simulation:
                    reactions, span=copies)
 
     def _trace(self) -> ExecutionTrace:
-        config = {
-            "protocol": self.protocol.name,
-            "scheduler": self.scheduler,
-            "seed": self.seed,
-            "start_time": self.start_time,
-            "fn": getattr(self.fn, "name", None),
-            "m": getattr(self.protocol, "m", None),
-        }
+        config = {"protocol": self.protocol.name, "scheduler": self.scheduler,
+                  "seed": self.seed, "start_time": self.start_time,
+                  "fn": getattr(self.fn, "name", None),
+                  "m": getattr(self.protocol, "m", None)}
         return ExecutionTrace(events=self._rows, outputs=self.outputs,
                               config=config, timing=self.timing,
                               size_model=self.size_model, graph=self.graph,
@@ -1082,7 +1105,8 @@ def trace_digest(trace: ExecutionTrace) -> str:
                              f"trace does not hold") from None
     h = hashlib.sha256(b"%d rows\n" % len(refs))
     h.update(rows.kind)
-    for col in (rows.t, rows.node, refs):
+    # the node column hashed as int64: a digest does not see its width
+    for col in (rows.t, array("q", rows.node), refs):
         if sys.byteorder != "little":
             col = array(col.typecode, col)
             col.byteswap()

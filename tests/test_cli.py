@@ -650,7 +650,12 @@ def test_analyze_fails_a_broken_check_with_exit_1(tmp_path, capsys, how,
                                  "NaN time", "NaN start", "Infinity time",
                                  "string start", "null start", "boolean d",
                                  "list m", "string seed", "boolean seed",
-                                 "integer topology", "object fn"])
+                                 "integer topology", "object fn",
+                                 "float messages", "boolean bits",
+                                 "float uid_bits", "float value_bits",
+                                 "integer msg_type", "float src",
+                                 "boolean size_bits", "boolean t",
+                                 "string fanout", "string dst"])
 def test_analyze_refuses_other_files_with_exit_2(tmp_path, capsys, how):
     records = _hybrid_records(tmp_path, capsys)
     lines = [json.dumps(r) for r in records]
@@ -689,11 +694,59 @@ def test_analyze_refuses_other_files_with_exit_2(tmp_path, capsys, how):
         lines[0] = json.dumps(dict(records[0], topology=7))
     elif how == "object fn":
         lines[0] = json.dumps(dict(records[0], fn={"x": 1}))
+    elif how == "float messages":
+        lines[0] = json.dumps(dict(records[0],
+                                   messages=float(records[0]["messages"])))
+    elif how == "boolean bits":
+        lines[0] = json.dumps(dict(records[0], bits=True))
+    elif how in ("float uid_bits", "float value_bits"):
+        # a float value_bits still equals b; only its type is wrong
+        key = how.split()[1]
+        sm = records[0]["size_model"]
+        lines[0] = json.dumps(dict(records[0], size_model=dict(
+            sm, **{key: sm[key] + (0.5 if key == "uid_bits" else 0.0)})))
+    elif how == "boolean t":
+        lines[3] = json.dumps(dict(records[3], t=True))
+    else:  # a send's field
+        i = _first(records, kind="send")
+        if how == "string fanout":
+            i = next(i for i, r in enumerate(records)
+                     if r["kind"] == "send" and "dst" not in r)
+        field, value = {"integer msg_type": ("msg_type", 3),
+                        "float src": ("src", float(records[i]["src"])),
+                        "boolean size_bits": ("size_bits", True),
+                        "string fanout": ("fanout", "5"),
+                        "string dst": ("dst", "1")}[how]
+        lines[i] = json.dumps(dict(records[i], **{field: value}))
     path = tmp_path / "other.jsonl"
     path.write_text("".join(ln + "\n" for ln in lines))
     code, out, err = run_cli(capsys, "analyze", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("configuration error: not a schema-3 trace")
+
+
+@pytest.mark.parametrize("where", ["header", "record"])
+def test_analyze_refuses_a_node_outside_32_bits(tmp_path, capsys, where):
+    # the header's largest uid, and every record at it, or one record only
+    records = _hybrid_records(tmp_path, capsys)
+    head, wide = records[0], 1 << 31
+    top = max(head["uids"])
+    if where == "header":
+        head["uids"] = [wide if u == top else u for u in head["uids"]]
+        head["edges"] = [[wide if u == top else u for u in e]
+                         for e in head["edges"]]
+        for r in records[1:]:
+            for k in ("node", "src", "dst"):
+                if r.get(k) == top:
+                    r[k] = wide
+    else:
+        records[_last(records, "output")]["node"] = wide
+    path = tmp_path / "wide.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: not a schema-3 trace")
+    assert f"{wide}, not a 32-bit int" in err
 
 
 def test_analyze_refuses_a_header_whose_fields_are_invalid(tmp_path, capsys):

@@ -23,7 +23,8 @@ from consim.functions import MaxFunction, MeanFunction, MedianFunction
 from consim.hybrid import FailureExperiment
 from consim.messages import Message, SizeModel
 from consim.metrics import report_from_trace
-from consim.topology import TOPOLOGY_KINDS, Graph, make_topology
+from consim.topology import (TOPOLOGY_KINDS, Graph, edge_weight,
+                              make_topology)
 from rows import (DELIVER, NO_REF, OUTPUT, SEND, TRANSITION, copies,
                   rows_of)
 
@@ -982,10 +983,10 @@ def test_export_of_hand_built_records():
     _assert_export_matches(trace)
 
 
-def test_export_formats_build_the_json_once_per_sender(monkeypatch):
-    # a send's JSON is built once per sender's message fields, whatever its
-    # dst, so the sends of a trace, and of the traces after it, share it;
-    # no other record has one
+def test_export_formats_build_the_json_once_per_type_and_size(monkeypatch):
+    # a send's JSON is built once per message type and size, whatever its
+    # sender and dst, so the sends of a trace, and of the traces after it,
+    # share it; no other record has one
     engine._send_format.cache_clear()
     dumps, built = json.dumps, []
     monkeypatch.setattr(engine.json, "dumps",
@@ -996,10 +997,24 @@ def test_export_formats_build_the_json_once_per_sender(monkeypatch):
     for _ in range(2):
         trace.to_jsonl()
     sent = [msg for _, msg in trace.events.sent()]
-    fields = {(msg.mtype, msg.size_bits, msg.src) for msg in sent}
+    fields = {(msg.mtype, msg.size_bits) for msg in sent}
     assert len({(msg.mtype, msg.size_bits, msg.src, msg.dst)
-                for msg in sent}) > len(fields)
+                for msg in sent}) > len({(msg.mtype, msg.size_bits, msg.src)
+                                         for msg in sent}) > len(fields)
     assert len([obj for obj in built if "kind" not in obj]) == len(fields)
+
+
+def test_export_format_cache_holds_a_format_per_type_and_size():
+    # K100's sends come from 100 senders; keyed by sender, they would miss
+    # the cache once per (type, size, sender)
+    engine._send_format.cache_clear()
+    g = make_topology("complete", 100, seed=3)
+    trace = run(ALGORITHMS["hybrid"].protocol(2, 1e-3), g, list(range(100)),
+                fn=MaxFunction(64), seed=3)
+    for _ in trace.jsonl_chunks():
+        pass
+    pairs = {(msg.mtype, msg.size_bits) for _, msg in trace.events.sent()}
+    assert engine._send_format.cache_info().currsize <= len(pairs)
 
 
 @pytest.mark.parametrize("fail", [False, True])
@@ -1095,6 +1110,52 @@ def test_event_view_agrees_with_its_expansion(algo, scheduler):
     for s in (slice(None), slice(-5, None), slice(None, None, 3),
               slice(None, None, -2), slice(n, None)):
         assert view[s] == expanded[s]
+
+
+def test_a_trace_row_costs_17_bytes():
+    # kind 1, t 8, node 4 and ref 4
+    g = make_topology("random_connected", 12, {"p": 0.4}, seed=1)
+    rows = run(ALGORITHMS["flooding"].protocol(2, 1e-3), g, list(range(12)),
+               fn=MaxFunction(64), scheduler="random", seed=1).events
+    assert sum(getattr(c, "itemsize", 1) for c in rows.columns) == 17
+    assert (sum(memoryview(c).nbytes for c in rows.columns)
+            == 17 * len(rows.kind) > 0)
+
+
+_EDGE_UIDS = (-(1 << 31), (1 << 31) - 1)
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("uid", [1 << 31, -(1 << 31) - 1])
+def test_a_uid_outside_32_bits_is_a_configuration_error(uid, record):
+    # a lean run writes its output rows' nodes too
+    g = Graph((0, uid), frozenset({edge_weight(0, uid)}))
+    with pytest.raises(ConfigError, match=f"uid {uid} does not fit"):
+        Simulation(ALGORITHMS["flooding"].protocol(2, 1e-3), g, [1, 2],
+                   fn=MaxFunction(8), record_events=record)
+
+
+def test_uids_at_the_32_bit_ends_run_and_read_back():
+    g = Graph(_EDGE_UIDS, frozenset({_EDGE_UIDS}))
+    trace = run(ALGORITHMS["flooding"].protocol(2, 1e-3), g, [1, 2],
+                fn=MaxFunction(8), scheduler="random", seed=1)
+    text = trace.to_jsonl()
+    back = ExecutionTrace.from_jsonl(text.splitlines())
+    validate_trace(back)
+    assert back.to_jsonl() == text
+
+
+def test_a_recorded_send_past_the_32_bit_ref_column_is_refused():
+    g = make_topology("path", 3, seed=1)
+    sims = [Simulation(ALGORITHMS["flooding"].protocol(2, 1e-3), g,
+                       [1, 2, 3], fn=MaxFunction(8), record_events=record)
+            for record in (True, False)]
+    for sim in sims:
+        sim._seq = (1 << 31) - 3
+    with pytest.raises(NonTermination, match=f"passes {(1 << 31) - 1}"):
+        sims[0].run()
+    # a lean run records no ref: its numbers are unbounded Python ints
+    assert sims[1].run().outputs == {u: 3 for u in g.uids}
 
 
 def test_event_view_counts_rows_appended_after_a_read():
