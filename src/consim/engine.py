@@ -293,7 +293,7 @@ def _not_json(name):
 
 
 _NULL, _INT, _NUM = type(None), ((int,), "an int"), ((int, float), "a number")
-_TIME = (("t", *_NUM),)  # a record's
+_TIME = (("t", *_NUM),)  # every record's time
 
 
 def _typed(where, rec, fields):
@@ -350,13 +350,13 @@ def _read(trace, records):
     rows, fanout, uids = trace.events, trace.send_fanout, set(trace.graph.uids)
     for rec in records:
         kind, t, node = rec["kind"], rec["t"], rec["node"]
-        where = f"a {kind} record"
+        where = f"{kind} record"
         _typed(where, rec, _TIME)
         _int32(where, "node", node)
         if node not in uids:
             raise TraceViolation(f"{kind} at node {node!r}, not in the graph")
         if kind == "send":
-            _typed("a send record", rec, (
+            _typed("send record", rec, (
                 ("msg_type", (str,), "a string"), ("size_bits", *_INT),
                 ("src", *_INT), ("fanout", (int, _NULL), "an int or null"),
                 *((("dst", *_INT),) if "dst" in rec else ())))
